@@ -25,7 +25,7 @@ from pathlib import Path
 from .codec import erasure_decode, encode, hybrid_decode, local_repair
 from .construct import Code
 from .errors import LrcError, ValidationError
-from .field import Field
+from .field import Field, _prime_factors
 from .formats import (
     FORMAT_VERSION,
     LoadedArtifacts,
@@ -72,20 +72,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
+    factors = _prime_factors(q)
+    if len(factors) != 1:
         raise ValidationError(f"q = {q} is not a prime power")
-    rest = q
-    p = 0
-    for cand in range(2, q + 1):
-        if rest % cand == 0:
-            p = cand
-            break
-    m = 0
-    while rest % p == 0:
-        rest //= p
+    p, m = factors[0], 1
+    while p**m < q:
         m += 1
-    if rest != 1:
-        raise ValidationError(f"q = {q} is not a prime power")
     return p, m
 
 
@@ -325,6 +317,10 @@ def _run_suites(args, code: Code, g_rows, h_rows, loaded: bool) -> list[Verifica
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ValidationError("--trials must be at least 1")
+    if args.threads < 1:
+        raise ValidationError("--threads must be at least 1")
     if args.load is not None:
         if args.q is not None or args.p is not None or args.r is not None:
             raise ValidationError("--load replaces --q/--p/--m/--r")

@@ -35,18 +35,11 @@ def encode(field: Field, g_rows: list[list[int]], message: list[int]) -> list[in
     n = len(g_rows[0]) if g_rows else 0
     if len(message) != k:
         raise LengthMismatchError(f"message length {len(message)} != k = {k}")
-    if field.m == 1:
-        p = field.p
-        acc = [0] * n
-        for mu, row in zip(message, g_rows):
-            if mu:
-                acc = [a + mu * b for a, b in zip(acc, row)]
-        return [a % p for a in acc]
     out = [0] * n
-    add, mul = field.add, field.mul
+    submul, neg = field.submul, field.neg
     for mu, row in zip(message, g_rows):
         if mu:
-            out = [add(a, mul(mu, b)) for a, b in zip(out, row)]
+            out = submul(out, neg(mu), row)
     return out
 
 
@@ -114,22 +107,17 @@ def erasure_decode(
 def _local_pass(code: Code, work: list[int | None]) -> tuple[list[int], int]:
     """Repair every cell holding exactly one erasure, in place.
 
-    Cells are disjoint so a single sweep reaches the fixed point, but the
-    sweep repeats until no progress to keep that explicit.
+    Cells are disjoint, so one sweep reaches the fixed point.
     """
     repaired: list[int] = []
     reads = 0
-    progress = True
-    while progress:
-        progress = False
-        for cell in code.domain.cells:
-            gaps = [pos for pos in cell if work[pos] is None]
-            if len(gaps) == 1:
-                pos = gaps[0]
-                work[pos] = local_repair(code, work, pos)
-                repaired.append(pos)
-                reads += code.r
-                progress = True
+    for cell in code.domain.cells:
+        gaps = [pos for pos in cell if work[pos] is None]
+        if len(gaps) == 1:
+            pos = gaps[0]
+            work[pos] = local_repair(code, work, pos)
+            repaired.append(pos)
+            reads += code.r
     return repaired, reads
 
 

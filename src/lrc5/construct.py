@@ -244,8 +244,7 @@ def local_parity_vector(
     v = ns[0]
     lead = next(x for x in v if x)
     if lead != 1:
-        inv = field.inv(lead)
-        v = [field.mul(inv, x) for x in v]
+        v = field.scale(field.inv(lead), v)
     return v
 
 

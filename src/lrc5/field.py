@@ -4,8 +4,14 @@ Field elements are plain ints in [0, q). The base-p digits of an index are
 the coefficients of the representative polynomial, constant term first, so
 index 0 is the additive zero, index 1 the multiplicative one, and index p
 the polynomial x (when m > 1). Multiplication, inversion, and powers run on
-log/antilog tables built once at construction; addition is digitwise mod p
-(a single xor when p = 2, plain mod-p ints when m = 1).
+log/antilog tables built once at construction. Addition is plain mod-p ints
+when m = 1, a single xor when p = 2, and otherwise goes through a Zech
+logarithm table, zech[k] = log(1 + g^k), so g^i + g^j = g^(i + zech[j-i])
+costs a few table lookups in every odd-characteristic extension.
+
+The field kind is decided here and nowhere else: the vector primitives
+submul (ys - a*xs) and scale (a*xs) that row reduction and encoding run on
+are specialised once, when the Field is built.
 
 The reducing modulus defaults to the first monic irreducible polynomial of
 degree m in index order (non-leading coefficients read as a base-p integer,
@@ -106,9 +112,15 @@ class Field:
         modulus: m+1 coefficients of the reducing polynomial, constant first.
         generator: index of the canonical primitive element, the smallest
             index of multiplicative order q-1.
+        submul: submul(ys, a, xs) returns ys - a*xs as a new list. It is
+            chosen at construction: ints mod p (m = 1), xor on the log
+            tables (p = 2), or Zech addition (odd-characteristic extensions).
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "generator", "exp", "log", "_qm1")
+    __slots__ = (
+        "p", "m", "q", "modulus", "generator", "exp", "log", "submul",
+        "_qm1", "_half", "_zech",
+    )
 
     def __init__(self, p: int, m: int = 1, modulus: Sequence[int] | None = None):
         if not _is_prime(p):
@@ -180,9 +192,10 @@ class Field:
         raise AssertionError("no primitive element found")  # unreachable
 
     def _build_tables(self) -> None:
-        qm1 = self._qm1
-        # exp is doubled so mul never reduces the summed logs mod q-1
-        exp = [1] * (2 * qm1)
+        p, qm1 = self.p, self._qm1
+        # exp is doubled so mul never reduces the summed logs mod q-1, then
+        # padded with zeros for the Zech sentinel to land on
+        exp = [1] * (2 * qm1) + [0] * qm1
         log = [0] * self.q
         e = 1
         for i in range(qm1):
@@ -193,6 +206,24 @@ class Field:
             exp[i] = exp[i - qm1]
         self.exp = exp
         self.log = log
+        if self.m == 1:
+            self.submul = self._submul_mod
+        elif p == 2:
+            self.submul = self._submul_xor
+        else:
+            # zech[k] = log(1 + g^k); 1 + g^k only changes the constant
+            # digit of g^k. Where 1 + g^k = 0 the sentinel 2(q-1) makes
+            # exp[log + zech[k]] read the zero padding. The table is doubled
+            # so differences of two or three logs index it without a mod.
+            zech = [2 * qm1] * qm1
+            for k in range(qm1):
+                e = exp[k]
+                one_plus = e + 1 if e % p != p - 1 else e + 1 - p
+                if one_plus:
+                    zech[k] = log[one_plus]
+            self._zech = zech + zech
+            self._half = qm1 // 2
+            self.submul = self._submul_zech
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
@@ -209,32 +240,36 @@ class Field:
         return range(1, self.q)
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
         if self.m == 1:
-            return (a + b) % p
-        if p == 2:
+            return (a + b) % self.p
+        if self.p == 2:
             return a ^ b
-        da = _digits(a, p, self.m)
-        db = _digits(b, p, self.m)
-        return _undigits([(x + y) % p for x, y in zip(da, db)], p)
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self.log[a]
+        return self.exp[la + self._zech[self.log[b] - la]]
 
     def neg(self, a: int) -> int:
-        p = self.p
         if self.m == 1:
-            return (-a) % p
-        if p == 2:
+            return (-a) % self.p
+        if self.p == 2 or not a:
             return a
-        return _undigits([(-x) % p for x in _digits(a, p, self.m)], p)
+        return self.exp[self.log[a] + self._half]
 
     def sub(self, a: int, b: int) -> int:
-        p = self.p
         if self.m == 1:
-            return (a - b) % p
-        if p == 2:
+            return (a - b) % self.p
+        if self.p == 2:
             return a ^ b
-        da = _digits(a, p, self.m)
-        db = _digits(b, p, self.m)
-        return _undigits([(x - y) % p for x, y in zip(da, db)], p)
+        if not b:
+            return a
+        lnb = self.log[b] + self._half  # log of -b
+        if not a:
+            return self.exp[lnb]
+        la = self.log[a]
+        return self.exp[la + self._zech[lnb - la]]
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -278,6 +313,37 @@ class Field:
         for x, y in zip(xs, ys):
             acc = add(acc, mul(x, y))
         return acc
+
+    def _submul_mod(self, ys: Sequence[int], a: int, xs: Sequence[int]) -> list[int]:
+        p = self.p
+        return [(y - a * x) % p for y, x in zip(ys, xs)]
+
+    def _submul_xor(self, ys: Sequence[int], a: int, xs: Sequence[int]) -> list[int]:
+        if not a:
+            return list(ys)
+        exp, log = self.exp, self.log
+        la = log[a]
+        return [y ^ exp[la + log[x]] if x else y for y, x in zip(ys, xs)]
+
+    def _submul_zech(self, ys: Sequence[int], a: int, xs: Sequence[int]) -> list[int]:
+        if not a:
+            return list(ys)
+        exp, log, zech = self.exp, self.log, self._zech
+        ln = (log[a] + self._half) % self._qm1  # log of -a
+        return [
+            (exp[(ly := log[y]) + zech[ln + log[x] - ly]] if y else exp[ln + log[x]])
+            if x
+            else y
+            for y, x in zip(ys, xs)
+        ]
+
+    def scale(self, a: int, xs: Sequence[int]) -> list[int]:
+        """a*xs as a new list; one log-table pass in every field kind."""
+        if not a:
+            return [0] * len(xs)
+        exp, log = self.exp, self.log
+        la = log[a]
+        return [exp[la + log[x]] if x else 0 for x in xs]
 
     def spec_dict(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus), "q": self.q}

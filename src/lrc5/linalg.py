@@ -1,8 +1,7 @@
 """Dense exact linear algebra over a Field.
 
 Matrices are row-major lists of int lists; nothing here ever touches a
-float. Row reduction has a fast path for prime fields where an element is
-just an int mod p.
+float. Row operations go through the Field's submul and scale primitives.
 """
 
 from .field import Field
@@ -32,8 +31,7 @@ def rref(field: Field, rows: list[list[int]]) -> tuple[list[list[int]], list[int
         return mat, []
     nrows = len(mat)
     ncols = len(mat[0])
-    prime = field.m == 1
-    p = field.p
+    submul = field.submul
     pivots: list[int] = []
     rpos = 0
     for c in range(ncols):
@@ -48,26 +46,14 @@ def rref(field: Field, rows: list[list[int]]) -> tuple[list[list[int]], list[int
             continue
         mat[rpos], mat[pr] = mat[pr], mat[rpos]
         row = mat[rpos]
-        pv = row[c]
-        if pv != 1:
-            inv = field.inv(pv)
-            if prime:
-                row = [(x * inv) % p for x in row]
-            else:
-                mul = field.mul
-                row = [mul(x, inv) for x in row]
-            mat[rpos] = row
+        if row[c] != 1:
+            row = mat[rpos] = field.scale(field.inv(row[c]), row)
         for i in range(nrows):
             if i == rpos:
                 continue
             f = mat[i][c]
             if f:
-                ri = mat[i]
-                if prime:
-                    mat[i] = [(x - f * y) % p for x, y in zip(ri, row)]
-                else:
-                    mul, sub = field.mul, field.sub
-                    mat[i] = [sub(x, mul(f, y)) for x, y in zip(ri, row)]
+                mat[i] = submul(mat[i], f, row)
         pivots.append(c)
         rpos += 1
     return mat, pivots

@@ -79,11 +79,13 @@ class PolyField:
 
     The modulus is the first monic degree-m polynomial, in ascending order
     of the integer index of its low coefficients, that has no factorization
-    witness; for m <= 3 irreducibility is exactly having no root in GF(p).
+    witness; for m <= 3 irreducibility is exactly having no root in GF(p),
+    and for m = 4 it is having no root and not being a product of two
+    monic quadratics.
     """
 
     def __init__(self, p: int, m: int):
-        assert m in (2, 3), "root test only certifies m <= 3"
+        assert m in (2, 3, 4), "root and quadratic-product tests certify m <= 4"
         self.p = p
         self.m = m
         self.q = p**m
@@ -91,8 +93,20 @@ class PolyField:
 
     def _first_irreducible(self) -> tuple[int, ...]:
         p, m = self.p, self.m
+        quad_products = set()
+        if m == 4:
+            quads = [(a, b, 1) for a in range(p) for b in range(p)]
+            for f in quads:
+                for g in quads:
+                    prod = [0] * 5
+                    for i, x in enumerate(f):
+                        for j, y in enumerate(g):
+                            prod[i + j] = (prod[i + j] + x * y) % p
+                    quad_products.add(tuple(prod))
         for tail_index in range(p**m):
             coeffs = self.idx_to_tuple(tail_index) + (1,)
+            if coeffs in quad_products:
+                continue
             if all(self._poly_eval(coeffs, x) % p for x in range(p)):
                 return coeffs
         raise AssertionError("no irreducible polynomial found")
@@ -119,6 +133,13 @@ class PolyField:
     def add_idx(self, a: int, b: int) -> int:
         ta, tb = self.idx_to_tuple(a), self.idx_to_tuple(b)
         return self.tuple_to_idx(tuple((x + y) % self.p for x, y in zip(ta, tb)))
+
+    def neg_idx(self, a: int) -> int:
+        return self.tuple_to_idx(tuple((-x) % self.p for x in self.idx_to_tuple(a)))
+
+    def sub_idx(self, a: int, b: int) -> int:
+        ta, tb = self.idx_to_tuple(a), self.idx_to_tuple(b)
+        return self.tuple_to_idx(tuple((x - y) % self.p for x, y in zip(ta, tb)))
 
     def mul_idx(self, a: int, b: int) -> int:
         p, m = self.p, self.m

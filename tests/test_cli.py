@@ -1,8 +1,16 @@
+import concurrent.futures
 import json
+import os
+import shlex
+from pathlib import Path
 
 import pytest
 
 from lrc5.cli import main
+from lrc5.codec import encode
+from lrc5.formats import load_artifacts
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # 1-based frozen minimum-weight support of the (7,5) code
 BAD_SUPPORT_1BASED = [1, 2, 34, 36]
@@ -252,6 +260,42 @@ def test_verify_threads_same_verdict(tmp_path, capsys):
     assert str(BAD_SUPPORT_1BASED) in out
 
 
+@pytest.mark.parametrize("flag", ["--trials", "--threads"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_verify_rejects_counts_below_one(tmp_path, capsys, flag, value):
+    out_dir = tmp_path / "v"
+    rc, out, err = run(capsys, "verify", "--q", "7", "--r", "5", "--suite", "lemma",
+                       "--mode", "sampled", flag, value, "--out", str(out_dir))
+    assert rc == 2
+    assert err.startswith("ERR Validation:") and err.count("ERR") == 1
+    assert flag in err
+    assert out == "" and not out_dir.exists()
+
+
+def test_verify_threads_capped_at_cpu_count(tmp_path, capsys, monkeypatch):
+    requested = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    rc, out, _ = run(capsys, "verify", "--q", "7", "--r", "5", "--threads", "1000000",
+                     "--suite", "distance", "--out", str(tmp_path / "vt"))
+    assert rc == 3
+    assert str(BAD_SUPPORT_1BASED) in out
+    assert requested == [os.cpu_count() or 1]
+
+
 def test_verify_load_conflicts_with_build_flags(tmp_path, capsys):
     d = gen_code(tmp_path, capsys)
     rc, _, err = run(capsys, "verify", "--load", str(d), "--q", "7",
@@ -320,3 +364,37 @@ def test_word_file_format_errors_exit_2(tmp_path, capsys):
     bad.write_text("9,9,9\n")
     rc, _, err = run(capsys, "decode", "--code", str(d), "--word", str(bad))
     assert rc == 2 and err.startswith("ERR Format:")
+
+
+def readme_cli_lines():
+    """The command lines of the fenced block under the README's CLI heading."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    return [shlex.split(line) for line in block.strip().splitlines()]
+
+
+def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    lines = readme_cli_lines()
+    assert [argv[:2] for argv in lines] == [
+        ["lrc5", cmd]
+        for cmd in ("params", "gen", "encode", "repair", "decode", "verify", "simulate")
+    ]
+    for argv in lines:
+        cmd, flags = argv[1], dict(zip(argv[2::2], argv[3::2]))
+        assert all(f.startswith("--") for f in flags) and len(argv) % 2 == 0, argv
+        if "--code" in flags:
+            la = load_artifacts(flags["--code"])
+            q, k = la.code.field.q, la.code.k
+            message = [i % q for i in range(1, k + 1)]
+            codeword = encode(la.code.field, la.generator_rows, message)
+            if "--message" in flags:
+                write_word(Path(flags["--message"]), message)
+            if "--word" in flags and not Path(flags["--word"]).exists():
+                received = list(codeword)
+                received[int(flags.get("--position", "1")) - 1] = None
+                write_word(Path(flags["--word"]), received)
+        rc, _, err = run(capsys, *argv[1:])
+        assert rc == (3 if cmd == "verify" else 0), (argv, err)
+        if cmd in ("encode", "decode"):
+            assert read_word(Path(flags["--out"])) == codeword

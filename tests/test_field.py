@@ -39,17 +39,38 @@ def test_extension_field_modulus_and_generator(p, m, modulus, gen):
     assert oracle.smallest_generator() == gen
 
 
-@pytest.mark.parametrize("p,m", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (2, 4), (3, 3), (5, 2), (7, 2)])
 def test_extension_field_arithmetic_matches_polynomial_model(p, m):
     f = field_new(p, m)
     oracle = PolyField(p, m)
+    assert tuple(f.modulus) == oracle.modulus
     q = p**m
     for a in range(q):
         for b in range(q):
             assert f.add(a, b) == oracle.add_idx(a, b)
+            assert f.sub(a, b) == oracle.sub_idx(a, b)
             assert f.mul(a, b) == oracle.mul_idx(a, b)
+        assert f.neg(a) == oracle.neg_idx(a)
         if a:
             assert f.inv(a) == oracle.inv_idx(a)
+
+
+@pytest.mark.parametrize("p,m", [(13, 1), (2, 4), (3, 2), (3, 3)])
+def test_submul_and_scale_match_scalar_ops(p, m):
+    f = field_new(p, m)
+    q = f.q
+    # every (y, x) pair, so the vectors hold zeros on both sides and, for
+    # each a, entries with y = a*x where ys - a*xs cancels to 0
+    ys = [y for y in range(q) for _ in range(q)]
+    xs = [x for _ in range(q) for x in range(q)]
+    for a in range(q):
+        got = f.submul(ys, a, xs)
+        assert got == [f.sub(y, f.mul(a, x)) for y, x in zip(ys, xs)]
+        cancel = [i for i, (y, x) in enumerate(zip(ys, xs)) if y and y == f.mul(a, x)]
+        assert len(cancel) == (q - 1 if a else 0)
+        assert all(got[i] == 0 for i in cancel)
+        assert f.scale(a, xs) == [f.mul(a, x) for x in xs]
+        assert f.scale(a, []) == [] and f.submul([], a, []) == []
 
 
 def test_gf49_spot_checks_against_polynomial_model():
