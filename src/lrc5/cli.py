@@ -24,8 +24,8 @@ from pathlib import Path
 
 from .codec import erasure_decode, encode, hybrid_decode, local_repair
 from .construct import Code
-from .errors import LrcError, ValidationError
-from .field import Field, _prime_factors
+from .errors import LrcError, TooLargeError, ValidationError
+from .field import MAX_ORDER, Field, _prime_factors
 from .formats import (
     FORMAT_VERSION,
     LoadedArtifacts,
@@ -72,6 +72,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _prime_power(q: int) -> tuple[int, int]:
+    if q > MAX_ORDER:  # before factoring, which trial-divides up to sqrt(q)
+        raise TooLargeError(f"field order {q} exceeds 2^16")
     factors = _prime_factors(q)
     if len(factors) != 1:
         raise ValidationError(f"q = {q} is not a prime power")

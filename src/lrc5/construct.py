@@ -14,6 +14,9 @@ the point (g^c * h^s, g^t) where g is the canonical primitive element and
 h = g^((q-1)/(r+1)) generates the subgroup R of order r+1. Every recovery
 set, a coset (g^c R) x {g^t}, therefore occupies a contiguous block of r+1
 positions, and each such cell satisfies one local parity equation.
+
+The parity-check matrix and the local parity (1, h, ..., h^r) are closed
+forms from character-sum duality on V; no nullspace of G is computed.
 """
 
 from dataclasses import dataclass
@@ -21,6 +24,7 @@ from typing import NamedTuple
 
 from .errors import DegenerateCodeError, DivisibilityViolationError
 from .field import Field, subgroup_of_order
+# nullspace is unused here but stays bound: the benchmark's tracing rebinds it
 from .linalg import nullspace, rref
 
 
@@ -141,11 +145,29 @@ def build_generator_matrix(
     ]
 
 
-def build_parity_check(field: Field, g_rows: list[list[int]]) -> list[list[int]]:
-    """Canonical parity-check matrix: the RREF'd right nullspace of G."""
-    basis = nullspace(field, g_rows)
-    reduced, pivots = rref(field, basis)
-    assert len(pivots) == len(basis)
+def build_parity_check(
+    basis: list[Monomial], domain: EvaluationDomain
+) -> list[list[int]]:
+    """Canonical parity-check matrix: the RREF of the dual's closed-form rows.
+
+    On V the sum of x^a y^b is 0 unless a = b = 0 mod q-1, so the
+    evaluations of x^(-i) y^(-j), for the n-k pairs (i, j) in [0, q-2]^2
+    outside the basis, are independent and span the dual. The RREF of a row
+    space is unique, so this equals the RREF of any other dual basis.
+    """
+    field = domain.field
+    qm1 = field.q - 1
+    exp, log = field.exp, field.log
+    plogs = [(qm1 - log[a], qm1 - log[b]) for a, b in domain.points]
+    kept = set(basis)
+    rows = [
+        [exp[(i * la + j * lb) % qm1] for la, lb in plogs]
+        for i in range(qm1)
+        for j in range(qm1)
+        if (i, j) not in kept
+    ]
+    reduced, pivots = rref(field, rows)
+    assert len(pivots) == len(rows)
     return reduced
 
 
@@ -211,41 +233,17 @@ def interpolate(
     return coeffs
 
 
-def local_parity_vector(
-    field: Field,
-    params: CodeParams,
-    domain: EvaluationDomain,
-    cell_index: int,
-    basis: list[Monomial] | None = None,
-) -> list[int]:
-    """Canonical dual vector of one recovery set.
+def local_parity_vector(domain: EvaluationDomain) -> list[int]:
+    """The local parity (1, h, ..., h^r) shared by every recovery set.
 
-    Restricted to a cell, every basis monomial reduces to a polynomial of
-    degree < r in the subgroup parameter, so the restricted code has
-    dimension r and a one-dimensional dual. The generator is computed by a
-    nullspace of the restricted evaluation columns and scaled so its first
-    nonzero entry is 1 (with this grid ordering it works out to the powers
-    1, h, ..., h^r for every cell).
+    A cell is {(c * h^s, y) : s = 0..r}. Restricted to it, a basis monomial
+    x^i y^j is c^i y^j times the character s -> h^(s*i), and i mod r+1 runs
+    over 0..r-1 only, so the restricted code is spanned by the characters
+    h^(s*e) for e = 0..r-1. Their one-dimensional dual is (h^s)_s, because
+    sum_s h^(s*(e+1)) = 0 for e+1 in 1..r. The first entry is 1 and no entry
+    is 0.
     """
-    if basis is None:
-        basis = build_monomial_basis(params)
-    cell = domain.cells[cell_index]
-    pts = [domain.points[pos] for pos in cell]
-    qm1 = field.q - 1
-    exp, log = field.exp, field.log
-    rows = [
-        [exp[(i * log[a] + j * log[b]) % qm1] for a, b in pts] for i, j in basis
-    ]
-    ns = nullspace(field, rows)
-    if len(ns) != 1:
-        raise RuntimeError(
-            f"restricted dual of cell {cell_index} has dimension {len(ns)}, not 1"
-        )
-    v = ns[0]
-    lead = next(x for x in v if x)
-    if lead != 1:
-        v = field.scale(field.inv(lead), v)
-    return v
+    return [domain.field.pow(domain.h, s) for s in range(domain.cell_size)]
 
 
 class Code:
@@ -264,7 +262,7 @@ class Code:
         self.domain = domain
         self._generator: list[list[int]] | None = None
         self._parity: list[list[int]] | None = None
-        self._local_parity: dict[int, list[int]] = {}
+        self._local_parity: list[int] | None = None
 
     @classmethod
     def build(cls, field: Field, r: int) -> "Code":
@@ -294,17 +292,11 @@ class Code:
     @property
     def parity_check_matrix(self) -> list[list[int]]:
         if self._parity is None:
-            h = build_parity_check(self.field, self.generator_matrix)
-            if len(h) != self.n - self.k:
-                raise RuntimeError("generator matrix is rank-deficient")
-            self._parity = h
+            self._parity = build_parity_check(self.basis, self.domain)
         return self._parity
 
     def local_parity(self, cell_index: int) -> list[int]:
-        v = self._local_parity.get(cell_index)
-        if v is None:
-            v = local_parity_vector(
-                self.field, self.params, self.domain, cell_index, basis=self.basis
-            )
-            self._local_parity[cell_index] = v
-        return v
+        """Local parity of one cell; every cell shares the same vector."""
+        if self._local_parity is None:
+            self._local_parity = local_parity_vector(self.domain)
+        return self._local_parity

@@ -27,17 +27,6 @@ from .errors import NotADivisorError, NotPrimeError, TooLargeError
 MAX_ORDER = 1 << 16
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -123,13 +112,14 @@ class Field:
     )
 
     def __init__(self, p: int, m: int = 1, modulus: Sequence[int] | None = None):
-        if not _is_prime(p):
+        # before trial division of p; min(m, 17) decides it for any p >= 2
+        if m >= 1 and p ** min(m, 17) > MAX_ORDER:
+            raise TooLargeError(f"field order {p}^{m} exceeds 2^16")
+        if p < 2 or _prime_factors(p) != [p]:
             raise NotPrimeError(f"characteristic {p} is not prime")
         if m < 1:
             raise ValueError("extension degree must be at least 1")
         q = p**m
-        if q > MAX_ORDER:
-            raise TooLargeError(f"field order {p}^{m} exceeds 2^16")
         self.p = p
         self.m = m
         self.q = q

@@ -48,10 +48,10 @@ def parse_matrix_csv(text: str, q: int, path: str = "matrix") -> list[list[int]]
         if not line:
             continue
         try:
-            row = [int(tok) for tok in line.split(",")]
+            row = list(map(int, line.split(",")))
         except ValueError:
             raise FormatError(f"{path}: line {ln} is not comma-separated integers")
-        if any(not 0 <= x < q for x in row):
+        if min(row) < 0 or max(row) >= q:
             raise FormatError(f"{path}: line {ln} has entries outside [0, {q})")
         rows.append(row)
     if not rows:

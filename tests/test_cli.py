@@ -94,6 +94,15 @@ def test_validation_errors_exit_2(capsys):
     assert rc == 2 and err.startswith("ERR Validation:")
 
 
+@pytest.mark.parametrize("flag", ["--q", "--p"])
+@pytest.mark.parametrize("order", ["2305843009213693951", "65538"])
+def test_orders_above_cap_rejected_before_factoring(capsys, flag, order):
+    # 2^61 - 1 is prime: trial division up to its square root takes hours
+    rc, out, err = run(capsys, "params", flag, order, "--r", "5")
+    assert rc == 2 and out == ""
+    assert err.startswith("ERR TooLarge:") and err.count("ERR") == 1
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "verify", "--help")[0] == 0
@@ -276,8 +285,9 @@ def test_verify_threads_capped_at_cpu_count(tmp_path, capsys, monkeypatch):
     requested = []
 
     class InProcessPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             requested.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self

@@ -12,8 +12,8 @@ from lrc5.construct import (
     validate_params,
 )
 from lrc5.errors import DegenerateCodeError, DivisibilityViolationError
-from lrc5.field import field_new
-from lrc5.linalg import matmul, rank
+from lrc5.field import Field, field_new
+from lrc5.linalg import mat_vec, matmul, nullspace, rank, rref
 from lrc5.rng import SplitMix64
 
 from .oracles import (
@@ -205,10 +205,56 @@ def test_local_parity_annihilates_restricted_codewords(q, r):
 
 
 def test_local_parity_vector_is_normalized_and_unique(code75):
-    field = code75.field
-    v = local_parity_vector(field, code75.params, code75.domain, 2)
+    v = local_parity_vector(code75.domain)
     assert v == code75.local_parity(2)
     assert v[0] == 1
+
+
+# (q, r) -> (p, m); covers prime fields, characteristic 2 and odd extensions
+CLOSED_FORM_INSTANCES = {
+    (5, 3): (5, 1),
+    (7, 5): (7, 1),
+    (8, 6): (2, 3),
+    (9, 3): (3, 2),
+    (9, 7): (3, 2),
+    (11, 4): (11, 1),
+    (13, 5): (13, 1),
+    (16, 4): (2, 4),
+    (17, 7): (17, 1),
+}
+
+
+@pytest.mark.parametrize("q,r", list(CLOSED_FORM_INSTANCES))
+def test_parity_check_equals_rref_of_generic_nullspace(q, r):
+    code = Code.build(Field(*CLOSED_FORM_INSTANCES[(q, r)]), r)
+    reference, _ = rref(code.field, nullspace(code.field, code.generator_matrix))
+    assert build_parity_check(code.basis, code.domain) == reference
+
+
+@pytest.mark.parametrize("q,r", list(CLOSED_FORM_INSTANCES))
+def test_local_parity_equals_powers_of_h_and_restricted_nullspace(q, r):
+    code = Code.build(Field(*CLOSED_FORM_INSTANCES[(q, r)]), r)
+    field, g = code.field, code.generator_matrix
+    powers = [field.pow(code.domain.h, s) for s in range(r + 1)]
+    for ci, cell in enumerate(code.domain.cells):
+        assert code.local_parity(ci) == powers
+        ns = nullspace(field, [[row[p] for p in cell] for row in g])
+        assert len(ns) == 1
+        assert field.scale(field.inv(ns[0][0]), ns[0]) == powers
+
+
+@pytest.mark.parametrize("p,m,r", [(3, 3, 12), (29, 1, 6)])
+def test_parity_check_at_larger_fields_annihilates_codewords(p, m, r):
+    code = Code.build(Field(p, m), r)
+    field, h = code.field, code.parity_check_matrix
+    assert len(h) == code.n - code.k and len(h[0]) == code.n
+    assert rank(field, h) == code.n - code.k
+    rng = SplitMix64(11)
+    for _ in range(3):
+        msg = [rng.randbelow(field.q) for _ in range(code.k)]
+        word = [field.dot(msg, col) for col in zip(*code.generator_matrix)]
+        assert any(word)
+        assert mat_vec(field, h, word) == [0] * len(h)
 
 
 def test_code_build_and_caching(code75):
@@ -224,7 +270,7 @@ def test_build_matrices_standalone(f5):
     dom = build_domain(f5, params)
     basis = build_monomial_basis(params)
     g = build_generator_matrix(basis, dom)
-    h = build_parity_check(f5, g)
+    h = build_parity_check(basis, dom)
     assert len(g) == 9 and len(h) == 7
     prod = matmul(f5, h, [list(col) for col in zip(*g)])
     assert all(all(v == 0 for v in row) for row in prod)
