@@ -113,7 +113,7 @@ class Field:
 
     def __init__(self, p: int, m: int = 1, modulus: Sequence[int] | None = None):
         # before trial division of p; min(m, 17) decides it for any p >= 2
-        if m >= 1 and p ** min(m, 17) > MAX_ORDER:
+        if p >= 2 and m >= 1 and p ** min(m, 17) > MAX_ORDER:
             raise TooLargeError(f"field order {p}^{m} exceeds 2^16")
         if p < 2 or _prime_factors(p) != [p]:
             raise NotPrimeError(f"characteristic {p} is not prime")

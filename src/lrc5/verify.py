@@ -147,36 +147,27 @@ def _beta_pattern(betas: list[int], indices: list[int]) -> str:
     return "all-distinct"
 
 
-_WORKER: tuple = ()  # (field, columns, betas) of this pool worker
-
-
-def _scan_init(p, m, modulus, columns, betas):
-    global _WORKER
-    _WORKER = (Field(p, m, modulus), columns, betas)
-
-
-def _scan_worker(task):
-    """Scan one (size, lo, hi) range with the inputs _scan_init stored."""
-    fld, columns, betas = _WORKER
-    bins: Counter = Counter()
+def _scan_worker(args):
+    p, m, modulus, columns, size, lo, hi, betas = args
+    fld = Field(p, m, modulus)
+    bins: Counter | None = Counter() if betas is not None else None
 
     def on_leaf(chosen, idx):
         bins[_beta_pattern(betas, chosen + [idx])] += 1
 
     checked, failure = _scan_exhaustive(
-        fld, columns, *task, on_leaf if betas is not None else None
+        fld, columns, size, lo, hi, on_leaf if betas is not None else None
     )
-    return checked, failure, bins
+    return checked, failure, dict(bins) if bins is not None else None
 
 
 def _scan_parallel(field, columns, size, threads, betas=None):
     """Deterministic multi-process scan; equivalent to the sequential one.
 
     Never asks for more worker processes than the machine has CPUs. The
-    columns go to each worker once, through the pool initializer; a task is
-    only (size, lo, hi). The process pool is imported here, not at module
-    load: it pulls in multiprocessing, about 2 MB of resident memory that
-    runs without worker processes never use.
+    process pool is imported here, not at module load: it pulls in
+    multiprocessing, about 2 MB of resident memory that runs without
+    worker processes never use.
     """
     from concurrent.futures import ProcessPoolExecutor
 
@@ -184,15 +175,14 @@ def _scan_parallel(field, columns, size, threads, betas=None):
     n = len(columns)
     top = n - size + 1
     chunk = max(1, top // (threads * 8))
-    tasks = [(size, lo, min(lo + chunk, top)) for lo in range(0, top, chunk)]
+    tasks = [
+        (field.p, field.m, field.modulus, columns, size, lo, min(lo + chunk, top), betas)
+        for lo in range(0, top, chunk)
+    ]
     checked = 0
     failure = None
     bins: Counter = Counter()
-    with ProcessPoolExecutor(
-        max_workers=threads,
-        initializer=_scan_init,
-        initargs=(field.p, field.m, field.modulus, columns, betas),
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=threads) as pool:
         for c, f, b in pool.map(_scan_worker, tasks):
             checked += c
             if f is not None and failure is None:
@@ -447,11 +437,9 @@ def verify_locality(code: Code, trials: int = 25, seed: int = 0) -> Verification
     t0 = time.perf_counter()
     field = code.field
     witness = None
-    for ci in range(len(code.domain.cells)):
-        v = code.local_parity(ci)
-        if any(x == 0 for x in v):
-            witness = {"cell": ci + 1, "vector": v, "reason": "zero dual entry"}
-            break
+    v = code.local_parity(0)  # one vector serves every cell
+    if any(x == 0 for x in v):
+        witness = {"cell": 1, "vector": v, "reason": "zero dual entry"}
     if witness is None:
         rng = SplitMix64(seed)
         g_rows = code.generator_matrix

@@ -103,6 +103,13 @@ def test_orders_above_cap_rejected_before_factoring(capsys, flag, order):
     assert err.startswith("ERR TooLarge:") and err.count("ERR") == 1
 
 
+@pytest.mark.parametrize("p,m", [("-300", "2"), ("6", "1"), ("4", "2")])
+def test_non_prime_characteristic_reports_not_prime(capsys, p, m):
+    rc, out, err = run(capsys, "params", "--p", p, "--m", m, "--r", "5")
+    assert rc == 2 and out == ""
+    assert err.startswith("ERR NotPrime:") and err.count("ERR") == 1
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "verify", "--help")[0] == 0
@@ -285,9 +292,8 @@ def test_verify_threads_capped_at_cpu_count(tmp_path, capsys, monkeypatch):
     requested = []
 
     class InProcessPool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             requested.append(max_workers)
-            initializer(*initargs)
 
         def __enter__(self):
             return self

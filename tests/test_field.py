@@ -144,6 +144,8 @@ def test_field_rejects_non_prime_characteristic():
         field_new(1)
     with pytest.raises(NotPrimeError):
         field_new(4, 2)
+    with pytest.raises(NotPrimeError):  # (-300)^2 is above the order cap
+        field_new(-300, 2)
 
 
 def test_field_rejects_orders_beyond_cap():
