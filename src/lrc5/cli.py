@@ -28,7 +28,6 @@ from .errors import LrcError, TooLargeError, ValidationError
 from .field import MAX_ORDER, Field, _prime_factors
 from .formats import (
     FORMAT_VERSION,
-    LoadedArtifacts,
     dumps_json,
     load_artifacts,
     parse_message,
@@ -144,20 +143,19 @@ def cmd_gen(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    la = load_artifacts(args.code)
-    field = la.code.field
+    code = load_artifacts(args.code)
+    field = code.field
     message = parse_message(
-        Path(args.message).read_text(encoding="utf-8"), field.q, la.code.k, args.message
+        Path(args.message).read_text(encoding="utf-8"), field.q, code.k, args.message
     )
-    codeword = encode(field, la.generator_rows, message)
+    codeword = encode(field, code.generator_matrix, message)
     write_text_atomic(args.out, word_to_text(codeword))
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_repair(args) -> int:
-    la = load_artifacts(args.code)
-    code = la.code
+    code = load_artifacts(args.code)
     word = parse_word(Path(args.word).read_text(encoding="utf-8"), code.field.q, args.word)
     if len(word) != code.n:
         raise ValidationError(f"word has {len(word)} symbols, expected n = {code.n}")
@@ -173,14 +171,13 @@ def cmd_repair(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    la = load_artifacts(args.code)
-    code = la.code
+    code = load_artifacts(args.code)
     field = code.field
     word = parse_word(Path(args.word).read_text(encoding="utf-8"), field.q, args.word)
     if len(word) != code.n:
         raise ValidationError(f"word has {len(word)} symbols, expected n = {code.n}")
     if args.policy == "global":
-        decoded = erasure_decode(field, la.parity_rows, word)
+        decoded = erasure_decode(field, code.parity_check_matrix, word)
         stats = None
     else:
         res = hybrid_decode(code, word)
@@ -201,11 +198,11 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
-def _parity_consistency_report(
-    field: Field, g_rows: list[list[int]], h_rows: list[list[int]], expected_rows: int
-) -> VerificationReport:
+def _parity_consistency_report(code: Code) -> VerificationReport:
     """Loaded artifacts only: H must annihilate G and have full row rank."""
     t0 = time.perf_counter()
+    field, g_rows, h_rows = code.field, code.generator_matrix, code.parity_check_matrix
+    expected_rows = code.n - code.k
     witness = None
     hr = rank(field, h_rows)
     if hr != expected_rows:
@@ -233,17 +230,15 @@ def _parity_consistency_report(
     )
 
 
-def _run_suites(args, code: Code, g_rows, h_rows, loaded: bool) -> list[VerificationReport]:
-    field = code.field
-    p = code.params
+def _run_suites(args, code: Code) -> list[VerificationReport]:
+    field, p = code.field, code.params
     suites = SUITES if args.suite == "all" else (args.suite,)
     reports: list[VerificationReport] = []
     for suite in suites:
         if suite == "distance":
-            if loaded:
-                reports.append(
-                    _parity_consistency_report(field, g_rows, h_rows, p.n - p.k)
-                )
+            h_rows = code.parity_check_matrix
+            if args.load is not None:
+                reports.append(_parity_consistency_report(code))
             mode = _resolve_mode(args.mode, comb(p.n, 4))
             reports.append(
                 verify_distance_at_least(
@@ -289,31 +284,23 @@ def _run_suites(args, code: Code, g_rows, h_rows, loaded: bool) -> list[Verifica
             t0 = time.perf_counter()
             try:
                 holds = optimality_equivalence_holds(p, p.d_target)
-                reports.append(
-                    VerificationReport(
-                        claim="optimality-equivalence",
-                        mode="exhaustive",
-                        trials=0,
-                        result=holds,
-                        witness=None if holds else {"n_minus_k": p.n - p.k},
-                        seed=None,
-                        millis=(time.perf_counter() - t0) * 1000,
-                        details={"status": "holds" if holds else "fails"},
-                    )
-                )
+                witness = None if holds else {"n_minus_k": p.n - p.k}
+                details = {"status": "holds" if holds else "fails"}
             except LrcError as e:
-                reports.append(
-                    VerificationReport(
-                        claim="optimality-equivalence",
-                        mode="exhaustive",
-                        trials=0,
-                        result=True,
-                        witness=None,
-                        seed=None,
-                        millis=(time.perf_counter() - t0) * 1000,
-                        details={"status": "inapplicable", "reason": str(e)},
-                    )
+                holds, witness = True, None
+                details = {"status": "inapplicable", "reason": str(e)}
+            reports.append(
+                VerificationReport(
+                    claim="optimality-equivalence",
+                    mode="exhaustive",
+                    trials=0,
+                    result=holds,
+                    witness=witness,
+                    seed=None,
+                    millis=(time.perf_counter() - t0) * 1000,
+                    details=details,
                 )
+            )
             reports.append(length_regime_report(p))
     return reports
 
@@ -326,18 +313,12 @@ def cmd_verify(args) -> int:
     if args.load is not None:
         if args.q is not None or args.p is not None or args.r is not None:
             raise ValidationError("--load replaces --q/--p/--m/--r")
-        la: LoadedArtifacts = load_artifacts(args.load)
-        code, g_rows, h_rows = la.code, la.generator_rows, la.parity_rows
-        loaded = True
+        code = load_artifacts(args.load)
     else:
         if args.r is None:
             raise ValidationError("--r is required without --load")
-        field = _field_from_args(args)
-        code = Code.build(field, args.r)
-        g_rows = code.generator_matrix
-        h_rows = code.parity_check_matrix
-        loaded = False
-    reports = _run_suites(args, code, g_rows, h_rows, loaded)
+        code = Code.build(_field_from_args(args), args.r)
+    reports = _run_suites(args, code)
     all_pass = all(r.result for r in reports)
     doc = {
         "format_version": FORMAT_VERSION,

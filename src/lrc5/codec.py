@@ -18,7 +18,7 @@ from .errors import (
     UndecodableError,
 )
 from .field import Field
-from .linalg import InconsistentSystemError, solve
+from .linalg import InconsistentSystemError, solve, transpose
 
 ERASED = None
 
@@ -170,7 +170,7 @@ def error_correct_bd(
     if t_max == 0:
         raise UndecodableError("nonzero syndrome with t_max = 0")
     m = len(h_rows)
-    cols = [[h_rows[j][i] for j in range(m)] for i in range(n)]
+    cols = transpose(h_rows)
     mul, sub, div = field.mul, field.sub, field.div
     # weight 1: e * col_i = syndrome
     for i, col in enumerate(cols):

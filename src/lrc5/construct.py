@@ -20,6 +20,7 @@ forms from character-sum duality on V; no nullspace of G is computed.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import DegenerateCodeError, DivisibilityViolationError
@@ -247,7 +248,12 @@ def local_parity_vector(domain: EvaluationDomain) -> list[int]:
 
 
 class Code:
-    """One constructed code: parameters, domain, and lazily cached matrices."""
+    """One constructed code: parameters, domain, and its matrices.
+
+    The generator and parity-check matrices are built on first access and
+    kept; load_artifacts assigns them from stored files instead, so every
+    consumer of a Code reads the same G and H.
+    """
 
     def __init__(
         self,
@@ -260,9 +266,6 @@ class Code:
         self.params = params
         self.basis = basis
         self.domain = domain
-        self._generator: list[list[int]] | None = None
-        self._parity: list[list[int]] | None = None
-        self._local_parity: list[int] | None = None
 
     @classmethod
     def build(cls, field: Field, r: int) -> "Code":
@@ -283,20 +286,18 @@ class Code:
     def r(self) -> int:
         return self.params.r
 
-    @property
+    @cached_property
     def generator_matrix(self) -> list[list[int]]:
-        if self._generator is None:
-            self._generator = build_generator_matrix(self.basis, self.domain)
-        return self._generator
+        return build_generator_matrix(self.basis, self.domain)
 
-    @property
+    @cached_property
     def parity_check_matrix(self) -> list[list[int]]:
-        if self._parity is None:
-            self._parity = build_parity_check(self.basis, self.domain)
-        return self._parity
+        return build_parity_check(self.basis, self.domain)
+
+    @cached_property
+    def _local_parity(self) -> list[int]:
+        return local_parity_vector(self.domain)
 
     def local_parity(self, cell_index: int) -> list[int]:
         """Local parity of one cell; every cell shares the same vector."""
-        if self._local_parity is None:
-            self._local_parity = local_parity_vector(self.domain)
         return self._local_parity

@@ -4,14 +4,17 @@ Writers are deterministic (sorted JSON keys, LF newlines, no floats or
 timestamps in anything persisted) and atomic (temp file then rename inside
 the target directory), so regenerating with the same flags reproduces every
 artifact byte for byte.
+
+load_artifacts returns a Code whose generator and parity-check matrices are
+the stored CSV rows, taken as-is rather than re-derived, so every command
+and check downstream sees any tampering instead of silently repairing it.
 """
 
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
-from .construct import Code, Monomial, build_monomial_basis, validate_params
+from .construct import Code, Monomial
 from .errors import FormatError
 from .field import Field
 
@@ -155,21 +158,9 @@ def write_artifacts(code: Code, outdir: str | Path) -> dict[str, Path]:
     return paths
 
 
-@dataclass
-class LoadedArtifacts:
-    """A rebuilt Code plus the matrices exactly as stored on disk.
-
-    Matrix files are taken as-is (not re-derived), so downstream checks see
-    any tampering instead of silently repairing it.
-    """
-
-    code: Code
-    manifest: dict
-    generator_rows: list[list[int]]
-    parity_rows: list[list[int]]
-
-
-def load_artifacts(dirpath: str | Path) -> LoadedArtifacts:
+def load_artifacts(dirpath: str | Path) -> Code:
+    """The Code a gen directory describes, with the stored G and H as its
+    matrices: size-checked against the manifest, never re-derived."""
     dirpath = Path(dirpath)
     mpath = dirpath / MANIFEST_NAME
     try:
@@ -197,10 +188,10 @@ def load_artifacts(dirpath: str | Path) -> LoadedArtifacts:
         raise FormatError(f"{mpath}: q does not match p^m")
     if osec.get("primitive_element") != field.generator:
         raise FormatError(f"{mpath}: primitive element does not match the field")
-    params = validate_params(field, r)
+    code = Code.build(field, r)
+    params = code.params
     if params.n != csec.get("n") or params.k != csec.get("k"):
         raise FormatError(f"{mpath}: recorded n, k do not match q, r")
-    code = Code.build(field, r)
     files = manifest.get("files", {})
     gname = files.get("generator", GENERATOR_NAME)
     pname = files.get("parity", PARITY_NAME)
@@ -212,6 +203,6 @@ def load_artifacts(dirpath: str | Path) -> LoadedArtifacts:
         raise FormatError(
             f"{pname}: expected a {params.n - params.k} x {params.n} matrix"
         )
-    return LoadedArtifacts(
-        code=code, manifest=manifest, generator_rows=g_rows, parity_rows=h_rows
-    )
+    code.generator_matrix = g_rows
+    code.parity_check_matrix = h_rows
+    return code

@@ -100,7 +100,8 @@ def _scan_exhaustive(field, columns, size, lo=0, hi=None, on_leaf=None):
     Returns (checked, failure): failure is the lexicographically first
     dependent subset, completed with the smallest available indices when the
     dependency appears before the subset is full. checked counts subsets
-    confirmed independent, plus one for the failure.
+    confirmed independent, plus one for the failure. on_leaf receives each
+    subset confirmed independent.
     """
     n = len(columns)
     if hi is None:
@@ -119,7 +120,7 @@ def _scan_exhaustive(field, columns, size, lo=0, hi=None, on_leaf=None):
             if depth + 1 == size:
                 checked += 1
                 if on_leaf is not None:
-                    on_leaf(chosen, idx)
+                    on_leaf(chosen + [idx])
             else:
                 deeper_stop = n - (size - depth - 2)
                 found = rec(idx + 1, deeper_stop, basis + [ext], chosen + [idx])
@@ -127,8 +128,6 @@ def _scan_exhaustive(field, columns, size, lo=0, hi=None, on_leaf=None):
                     return found
         return None
 
-    if size == 0:
-        return 0, None
     stop0 = min(hi, n - size + 1)
     failure = rec(lo, stop0, [], [])
     return checked, failure
@@ -147,18 +146,28 @@ def _beta_pattern(betas: list[int], indices: list[int]) -> str:
     return "all-distinct"
 
 
+def _pattern_bins(betas):
+    """(bins, on_leaf): on_leaf counts a subset's y-pattern into bins.
+
+    Both are None without betas, so unbinned scans pay for no callback.
+    """
+    if betas is None:
+        return None, None
+    bins: Counter = Counter()
+
+    def on_leaf(subset):
+        bins[_beta_pattern(betas, subset)] += 1
+
+    return bins, on_leaf
+
+
 def _scan_worker(args):
     p, m, modulus, columns, size, lo, hi, betas = args
-    fld = Field(p, m, modulus)
-    bins: Counter | None = Counter() if betas is not None else None
-
-    def on_leaf(chosen, idx):
-        bins[_beta_pattern(betas, chosen + [idx])] += 1
-
+    bins, on_leaf = _pattern_bins(betas)
     checked, failure = _scan_exhaustive(
-        fld, columns, size, lo, hi, on_leaf if betas is not None else None
+        Field(p, m, modulus), columns, size, lo, hi, on_leaf
     )
-    return checked, failure, dict(bins) if bins is not None else None
+    return checked, failure, bins
 
 
 def _scan_parallel(field, columns, size, threads, betas=None):
@@ -189,7 +198,7 @@ def _scan_parallel(field, columns, size, threads, betas=None):
                 failure = f
             if b:
                 bins.update(b)
-    return checked, failure, dict(bins) if betas is not None else None
+    return checked, failure, bins if betas is not None else None
 
 
 def _scan_sampled(field, columns, size, trials, seed, on_subset=None):
@@ -207,6 +216,28 @@ def _scan_sampled(field, columns, size, trials, seed, on_subset=None):
         if on_subset is not None:
             on_subset(subset)
     return trials, None
+
+
+def _scan(field, columns, size, mode, trials, seed, threads, betas=None):
+    """Scan size-subsets of columns for independence in one mode.
+
+    Exhaustive mode walks every subset in lexicographic order, split across
+    worker processes when threads > 1; sampled mode checks `trials` seeded
+    subsets. Returns (checked, failure, bins): with betas, bins counts the
+    y-pattern of every subset confirmed independent; otherwise it is None.
+    """
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if size == 0:
+        return 0, None, None
+    if mode == "exhaustive" and threads > 1:
+        return _scan_parallel(field, columns, size, threads, betas)
+    bins, on_leaf = _pattern_bins(betas)
+    if mode == "exhaustive":
+        checked, failure = _scan_exhaustive(field, columns, size, on_leaf=on_leaf)
+    else:
+        checked, failure = _scan_sampled(field, columns, size, trials, seed, on_leaf)
+    return checked, failure, bins
 
 
 def verify_distance_at_least(
@@ -229,24 +260,15 @@ def verify_distance_at_least(
     n = len(h_rows[0])
     if not 1 <= w <= len(h_rows) + 1:
         raise ValueError(f"w must lie in [1, n-k+1] = [1, {len(h_rows) + 1}]")
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
     size = w - 1
     claim = f"distance>={w}"
-    if size == 0:
+    checked, failure, _ = _scan(
+        field, transpose(h_rows), size, mode, trials, seed, threads
+    )
+    if size == 0:  # every code has d >= 1
         return VerificationReport(
             claim, mode, 0, True, None, None, (time.perf_counter() - t0) * 1000
         )
-    columns = transpose(h_rows)
-    if mode == "exhaustive":
-        if threads > 1:
-            checked, failure, _ = _scan_parallel(field, columns, size, threads)
-        else:
-            checked, failure = _scan_exhaustive(field, columns, size)
-        used_seed = None
-    else:
-        checked, failure = _scan_sampled(field, columns, size, trials, seed)
-        used_seed = seed
     witness = None
     if failure is not None:
         witness = {"columns": [c + 1 for c in failure]}
@@ -256,7 +278,7 @@ def verify_distance_at_least(
         trials=checked,
         result=failure is None,
         witness=witness,
-        seed=used_seed,
+        seed=seed if mode == "sampled" else None,
         millis=(time.perf_counter() - t0) * 1000,
         details={"subset_size": size, "columns": n},
     )
@@ -380,36 +402,15 @@ def verify_constraint_matrix(
     ones before it, not every 4-subset of the grid.
     """
     t0 = time.perf_counter()
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
     points, columns, betas = _moment_columns(field)
-    npts = len(columns)
-    bins: Counter = Counter()
-    if mode == "exhaustive":
-        total = comb(npts, 4)
-        if total > SUBSET_BUDGET:
-            raise BudgetExceededError(
-                f"{total} subsets exceed the {SUBSET_BUDGET} rank-check budget"
-            )
-        if threads > 1:
-            checked, failure, merged = _scan_parallel(
-                field, columns, 4, threads, betas=betas
-            )
-            bins.update(merged)
-        else:
-
-            def on_leaf(chosen, idx):
-                bins[_beta_pattern(betas, chosen + [idx])] += 1
-
-            checked, failure = _scan_exhaustive(field, columns, 4, on_leaf=on_leaf)
-        used_seed = None
-    else:
-
-        def on_subset(subset):
-            bins[_beta_pattern(betas, subset)] += 1
-
-        checked, failure = _scan_sampled(field, columns, 4, trials, seed, on_subset)
-        used_seed = seed
+    total = comb(len(columns), 4)
+    if mode == "exhaustive" and total > SUBSET_BUDGET:
+        raise BudgetExceededError(
+            f"{total} subsets exceed the {SUBSET_BUDGET} rank-check budget"
+        )
+    checked, failure, bins = _scan(
+        field, columns, 4, mode, trials, seed, threads, betas
+    )
     witness = None
     if failure is not None:
         witness = {"points": [list(points[i]) for i in failure]}
@@ -419,7 +420,7 @@ def verify_constraint_matrix(
         trials=checked,
         result=failure is None,
         witness=witness,
-        seed=used_seed,
+        seed=seed if mode == "sampled" else None,
         millis=(time.perf_counter() - t0) * 1000,
         details={"case_counts": {k: bins[k] for k in sorted(bins)}},
     )

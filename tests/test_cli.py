@@ -218,6 +218,27 @@ def test_decode_ambiguous_pattern_exits_2(tmp_path, capsys):
         assert err.count("ERR") == 1
 
 
+def test_decode_policies_use_stored_parity(tmp_path, capsys):
+    """Both policies solve with parity.csv as stored, so both see tampering."""
+    d = gen_code(tmp_path, capsys)
+    code = load_artifacts(d)
+    word = encode(code.field, code.generator_matrix, [i % 7 for i in range(1, 28)])
+    assert word[10] != 0  # so the tampered entry changes a syndrome
+    ppath = d / "parity.csv"
+    rows = [line.split(",") for line in ppath.read_text().strip().split("\n")]
+    rows[-1][10] = str((int(rows[-1][10]) + 1) % 7)
+    ppath.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    for p in (1, 2, 21):
+        word[p - 1] = None
+    holey = tmp_path / "h.txt"
+    write_word(holey, word)
+    for policy in ("hybrid", "global"):
+        rc, out, err = run(capsys, "decode", "--code", str(d), "--word", str(holey),
+                           "--policy", policy)
+        assert rc == 2 and out == "", policy
+        assert err.startswith("ERR Undecodable:") and err.count("ERR") == 1
+
+
 def test_verify_distance_failure_exits_3(tmp_path, capsys):
     out_dir = tmp_path / "v"
     rc, out, err = run(capsys, "verify", "--q", "7", "--r", "5",
@@ -350,6 +371,13 @@ def test_verify_load_catches_tampered_generator(tmp_path, capsys):
     assert consistency["witness"]["parity_row"] >= 1
     assert consistency["witness"]["generator_row"] == 1
 
+    # locality encodes with the stored generator, so it fails too
+    rc, out, err = run(capsys, "verify", "--load", str(d), "--suite", "locality",
+                       "--out", str(tmp_path / "loc"))
+    assert rc == 3
+    assert "FAIL  locality" in out
+    assert err.startswith("ERR VerificationFailed: locality")
+
 
 def test_simulate_writes_deterministic_json(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
@@ -400,10 +428,10 @@ def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
         cmd, flags = argv[1], dict(zip(argv[2::2], argv[3::2]))
         assert all(f.startswith("--") for f in flags) and len(argv) % 2 == 0, argv
         if "--code" in flags:
-            la = load_artifacts(flags["--code"])
-            q, k = la.code.field.q, la.code.k
+            code = load_artifacts(flags["--code"])
+            q, k = code.field.q, code.k
             message = [i % q for i in range(1, k + 1)]
-            codeword = encode(la.code.field, la.generator_rows, message)
+            codeword = encode(code.field, code.generator_matrix, message)
             if "--message" in flags:
                 write_word(Path(flags["--message"]), message)
             if "--word" in flags and not Path(flags["--word"]).exists():

@@ -6,7 +6,8 @@ so no bytecode is written next to it.
 
 from pathlib import Path
 
-from lrc5 import Code, construct, field_new
+from lrc5 import Code, cli, construct, field_new
+from lrc5.codec import encode
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -38,3 +39,25 @@ def test_construct_boundaries_record_spans():
     assert names.count("construct.local_parity") == 1
     assert names.count("linalg.rref") >= 1
     assert not hasattr(construct.build_parity_check, "__wrapped__")  # undone
+
+
+def test_hybrid_decode_of_loaded_code_builds_no_matrix(tmp_path, capsys):
+    """Loaded G and H are the stored ones: decoding constructs neither."""
+    d = tmp_path / "code"
+    assert cli.main(["gen", "--q", "7", "--r", "5", "--out", str(d)]) == 0
+    code = Code.build(field_new(7), 5)
+    word = encode(code.field, code.generator_matrix, [i % 7 for i in range(1, 28)])
+    word[0] = word[1] = None  # one cell, two erasures: needs the global solve
+    holey = tmp_path / "h.txt"
+    holey.write_text(",".join("?" if s is None else str(s) for s in word) + "\n")
+    tracer = load_tracing()["Tracer"]()
+    with tracer.operation():
+        rc = cli.main(["decode", "--code", str(d), "--word", str(holey),
+                       "--policy", "hybrid"])
+    capsys.readouterr()
+    assert rc == 0
+    names = [span[0] for span in tracer.spans]
+    assert names.count("formats.load_artifacts") == 1
+    assert names.count("codec.erasure_decode") == 1
+    assert names.count("construct.parity") == 0
+    assert names.count("construct.generator") == 0
