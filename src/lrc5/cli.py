@@ -199,7 +199,8 @@ def cmd_decode(args) -> int:
 
 
 def _parity_consistency_report(code: Code) -> VerificationReport:
-    """Loaded artifacts only: H must annihilate G and have full row rank."""
+    """Loaded artifacts only: G and H must have full row rank and H must
+    annihilate G."""
     t0 = time.perf_counter()
     field, g_rows, h_rows = code.field, code.generator_matrix, code.parity_check_matrix
     expected_rows = code.n - code.k
@@ -207,6 +208,8 @@ def _parity_consistency_report(code: Code) -> VerificationReport:
     hr = rank(field, h_rows)
     if hr != expected_rows:
         witness = {"reason": "parity rank deficit", "rank": hr, "expected": expected_rows}
+    elif (gr := rank(field, g_rows)) != code.k:
+        witness = {"reason": "generator rank deficit", "rank": gr, "expected": code.k}
     else:
         for i, hrow in enumerate(h_rows):
             if witness is not None:

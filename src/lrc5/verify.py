@@ -2,9 +2,13 @@
 
 Distance and constraint-matrix checks share one subset-scanning engine that
 walks w-subsets of a column family in lexicographic order, carrying a
-partial echelon basis so shared prefixes are reduced once. Exhaustive scans
-can optionally split the leading index range across worker processes; the
-merged result is identical to a sequential scan.
+partial echelon basis so shared prefixes are reduced once. The last level
+is decided by hashing: against the basis of a (w-2)-prefix, columns j and l
+complete a dependent subset exactly when l's normalized residual is zero or
+equals j's, because the residual map is linear with the prefix span as its
+kernel. Each prefix thus costs one reduction per later column, not one per
+leaf. Exhaustive scans can optionally split the leading index range across
+worker processes; the merged result is identical to a sequential scan.
 
 Every check returns a VerificationReport. A failing report always carries a
 witness concrete enough to replay by hand (a column subset, a point subset,
@@ -101,35 +105,75 @@ def _scan_exhaustive(field, columns, size, lo=0, hi=None, on_leaf=None):
     dependent subset, completed with the smallest available indices when the
     dependency appears before the subset is full. checked counts subsets
     confirmed independent, plus one for the failure. on_leaf receives each
-    subset confirmed independent.
+    subset confirmed independent, in lexicographic order.
+
+    The last two levels are not walked leaf by leaf: each later column is
+    reduced once against the prefix basis and keyed by its normalized
+    residual. That is exact because two columns extend the prefix to a
+    dependent set iff their residuals are parallel or one is zero.
     """
     n = len(columns)
     if hi is None:
         hi = n
     checked = 0
+    if size == 1:
+        for idx in range(lo, min(hi, n)):
+            checked += 1
+            if not any(columns[idx]):
+                return checked, (idx,)
+            if on_leaf is not None:
+                on_leaf([idx])
+        return checked, None
+
+    def last_two(start, stop, basis, chosen):
+        # partner: the first l > j whose residual is zero or equal to j's
+        # (_reduce scales pivots to 1, so parallel residuals are equal
+        # tuples); a zero residual at j fails at once, completed as (j, j+1).
+        nonlocal checked
+        next_zero, seen, first = n, {}, None
+        for i in range(n - 1, start - 1, -1):
+            ext = _reduce(field, basis, columns[i])
+            if ext is None:
+                partner, next_zero = i + 1, i
+            else:
+                key = tuple(ext[1])
+                partner = min(next_zero, seen.get(key, n))
+                seen[key] = i
+            if i < stop and partner < n:
+                first = i, partner
+        j_end = stop if first is None else first[0]
+        # leaves (j, l) for j in [start, j_end), l in (j, n) all pass
+        checked += comb(n - start, 2) - comb(n - j_end, 2)
+        if on_leaf is not None:
+            for j in range(start, j_end):
+                for l in range(j + 1, n):
+                    on_leaf(chosen + [j, l])
+        if first is None:
+            return None
+        j, partner = first
+        checked += partner - j
+        if on_leaf is not None:
+            for l in range(j + 1, partner):
+                on_leaf(chosen + [j, l])
+        return (*chosen, j, partner)
 
     def rec(start, stop, basis, chosen):
         nonlocal checked
         depth = len(chosen)
+        if depth == size - 2:
+            return last_two(start, stop, basis, chosen)
         for idx in range(start, stop):
             ext = _reduce(field, basis, columns[idx])
             if ext is None:
                 checked += 1
                 need = size - depth - 1
                 return tuple(chosen) + (idx,) + tuple(range(idx + 1, idx + 1 + need))
-            if depth + 1 == size:
-                checked += 1
-                if on_leaf is not None:
-                    on_leaf(chosen + [idx])
-            else:
-                deeper_stop = n - (size - depth - 2)
-                found = rec(idx + 1, deeper_stop, basis + [ext], chosen + [idx])
-                if found is not None:
-                    return found
+            found = rec(idx + 1, n - (size - depth - 2), basis + [ext], chosen + [idx])
+            if found is not None:
+                return found
         return None
 
-    stop0 = min(hi, n - size + 1)
-    failure = rec(lo, stop0, [], [])
+    failure = rec(lo, min(hi, n - size + 1), [], [])
     return checked, failure
 
 

@@ -379,6 +379,27 @@ def test_verify_load_catches_tampered_generator(tmp_path, capsys):
     assert err.startswith("ERR VerificationFailed: locality")
 
 
+def test_verify_load_catches_generator_rank_deficit(tmp_path, capsys):
+    # a repeated row is still a codeword, so H G^T = 0 alone misses it
+    d = gen_code(tmp_path, capsys)
+    gpath = d / "generator.csv"
+    lines = gpath.read_text().strip().split("\n")
+    lines[1] = lines[0]
+    gpath.write_text("\n".join(lines) + "\n")
+
+    rc, out, _ = run(capsys, "verify", "--load", str(d), "--suite", "distance",
+                     "--out", str(tmp_path / "v"))
+    assert rc == 3
+    assert "FAIL  parity-consistency" in out
+    doc = json.loads((tmp_path / "v" / "report.json").read_text())
+    consistency = next(
+        r for r in doc["reports"] if r["claim"] == "parity-consistency"
+    )
+    assert consistency["witness"] == {
+        "reason": "generator rank deficit", "rank": 26, "expected": 27,
+    }
+
+
 def test_simulate_writes_deterministic_json(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):

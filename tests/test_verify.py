@@ -8,8 +8,11 @@ The construction targets distance 5 but tops out at 4, so the distance and
 rank claims verify False here, with witnesses; that is the honest output.
 """
 
+import random
+
 import pytest
 
+from lrc5.construct import Code
 from lrc5.errors import (
     BudgetExceededError,
     ConditionViolatedError,
@@ -20,6 +23,8 @@ from lrc5.verify import (
     AUTO_EXHAUSTIVE_LIMIT,
     SUBSET_BUDGET,
     VerificationReport,
+    _moment_columns,
+    _scan_exhaustive,
     constraint_matrix,
     constraint_matrix_rank,
     find_min_weight_codeword,
@@ -404,3 +409,123 @@ def test_report_json_timing_toggle(code53):
 
 def test_auto_exhaustive_limit_constant():
     assert AUTO_EXHAUSTIVE_LIMIT == 250_000
+
+
+def _reference_reduce(field, basis, col):
+    v = list(col)
+    for piv, b in basis:
+        if v[piv]:
+            v = field.submul(v, v[piv], b)
+    for pi, x in enumerate(v):
+        if x:
+            return pi, field.scale(field.inv(x), v)
+    return None
+
+
+def reference_scan(field, columns, size, lo=0, hi=None):
+    """Per-leaf depth-first scan: every leaf subset is reduced on its own.
+
+    Returns (checked, failure, leaves) with the same meaning as
+    _scan_exhaustive plus the on_leaf call sequence.
+    """
+    n = len(columns)
+    hi = n if hi is None else hi
+    checked = 0
+    leaves = []
+
+    def rec(start, stop, basis, chosen):
+        nonlocal checked
+        depth = len(chosen)
+        for idx in range(start, stop):
+            ext = _reference_reduce(field, basis, columns[idx])
+            if ext is None:
+                checked += 1
+                need = size - depth - 1
+                return tuple(chosen) + (idx,) + tuple(range(idx + 1, idx + 1 + need))
+            if depth + 1 == size:
+                checked += 1
+                leaves.append(chosen + [idx])
+            else:
+                found = rec(idx + 1, n - (size - depth - 2), basis + [ext], chosen + [idx])
+                if found is not None:
+                    return found
+        return None
+
+    failure = rec(lo, min(hi, n - size + 1), [], [])
+    return checked, failure, leaves
+
+
+def engine_scan(field, columns, size, lo=0, hi=None):
+    leaves = []
+    checked, failure = _scan_exhaustive(field, columns, size, lo, hi, leaves.append)
+    return checked, failure, leaves
+
+
+def assert_chunks_match(field, columns, size, chunk):
+    """Consecutive lo/hi chunks agree with the reference chunk by chunk and,
+    summed up to the first failing chunk, with the full scan."""
+    full = engine_scan(field, columns, size)
+    total, failure = 0, None
+    for lo in range(0, len(columns) - size + 1, chunk):
+        got = engine_scan(field, columns, size, lo, lo + chunk)
+        assert got == reference_scan(field, columns, size, lo, lo + chunk)
+        total += got[0]
+        if got[1] is not None:
+            failure = got[1]
+            break
+    assert (total, failure) == full[:2]
+
+
+@pytest.mark.parametrize("p,m,r", [(5, 1, 3), (7, 1, 5), (2, 3, 6), (3, 2, 3), (11, 1, 4)])
+def test_scan_matches_per_leaf_reference_on_parity_columns(p, m, r):
+    field = field_new(p, m)
+    columns = [list(c) for c in zip(*Code.build(field, r).parity_check_matrix)]
+    for size in (1, 2, 3, 4):
+        assert engine_scan(field, columns, size) == reference_scan(field, columns, size)
+        if field.q <= 7:
+            assert_chunks_match(field, columns, size, chunk=3)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_scan_matches_reference_on_lemma_columns(q):
+    """Equal on_leaf sequences give equal y-pattern bins."""
+    field = field_new(q)
+    _, columns, _ = _moment_columns(field)
+    assert engine_scan(field, columns, 4) == reference_scan(field, columns, 4)
+    assert_chunks_match(field, columns, 4, chunk=5)
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (2, 2), (3, 2), (2, 3)])
+def test_scan_matches_reference_on_random_columns(p, m):
+    """Seeded column sets salted with zero, repeated and parallel columns,
+    so every last-level case (zero residual, equal normalized residual,
+    first-level dependency) occurs."""
+    field = field_new(p, m)
+    rng = random.Random(p * 100 + m)
+    for _ in range(60):
+        dim = rng.randint(2, 5)
+        n = rng.randint(4, 14)
+        columns = [[rng.randrange(field.q) for _ in range(dim)] for _ in range(n)]
+        for _ in range(rng.randint(0, 3)):
+            src = columns[rng.randrange(n)]
+            kind = rng.randrange(3)
+            if kind == 0:
+                new = [0] * dim
+            elif kind == 1:
+                new = list(src)
+            else:
+                new = field.scale(rng.randrange(1, field.q), src)
+            columns.insert(rng.randrange(n + 1), new)
+        for size in range(1, min(5, len(columns)) + 1):
+            assert engine_scan(field, columns, size) == reference_scan(field, columns, size)
+        assert_chunks_match(field, columns, 3, chunk=2)
+
+
+@pytest.mark.parametrize("p,m,r,trials", [(3, 2, 3, 41_664), (2, 4, 4, 1_873_200)])
+def test_distance_four_certified_exhaustively_on_extension_fields(p, m, r, trials):
+    field = field_new(p, m)
+    code = Code.build(field, r)
+    rep = verify_distance_at_least(field, code.parity_check_matrix, 4)
+    assert rep.result is True and rep.witness is None
+    assert rep.mode == "exhaustive"
+    assert rep.trials == trials
