@@ -246,7 +246,7 @@ def _run_suites(args, code: Code) -> list[VerificationReport]:
             reports.append(
                 verify_distance_at_least(
                     field, h_rows, 5, mode=mode,
-                    trials=args.trials, seed=args.seed, threads=args.threads,
+                    trials=args.trials, seed=args.seed,
                 )
             )
             budget = sum(comb(p.n, w) for w in range(1, 6))
@@ -263,8 +263,7 @@ def _run_suites(args, code: Code) -> list[VerificationReport]:
             mode = _resolve_mode(args.mode, comb(p.n, 4))
             reports.append(
                 verify_constraint_matrix(
-                    field, mode=mode,
-                    trials=args.trials, seed=args.seed, threads=args.threads,
+                    field, mode=mode, trials=args.trials, seed=args.seed
                 )
             )
         elif suite == "locality":
@@ -311,8 +310,6 @@ def _run_suites(args, code: Code) -> list[VerificationReport]:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ValidationError("--trials must be at least 1")
-    if args.threads < 1:
-        raise ValidationError("--threads must be at least 1")
     if args.load is not None:
         if args.q is not None or args.p is not None or args.r is not None:
             raise ValidationError("--load replaces --q/--p/--m/--r")
@@ -395,47 +392,42 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="lrc5", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
-    base = argparse.ArgumentParser(add_help=False)
-    base.add_argument("--seed", type=int, default=0, help="PRNG seed")
-    base.add_argument("--threads", type=int, default=1,
-                      help="worker processes for exhaustive scans")
-    outdir = argparse.ArgumentParser(add_help=False)
-    outdir.add_argument("--out", default=".", help="output directory")
+    # options of verify and simulate, the only commands that draw random numbers
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="PRNG seed")
+    seeded.add_argument("--out", default=".", help="output directory")
 
-    sp = subs.add_parser("params", parents=[base],
-                         help="validate parameters and print code facts")
+    sp = subs.add_parser("params", help="validate parameters and print code facts")
     _add_field_args(sp)
     sp.add_argument("--r", type=int, required=True, help="locality")
     sp.set_defaults(func=cmd_params)
 
-    sg = subs.add_parser("gen", parents=[base, outdir],
-                         help="construct a code and write its artifacts")
+    sg = subs.add_parser("gen", help="construct a code and write its artifacts")
+    sg.add_argument("--out", default=".", help="output directory")
     _add_field_args(sg)
     sg.add_argument("--r", type=int, required=True, help="locality")
     sg.set_defaults(func=cmd_gen)
 
-    se = subs.add_parser("encode", parents=[base], help="encode a message file")
+    se = subs.add_parser("encode", help="encode a message file")
     se.add_argument("--code", required=True, help="artifact directory from gen")
     se.add_argument("--message", required=True, help="k comma-separated symbols")
     se.add_argument("--out", required=True, help="codeword file to write")
     se.set_defaults(func=cmd_encode)
 
-    sr = subs.add_parser("repair", parents=[base],
-                         help="repair one erased position locally")
+    sr = subs.add_parser("repair", help="repair one erased position locally")
     sr.add_argument("--code", required=True, help="artifact directory from gen")
     sr.add_argument("--word", required=True, help="codeword file with '?' erasures")
     sr.add_argument("--position", type=int, required=True, help="1-based position")
     sr.set_defaults(func=cmd_repair)
 
-    sd = subs.add_parser("decode", parents=[base], help="fill erasures in a word")
+    sd = subs.add_parser("decode", help="fill erasures in a word")
     sd.add_argument("--code", required=True, help="artifact directory from gen")
     sd.add_argument("--word", required=True, help="codeword file with '?' erasures")
     sd.add_argument("--policy", choices=("hybrid", "global"), default="hybrid")
     sd.add_argument("--out", default=None, help="output word file (default stdout)")
     sd.set_defaults(func=cmd_decode)
 
-    sv = subs.add_parser("verify", parents=[base, outdir],
-                         help="run verification suites")
+    sv = subs.add_parser("verify", parents=[seeded], help="run verification suites")
     _add_field_args(sv)
     sv.add_argument("--r", type=int, help="locality")
     sv.add_argument("--load", help="verify stored artifacts instead of rebuilding")
@@ -445,7 +437,7 @@ def build_parser() -> _Parser:
                     help="subset count for sampled mode")
     sv.set_defaults(func=cmd_verify)
 
-    ss = subs.add_parser("simulate", parents=[base, outdir],
+    ss = subs.add_parser("simulate", parents=[seeded],
                          help="Monte Carlo erasure and repair simulation")
     _add_field_args(ss)
     ss.add_argument("--r", type=int, required=True, help="locality")

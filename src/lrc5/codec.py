@@ -146,14 +146,16 @@ def hybrid_decode(code: Code, received: list[int | None]) -> HybridResult:
 
 
 def error_correct_bd(
-    field: Field, h_rows: list[list[int]], received: list[int], t_max: int = 2
+    field: Field, h_rows: list[list[int]], received: list[int], t_max: int = 1
 ) -> list[int]:
     """Bounded-distance correction of up to t_max symbol errors.
 
     Exhaustive syndrome search, deterministic lowest-pattern-first order.
     The match is unique only when 2 * t_max is below the code's minimum
     distance; otherwise the lowest matching pattern wins and may differ from
-    the transmitted word. Any returned word has a zero syndrome.
+    the transmitted word. The default t_max = 1 is the largest unique radius
+    at distance 4; t_max = 2 must be asked for. Any returned word has a zero
+    syndrome.
     """
     if any(s is None for s in received):
         raise ValueError("erasures are not allowed here; use erasure_decode")

@@ -160,7 +160,8 @@ def write_artifacts(code: Code, outdir: str | Path) -> dict[str, Path]:
 
 def load_artifacts(dirpath: str | Path) -> Code:
     """The Code a gen directory describes, with the stored G and H as its
-    matrices: size-checked against the manifest, never re-derived."""
+    matrices: size-checked against the manifest, never re-derived. The
+    stored basis must equal the one the manifest's q and r determine."""
     dirpath = Path(dirpath)
     mpath = dirpath / MANIFEST_NAME
     try:
@@ -203,6 +204,9 @@ def load_artifacts(dirpath: str | Path) -> Code:
         raise FormatError(
             f"{pname}: expected a {params.n - params.k} x {params.n} matrix"
         )
+    bname = files.get("basis", BASIS_NAME)
+    if parse_basis((dirpath / bname).read_text(encoding="utf-8"), bname) != code.basis:
+        raise FormatError(f"{bname}: not the monomial basis of q = {field.q}, r = {r}")
     code.generator_matrix = g_rows
     code.parity_check_matrix = h_rows
     return code

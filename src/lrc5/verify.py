@@ -7,15 +7,15 @@ is decided by hashing: against the basis of a (w-2)-prefix, columns j and l
 complete a dependent subset exactly when l's normalized residual is zero or
 equals j's, because the residual map is linear with the prefix span as its
 kernel. Each prefix thus costs one reduction per later column, not one per
-leaf. Exhaustive scans can optionally split the leading index range across
-worker processes; the merged result is identical to a sequential scan.
+leaf. Every scan is bounded by SUBSET_BUDGET: exhaustive scans stop with
+BudgetExceededError once they have made that many reductions, and sampled
+scans refuse more trials than that.
 
 Every check returns a VerificationReport. A failing report always carries a
 witness concrete enough to replay by hand (a column subset, a point subset,
 or a repaired-vs-expected symbol).
 """
 
-import os
 import time
 from collections import Counter
 from collections.abc import Sequence
@@ -29,6 +29,8 @@ from .field import Field
 from .linalg import nullspace, rank, transpose
 from .rng import SplitMix64
 
+#: most rank checks one verify call may make: reductions in an exhaustive
+#: scan, trials in a sampled one
 SUBSET_BUDGET = 10_000_000
 
 #: exhaustive scans above this many subsets fall back to sampling in auto mode
@@ -98,8 +100,8 @@ def _reduce(field: Field, basis: list, col) -> tuple[int, Sequence[int]] | None:
     return pi, v
 
 
-def _scan_exhaustive(field, columns, size, lo=0, hi=None, on_leaf=None):
-    """Check every size-subset (leading index in [lo, hi)) for independence.
+def _scan_exhaustive(field, columns, size, on_leaf=None):
+    """Check every size-subset of columns for independence.
 
     Returns (checked, failure): failure is the lexicographically first
     dependent subset, completed with the smallest available indices when the
@@ -111,13 +113,14 @@ def _scan_exhaustive(field, columns, size, lo=0, hi=None, on_leaf=None):
     reduced once against the prefix basis and keyed by its normalized
     residual. That is exact because two columns extend the prefix to a
     dependent set iff their residuals are parallel or one is zero.
+
+    Raises BudgetExceededError before the reductions made pass
+    SUBSET_BUDGET, so a scan that ends within it is never cut short.
     """
     n = len(columns)
-    if hi is None:
-        hi = n
-    checked = 0
+    checked = reductions = 0
     if size == 1:
-        for idx in range(lo, min(hi, n)):
+        for idx in range(n):
             checked += 1
             if not any(columns[idx]):
                 return checked, (idx,)
@@ -125,11 +128,21 @@ def _scan_exhaustive(field, columns, size, lo=0, hi=None, on_leaf=None):
                 on_leaf([idx])
         return checked, None
 
+    def spend(count):
+        nonlocal reductions
+        reductions += count
+        if reductions > SUBSET_BUDGET:
+            raise BudgetExceededError(
+                f"exhaustive scan passed the {SUBSET_BUDGET} reduction budget "
+                f"after {checked} subsets"
+            )
+
     def last_two(start, stop, basis, chosen):
         # partner: the first l > j whose residual is zero or equal to j's
         # (_reduce scales pivots to 1, so parallel residuals are equal
         # tuples); a zero residual at j fails at once, completed as (j, j+1).
         nonlocal checked
+        spend(n - start)
         next_zero, seen, first = n, {}, None
         for i in range(n - 1, start - 1, -1):
             ext = _reduce(field, basis, columns[i])
@@ -163,6 +176,7 @@ def _scan_exhaustive(field, columns, size, lo=0, hi=None, on_leaf=None):
         if depth == size - 2:
             return last_two(start, stop, basis, chosen)
         for idx in range(start, stop):
+            spend(1)
             ext = _reduce(field, basis, columns[idx])
             if ext is None:
                 checked += 1
@@ -173,7 +187,7 @@ def _scan_exhaustive(field, columns, size, lo=0, hi=None, on_leaf=None):
                 return found
         return None
 
-    failure = rec(lo, min(hi, n - size + 1), [], [])
+    failure = rec(0, n - size + 1, [], [])
     return checked, failure
 
 
@@ -205,46 +219,6 @@ def _pattern_bins(betas):
     return bins, on_leaf
 
 
-def _scan_worker(args):
-    p, m, modulus, columns, size, lo, hi, betas = args
-    bins, on_leaf = _pattern_bins(betas)
-    checked, failure = _scan_exhaustive(
-        Field(p, m, modulus), columns, size, lo, hi, on_leaf
-    )
-    return checked, failure, bins
-
-
-def _scan_parallel(field, columns, size, threads, betas=None):
-    """Deterministic multi-process scan; equivalent to the sequential one.
-
-    Never asks for more worker processes than the machine has CPUs. The
-    process pool is imported here, not at module load: it pulls in
-    multiprocessing, about 2 MB of resident memory that runs without
-    worker processes never use.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    threads = min(threads, os.cpu_count() or 1)
-    n = len(columns)
-    top = n - size + 1
-    chunk = max(1, top // (threads * 8))
-    tasks = [
-        (field.p, field.m, field.modulus, columns, size, lo, min(lo + chunk, top), betas)
-        for lo in range(0, top, chunk)
-    ]
-    checked = 0
-    failure = None
-    bins: Counter = Counter()
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for c, f, b in pool.map(_scan_worker, tasks):
-            checked += c
-            if f is not None and failure is None:
-                failure = f
-            if b:
-                bins.update(b)
-    return checked, failure, bins if betas is not None else None
-
-
 def _scan_sampled(field, columns, size, trials, seed, on_subset=None):
     """Check `trials` seeded uniform size-subsets; first failure wins."""
     rng = SplitMix64(seed)
@@ -262,20 +236,22 @@ def _scan_sampled(field, columns, size, trials, seed, on_subset=None):
     return trials, None
 
 
-def _scan(field, columns, size, mode, trials, seed, threads, betas=None):
+def _scan(field, columns, size, mode, trials, seed, betas=None):
     """Scan size-subsets of columns for independence in one mode.
 
-    Exhaustive mode walks every subset in lexicographic order, split across
-    worker processes when threads > 1; sampled mode checks `trials` seeded
-    subsets. Returns (checked, failure, bins): with betas, bins counts the
-    y-pattern of every subset confirmed independent; otherwise it is None.
+    Exhaustive mode walks every subset in lexicographic order; sampled mode
+    checks `trials` seeded subsets, at most SUBSET_BUDGET of them. Returns
+    (checked, failure, bins): with betas, bins counts the y-pattern of every
+    subset confirmed independent; otherwise it is None.
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "sampled" and trials > SUBSET_BUDGET:
+        raise BudgetExceededError(
+            f"{trials} sampled subsets exceed the {SUBSET_BUDGET} rank-check budget"
+        )
     if size == 0:
         return 0, None, None
-    if mode == "exhaustive" and threads > 1:
-        return _scan_parallel(field, columns, size, threads, betas)
     bins, on_leaf = _pattern_bins(betas)
     if mode == "exhaustive":
         checked, failure = _scan_exhaustive(field, columns, size, on_leaf=on_leaf)
@@ -291,14 +267,14 @@ def verify_distance_at_least(
     mode: str = "exhaustive",
     trials: int = 100_000,
     seed: int = 0,
-    threads: int = 1,
 ) -> VerificationReport:
     """Certify d >= w by checking (w-1)-subsets of parity columns for
     independence: exhaustively in lexicographic order, or on seeded samples.
 
     The scan stops at the first dependent subset, so on a failing report
     trials counts only the subsets checked up to and including the witness,
-    not every subset there is.
+    not every subset there is. A scan that would pass SUBSET_BUDGET raises
+    BudgetExceededError instead of reporting.
     """
     t0 = time.perf_counter()
     n = len(h_rows[0])
@@ -306,9 +282,7 @@ def verify_distance_at_least(
         raise ValueError(f"w must lie in [1, n-k+1] = [1, {len(h_rows) + 1}]")
     size = w - 1
     claim = f"distance>={w}"
-    checked, failure, _ = _scan(
-        field, transpose(h_rows), size, mode, trials, seed, threads
-    )
+    checked, failure, _ = _scan(field, transpose(h_rows), size, mode, trials, seed)
     if size == 0:  # every code has d >= 1
         return VerificationReport(
             claim, mode, 0, True, None, None, (time.perf_counter() - t0) * 1000
@@ -350,6 +324,8 @@ def find_min_weight_codeword(
         )
     columns = transpose(h_rows)
     checked_total = 0
+    witness = None
+    details = {"weight_cap": w_cap}
     for w in range(1, w_cap + 1):
         checked, failure = _scan_exhaustive(field, columns, w)
         checked_total += checked
@@ -365,25 +341,18 @@ def find_min_weight_codeword(
                 "support": [c + 1 for c in failure],
                 "codeword": codeword,
             }
-            return VerificationReport(
-                claim="min-weight-search",
-                mode="exhaustive",
-                trials=checked_total,
-                result=True,
-                witness=witness,
-                seed=None,
-                millis=(time.perf_counter() - t0) * 1000,
-                details={"weight_cap": w_cap},
-            )
+            break
+    else:
+        details["conclusion"] = f"no codeword of weight <= {w_cap}"
     return VerificationReport(
         claim="min-weight-search",
         mode="exhaustive",
         trials=checked_total,
         result=True,
-        witness=None,
+        witness=witness,
         seed=None,
         millis=(time.perf_counter() - t0) * 1000,
-        details={"weight_cap": w_cap, "conclusion": f"no codeword of weight <= {w_cap}"},
+        details=details,
     )
 
 
@@ -433,7 +402,6 @@ def verify_constraint_matrix(
     mode: str = "exhaustive",
     trials: int = 100_000,
     seed: int = 0,
-    threads: int = 1,
 ) -> VerificationReport:
     """Check rank 4 of the constraint matrix over 4-subsets of the grid.
 
@@ -452,9 +420,7 @@ def verify_constraint_matrix(
         raise BudgetExceededError(
             f"{total} subsets exceed the {SUBSET_BUDGET} rank-check budget"
         )
-    checked, failure, bins = _scan(
-        field, columns, 4, mode, trials, seed, threads, betas
-    )
+    checked, failure, bins = _scan(field, columns, 4, mode, trials, seed, betas)
     witness = None
     if failure is not None:
         witness = {"points": [list(points[i]) for i in failure]}

@@ -1,6 +1,4 @@
-import concurrent.futures
 import json
-import os
 import shlex
 from pathlib import Path
 
@@ -290,14 +288,7 @@ def test_verify_is_byte_deterministic(tmp_path, capsys):
     assert (a / "report.txt").read_bytes() == (b / "report.txt").read_bytes()
 
 
-def test_verify_threads_same_verdict(tmp_path, capsys):
-    rc, out, _ = run(capsys, "verify", "--q", "7", "--r", "5", "--threads", "2",
-                     "--suite", "distance", "--out", str(tmp_path / "vt"))
-    assert rc == 3
-    assert str(BAD_SUPPORT_1BASED) in out
-
-
-@pytest.mark.parametrize("flag", ["--trials", "--threads"])
+@pytest.mark.parametrize("flag", ["--trials"])
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_verify_rejects_counts_below_one(tmp_path, capsys, flag, value):
     out_dir = tmp_path / "v"
@@ -309,28 +300,32 @@ def test_verify_rejects_counts_below_one(tmp_path, capsys, flag, value):
     assert out == "" and not out_dir.exists()
 
 
-def test_verify_threads_capped_at_cpu_count(tmp_path, capsys, monkeypatch):
-    requested = []
+# argv per subcommand, valid except for the flag under test; "@" is tmp_path
+VALID_ARGV = {
+    "params": ["--q", "7", "--r", "5"],
+    "gen": ["--q", "7", "--r", "5", "--out", "@/g"],
+    "encode": ["--code", "@/c", "--message", "@/m.txt", "--out", "@/w.txt"],
+    "repair": ["--code", "@/c", "--word", "@/w.txt", "--position", "1"],
+    "decode": ["--code", "@/c", "--word", "@/w.txt", "--out", "@/d.txt"],
+    "verify": ["--q", "7", "--r", "5", "--out", "@/v"],
+    "simulate": ["--q", "7", "--r", "5", "--model", "fixed", "--t", "3", "--out", "@/s"],
+}
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    rc, out, _ = run(capsys, "verify", "--q", "7", "--r", "5", "--threads", "1000000",
-                     "--suite", "distance", "--out", str(tmp_path / "vt"))
-    assert rc == 3
-    assert str(BAD_SUPPORT_1BASED) in out
-    assert requested == [os.cpu_count() or 1]
+@pytest.mark.parametrize(
+    "command,flag",
+    [(c, "--threads 2") for c in VALID_ARGV]
+    + [(c, "--seed 0") for c in ("params", "gen", "encode", "repair", "decode")],
+)
+def test_unread_flags_are_usage_errors(tmp_path, capsys, command, flag):
+    """Scans run in one process, and only verify and simulate draw random
+    numbers, so no other command takes --threads or --seed."""
+    argv = [a.replace("@", str(tmp_path)) for a in VALID_ARGV[command]]
+    rc, out, err = run(capsys, command, *argv, *flag.split())
+    assert rc == 1
+    assert err.startswith("ERR Usage:") and err.count("\n") == 1
+    assert flag.split()[0] in err
+    assert out == "" and list(tmp_path.iterdir()) == []
 
 
 def test_verify_load_conflicts_with_build_flags(tmp_path, capsys):
@@ -398,6 +393,47 @@ def test_verify_load_catches_generator_rank_deficit(tmp_path, capsys):
     assert consistency["witness"] == {
         "reason": "generator rank deficit", "rank": 26, "expected": 27,
     }
+
+
+def swap_in_removed_monomial(basis_text):
+    lines = basis_text.splitlines()
+    assert "0 0" not in lines  # the constant monomial is one the code removes
+    return "\n".join(["0 0"] + lines[1:]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "tamper,code,kind",
+    [(lambda _: "not a basis\n", 2, "Format"), (swap_in_removed_monomial, 2, "Format"),
+     (None, 4, "IO")],
+    ids=["garbage", "removed-monomial", "missing"],
+)
+def test_verify_load_checks_basis_file(tmp_path, capsys, tamper, code, kind):
+    d = gen_code(tmp_path, capsys)
+    bpath = d / "basis.txt"
+    if tamper is None:
+        bpath.unlink()
+    else:
+        bpath.write_text(tamper(bpath.read_text()))
+    out_dir = tmp_path / "v"
+    rc, out, err = run(capsys, "verify", "--load", str(d), "--suite", "locality",
+                       "--out", str(out_dir))
+    assert rc == code
+    assert err.startswith(f"ERR {kind}:") and err.count("ERR") == 1
+    assert "basis.txt" in err
+    assert out == "" and not out_dir.exists()
+
+
+def test_verify_budget_stops_exhaustive_and_sampled_scans(tmp_path, capsys, monkeypatch):
+    """GF(7) r=2 passes d>=5 after all 58,905 subsets and 7,700 reductions."""
+    monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", 7_699)
+    for extra in (["--mode", "exhaustive"], ["--mode", "sampled", "--trials", "7700"]):
+        out_dir = tmp_path / extra[1]
+        rc, out, err = run(capsys, "verify", "--q", "7", "--r", "2", "--suite",
+                           "distance", *extra, "--out", str(out_dir))
+        assert rc == 2
+        assert err.startswith("ERR BudgetExceeded:") and err.count("ERR") == 1
+        assert "7699" in err
+        assert not out_dir.exists()
 
 
 def test_simulate_writes_deterministic_json(tmp_path, capsys):

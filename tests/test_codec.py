@@ -239,6 +239,27 @@ def test_bd_two_error_census_frozen(code75):
     assert (ok, wrong, undecodable) == (964, 36, 0)
 
 
+def test_bd_default_refuses_a_miscorrected_two_error_word(code75):
+    """The census's first wrong decode (t_max=2) is refused by the default
+    t_max=1, since 2 errors lie outside the unique radius at d = 4."""
+    f, h = code75.field, code75.parity_check_matrix
+    rng = SplitMix64(77)
+    while True:
+        msg = [rng.randbelow(7) for _ in range(27)]
+        w = encode(f, code75.generator_matrix, msg)
+        p1 = rng.randbelow(36)
+        p2 = rng.randbelow(36)
+        while p2 == p1:
+            p2 = rng.randbelow(36)
+        received = list(w)
+        received[p1] = f.add(received[p1], 1 + rng.randbelow(6))
+        received[p2] = f.add(received[p2], 1 + rng.randbelow(6))
+        if error_correct_bd(f, h, received, t_max=2) != w:
+            break
+    with pytest.raises(UndecodableError):
+        error_correct_bd(f, h, received)
+
+
 def test_bd_input_validation(code75):
     f, h = code75.field, code75.parity_check_matrix
     with pytest.raises(ValueError):
