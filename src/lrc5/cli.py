@@ -362,10 +362,6 @@ def cmd_simulate(args) -> int:
         t=args.t,
         rho=args.rho,
     )
-    try:
-        config.validate(code.n)
-    except ValueError as e:
-        raise ValidationError(str(e)) from None
     result = run_simulation(code, config)
     doc = {
         "format_version": FORMAT_VERSION,

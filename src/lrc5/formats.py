@@ -26,6 +26,9 @@ MANIFEST_NAME = "manifest.json"
 GENERATOR_NAME = "generator.csv"
 PARITY_NAME = "parity.csv"
 BASIS_NAME = "basis.txt"
+#: the manifest's files section; loading refuses any other, so no manifest
+#: can name a file outside its directory
+FILES = {"generator": GENERATOR_NAME, "parity": PARITY_NAME, "basis": BASIS_NAME}
 
 
 def dumps_json(obj) -> str:
@@ -134,11 +137,7 @@ def manifest_dict(code: Code) -> dict:
             "primitive_element": code.domain.g,
             "point_order": POINT_ORDER,
         },
-        "files": {
-            "generator": GENERATOR_NAME,
-            "parity": PARITY_NAME,
-            "basis": BASIS_NAME,
-        },
+        "files": dict(FILES),
     }
 
 
@@ -161,7 +160,8 @@ def write_artifacts(code: Code, outdir: str | Path) -> dict[str, Path]:
 def load_artifacts(dirpath: str | Path) -> Code:
     """The Code a gen directory describes, with the stored G and H as its
     matrices: size-checked against the manifest, never re-derived. The
-    stored basis must equal the one the manifest's q and r determine."""
+    files section must name the fixed file names, and the stored basis must
+    equal the one the manifest's q and r determine."""
     dirpath = Path(dirpath)
     mpath = dirpath / MANIFEST_NAME
     try:
@@ -193,9 +193,9 @@ def load_artifacts(dirpath: str | Path) -> Code:
     params = code.params
     if params.n != csec.get("n") or params.k != csec.get("k"):
         raise FormatError(f"{mpath}: recorded n, k do not match q, r")
-    files = manifest.get("files", {})
-    gname = files.get("generator", GENERATOR_NAME)
-    pname = files.get("parity", PARITY_NAME)
+    if manifest.get("files") != FILES:
+        raise FormatError(f"{mpath}: files must be {FILES}")
+    gname, pname, bname = GENERATOR_NAME, PARITY_NAME, BASIS_NAME
     g_rows = parse_matrix_csv((dirpath / gname).read_text(encoding="utf-8"), field.q, gname)
     h_rows = parse_matrix_csv((dirpath / pname).read_text(encoding="utf-8"), field.q, pname)
     if len(g_rows) != params.k or len(g_rows[0]) != params.n:
@@ -204,7 +204,6 @@ def load_artifacts(dirpath: str | Path) -> Code:
         raise FormatError(
             f"{pname}: expected a {params.n - params.k} x {params.n} matrix"
         )
-    bname = files.get("basis", BASIS_NAME)
     if parse_basis((dirpath / bname).read_text(encoding="utf-8"), bname) != code.basis:
         raise FormatError(f"{bname}: not the monomial basis of q = {field.q}, r = {r}")
     code.generator_matrix = g_rows

@@ -2,6 +2,9 @@
 
 Matrices are row-major lists of int lists; nothing here ever touches a
 float. Row operations go through the Field's submul and scale primitives.
+Every elimination runs on reduce_row, which inserts one row into an echelon
+basis: rank counts the rows that insert, rref also clears each new pivot
+from the rows before it, and verify's subset scans carry their own bases.
 """
 
 from .field import Field
@@ -24,43 +27,55 @@ def mat_vec(field: Field, a: list[list[int]], x: list[int]) -> list[int]:
     return [field.dot(row, x) for row in a]
 
 
-def rref(field: Field, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form (copy) and the pivot column list."""
-    mat = [list(r) for r in rows]
-    if not mat or not mat[0]:
-        return mat, []
-    nrows = len(mat)
-    ncols = len(mat[0])
+def reduce_row(field: Field, basis: list, row) -> tuple | None:
+    """Reduce row against an echelon basis of (pivot, row) pairs, each row
+    with pivot entry 1 and zero at the pivots of the rows before it.
+
+    Returns None when row lies in the basis span, else (pivot, residual):
+    the residual is zero at every basis pivot and 1 at its first nonzero
+    entry, the pivot. It may be row itself when no step changes it.
+    """
+    v = row
     submul = field.submul
-    pivots: list[int] = []
-    rpos = 0
-    for c in range(ncols):
-        if rpos == nrows:
+    for piv, b in basis:
+        f = v[piv]
+        if f:
+            v = submul(v, f, b)
+    for pi, x in enumerate(v):
+        if x:
             break
-        pr = -1
-        for i in range(rpos, nrows):
-            if mat[i][c]:
-                pr = i
-                break
-        if pr < 0:
+    else:
+        return None
+    if x != 1:
+        v = field.scale(field.inv(x), v)
+    return pi, v
+
+
+def rref(field: Field, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form (fresh rows, one per input row, zero rows
+    last) and the pivot column list."""
+    submul = field.submul
+    basis: list = []
+    for row in rows:
+        if (ext := reduce_row(field, basis, row)) is None:
             continue
-        mat[rpos], mat[pr] = mat[pr], mat[rpos]
-        row = mat[rpos]
-        if row[c] != 1:
-            row = mat[rpos] = field.scale(field.inv(row[c]), row)
-        for i in range(nrows):
-            if i == rpos:
-                continue
-            f = mat[i][c]
-            if f:
-                mat[i] = submul(mat[i], f, row)
-        pivots.append(c)
-        rpos += 1
-    return mat, pivots
+        piv, v = ext
+        for i, (p, b) in enumerate(basis):
+            if f := b[piv]:
+                basis[i] = p, submul(b, f, v)
+        basis.append(ext)
+    basis.sort(key=lambda pb: pb[0])
+    width = len(rows[0]) if rows else 0
+    reduced = [list(b) for _, b in basis] + [[0] * width for _ in rows[len(basis):]]
+    return reduced, [p for p, _ in basis]
 
 
 def rank(field: Field, rows: list[list[int]]) -> int:
-    return len(rref(field, rows)[1])
+    basis: list = []
+    for row in rows:
+        if (ext := reduce_row(field, basis, row)) is not None:
+            basis.append(ext)
+    return len(basis)
 
 
 def nullspace(field: Field, rows: list[list[int]]) -> list[list[int]]:
@@ -76,10 +91,8 @@ def nullspace(field: Field, rows: list[list[int]]) -> list[list[int]]:
             continue
         v = [0] * ncols
         v[f] = 1
-        for t, pc in enumerate(pivots):
-            coef = reduced[t][f]
-            if coef:
-                v[pc] = field.neg(coef)
+        for row, pc in zip(reduced, pivots):
+            v[pc] = field.neg(row[f])
         basis.append(v)
     return basis
 
@@ -99,7 +112,5 @@ def solve(field: Field, a_rows: list[list[int]], b: list[int]) -> list[int] | No
         raise InconsistentSystemError("system has no solution")
     if len(pivots) < ncols:
         return None
-    x = [0] * ncols
-    for t, pc in enumerate(pivots):
-        x[pc] = reduced[t][ncols]
-    return x
+    # the pivots are exactly 0..ncols-1
+    return [row[ncols] for row in reduced[:ncols]]

@@ -3,15 +3,17 @@
 Each trial encodes a seeded random message, erases symbols per the chosen
 model, applies the repair policy, and tallies per-symbol and per-trial
 outcomes. Everything is driven by one splitmix64 stream, so a (config,
-seed) pair fixes the entire run.
+seed) pair fixes the entire run. Like verify's sampled scans, a run is
+capped at SUBSET_BUDGET trials, refused before any trial runs.
 """
 
 from dataclasses import dataclass
 
 from .codec import _local_pass, encode, erasure_decode, erasure_positions
 from .construct import Code
-from .errors import AmbiguousErasuresError, TooManyErasuresError
+from .errors import AmbiguousErasuresError, BudgetExceededError, TooManyErasuresError
 from .rng import SplitMix64, RNG_NAME
+from .verify import SUBSET_BUDGET
 
 MODELS = ("fixed", "bernoulli")
 POLICIES = ("local-only", "hybrid")
@@ -33,6 +35,8 @@ class SimulationConfig:
             raise ValueError(f"policy must be one of {POLICIES}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.trials > SUBSET_BUDGET:
+            raise BudgetExceededError(f"trials must be at most {SUBSET_BUDGET}")
         if self.model == "fixed":
             if self.t is None or not 0 <= self.t <= n:
                 raise ValueError(f"fixed model needs an erasure count t in [0, {n}]")

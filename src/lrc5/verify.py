@@ -2,14 +2,15 @@
 
 Distance and constraint-matrix checks share one subset-scanning engine that
 walks w-subsets of a column family in lexicographic order, carrying a
-partial echelon basis so shared prefixes are reduced once. The last level
-is decided by hashing: against the basis of a (w-2)-prefix, columns j and l
-complete a dependent subset exactly when l's normalized residual is zero or
-equals j's, because the residual map is linear with the prefix span as its
-kernel. Each prefix thus costs one reduction per later column, not one per
-leaf. Every scan is bounded by SUBSET_BUDGET: exhaustive scans stop with
-BudgetExceededError once they have made that many reductions, and sampled
-scans refuse more trials than that.
+partial echelon basis so shared prefixes are reduced once. Each column is
+reduced by linalg.reduce_row, the routine rank and rref also run on. The
+last level is decided by hashing: against the basis of a (w-2)-prefix,
+columns j and l complete a dependent subset exactly when l's normalized
+residual is zero or equals j's, because the residual map is linear with the
+prefix span as its kernel. Each prefix thus costs one reduction per later
+column, not one per leaf. Every scan is bounded by SUBSET_BUDGET:
+exhaustive scans stop with BudgetExceededError once they have made that
+many reductions, and sampled scans refuse more trials than that.
 
 Every check returns a VerificationReport. A failing report always carries a
 witness concrete enough to replay by hand (a column subset, a point subset,
@@ -18,7 +19,6 @@ or a repaired-vs-expected symbol).
 
 import time
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from math import comb
 
@@ -26,7 +26,7 @@ from .codec import encode, local_repair
 from .construct import Code, CodeParams
 from .errors import BudgetExceededError, ConditionViolatedError, NotDistinctError
 from .field import Field
-from .linalg import nullspace, rank, transpose
+from .linalg import nullspace, rank, reduce_row, transpose
 from .rng import SplitMix64
 
 #: most rank checks one verify call may make: reductions in an exhaustive
@@ -78,28 +78,6 @@ class VerificationReport:
         return out
 
 
-def _reduce(field: Field, basis: list, col) -> tuple[int, Sequence[int]] | None:
-    """Reduce col against a normalized echelon basis.
-
-    Returns None when col is dependent on the basis, else (pivot, vector)
-    with the pivot entry scaled to 1.
-    """
-    v = col
-    submul = field.submul
-    for piv, b in basis:
-        f = v[piv]
-        if f:
-            v = submul(v, f, b)
-    for pi, x in enumerate(v):
-        if x:
-            break
-    else:
-        return None
-    if x != 1:
-        v = field.scale(field.inv(x), v)
-    return pi, v
-
-
 def _scan_exhaustive(field, columns, size, on_leaf=None):
     """Check every size-subset of columns for independence.
 
@@ -139,13 +117,13 @@ def _scan_exhaustive(field, columns, size, on_leaf=None):
 
     def last_two(start, stop, basis, chosen):
         # partner: the first l > j whose residual is zero or equal to j's
-        # (_reduce scales pivots to 1, so parallel residuals are equal
+        # (reduce_row scales pivots to 1, so parallel residuals are equal
         # tuples); a zero residual at j fails at once, completed as (j, j+1).
         nonlocal checked
         spend(n - start)
         next_zero, seen, first = n, {}, None
         for i in range(n - 1, start - 1, -1):
-            ext = _reduce(field, basis, columns[i])
+            ext = reduce_row(field, basis, columns[i])
             if ext is None:
                 partner, next_zero = i + 1, i
             else:
@@ -177,7 +155,7 @@ def _scan_exhaustive(field, columns, size, on_leaf=None):
             return last_two(start, stop, basis, chosen)
         for idx in range(start, stop):
             spend(1)
-            ext = _reduce(field, basis, columns[idx])
+            ext = reduce_row(field, basis, columns[idx])
             if ext is None:
                 checked += 1
                 need = size - depth - 1
@@ -227,7 +205,7 @@ def _scan_sampled(field, columns, size, trials, seed, on_subset=None):
         subset = rng.sample_sorted(n, size)
         basis = []
         for idx in subset:
-            ext = _reduce(field, basis, columns[idx])
+            ext = reduce_row(field, basis, columns[idx])
             if ext is None:
                 return t + 1, tuple(subset)
             basis.append(ext)

@@ -197,6 +197,46 @@ def smallest_generator(q: int) -> int:
     raise AssertionError("no generator")
 
 
+# --- plain GF(q) linear algebra, any field kind ---------------------------
+
+
+def rank_gf(rows: list[list[int]], q: int) -> int:
+    """Row rank over GF(q) on element indices: rank_mod for prime q, else a
+    fresh Gaussian elimination in the PolyField model."""
+    if is_prime(q):
+        return rank_mod(rows, q)
+    fld = PolyField(*prime_power(q))
+    mat = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = fld.inv_idx(mat[rank][col])
+        prow = [fld.mul_idx(inv, x) for x in mat[rank]]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][col]
+            if f:
+                mat[i] = [fld.sub_idx(a, fld.mul_idx(f, b)) for a, b in zip(mat[i], prow)]
+        rank += 1
+    return rank
+
+
+def mat_vec_gf(rows: list[list[int]], x: list[int], q: int) -> list[int]:
+    """A x over GF(q) on element indices, in the PolyField model for prime powers."""
+    if is_prime(q):
+        return mat_vec_mod(rows, x, q)
+    fld = PolyField(*prime_power(q))
+    out = []
+    for row in rows:
+        acc = 0
+        for a, b in zip(row, x):
+            acc = fld.add_idx(acc, fld.mul_idx(a, b))
+        out.append(acc)
+    return out
+
+
 # --- construction reimplemented from the public contract -------------------
 
 

@@ -423,6 +423,39 @@ def test_verify_load_checks_basis_file(tmp_path, capsys, tamper, code, kind):
     assert out == "" and not out_dir.exists()
 
 
+def move_generator_outside(d, tmp_path, files):
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    (d / "generator.csv").rename(elsewhere / "generator.csv")
+    files["generator"] = str(elsewhere / "generator.csv")
+
+
+def read_parity_from_sibling(d, tmp_path, files):
+    sibling = tmp_path / "sibling"
+    sibling.mkdir()
+    (d / "parity.csv").rename(sibling / "parity.csv")
+    files["parity"] = "../sibling/parity.csv"
+
+
+@pytest.mark.parametrize("tamper", [move_generator_outside, read_parity_from_sibling],
+                         ids=["absolute", "parent-relative"])
+def test_verify_load_refuses_manifest_file_names(tmp_path, capsys, tamper):
+    """The files section must name the fixed file names: a manifest may not
+    send the loader outside its directory."""
+    d = gen_code(tmp_path, capsys)
+    mpath = d / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    tamper(d, tmp_path, manifest["files"])
+    mpath.write_text(json.dumps(manifest))
+    out_dir = tmp_path / "v"
+    rc, out, err = run(capsys, "verify", "--load", str(d), "--suite", "locality",
+                       "--out", str(out_dir))
+    assert rc == 2
+    assert err.startswith("ERR Format:") and err.count("ERR") == 1
+    assert "manifest.json" in err
+    assert out == "" and not out_dir.exists()
+
+
 def test_verify_budget_stops_exhaustive_and_sampled_scans(tmp_path, capsys, monkeypatch):
     """GF(7) r=2 passes d>=5 after all 58,905 subsets and 7,700 reductions."""
     monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", 7_699)
@@ -457,6 +490,31 @@ def test_simulate_validates_model_arguments(tmp_path, capsys):
     rc, _, err = run(capsys, "simulate", "--q", "7", "--r", "5",
                      "--model", "bernoulli", "--rho", "1.5", "--out", str(tmp_path))
     assert rc == 2 and err.startswith("ERR Validation:")
+
+
+def test_simulate_refuses_trials_above_the_budget(tmp_path, capsys, monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("lrc5.simulate.encode", no_trials)
+    out_dir = tmp_path / "sim"
+    rc, out, err = run(capsys, "simulate", "--q", "7", "--r", "5", "--model", "fixed",
+                       "--t", "1", "--trials", "10000001", "--out", str(out_dir))
+    assert rc == 2 and out == ""
+    assert err.startswith("ERR BudgetExceeded:") and err.count("ERR") == 1
+    assert not (out_dir / "simulation.json").exists()
+
+
+def test_verify_q7_r2_distance_suite_passes(tmp_path, capsys):
+    """d = 5 exactly at GF(7) r = 2, though the Singleton-like bound is 6."""
+    rc, out, err = run(capsys, "verify", "--q", "7", "--r", "2", "--suite", "distance",
+                       "--out", str(tmp_path))
+    assert rc == 0 and err == ""
+    assert "pass  distance>=5  mode=exhaustive trials=58905" in out
+    assert "'weight': 5, 'support': [1, 2, 3, 22, 23]" in out
+    rc, out, _ = run(capsys, "params", "--q", "7", "--r", "2")
+    assert rc == 0
+    assert "singleton_like_bound=6" in out and "optimal_regime=no" in out
 
 
 def test_word_file_format_errors_exit_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+from lrc5.field import field_new
 from lrc5.linalg import (
     InconsistentSystemError,
     mat_vec,
@@ -12,7 +13,7 @@ from lrc5.linalg import (
 )
 from lrc5.rng import SplitMix64
 
-from .oracles import mat_vec_mod, rank_mod
+from .oracles import mat_vec_gf, mat_vec_mod, rank_gf, rank_mod
 
 
 def random_matrix(rng, rows, cols, q):
@@ -125,3 +126,110 @@ def test_solve_on_extension_field(f8):
     x0 = [5, 6]
     b = mat_vec(f8, a, x0)
     assert solve(f8, a, b) == x0
+
+
+# --- every field kind: prime, characteristic 2, odd-characteristic extension
+
+FIELD_KINDS = [(7, 1), (2, 3), (3, 2), (2, 4)]
+# wide, tall, square, one row, one column
+SHAPES = [(3, 7), (7, 3), (5, 5), (1, 6), (6, 1)]
+
+
+@pytest.fixture(scope="module", params=FIELD_KINDS, ids=lambda pm: f"GF{pm[0] ** pm[1]}")
+def field(request):
+    return field_new(*request.param)
+
+
+def degenerate_matrix(rng, rows, cols, q):
+    """Sparse random rows, then zero rows and exact repeats mixed in, so
+    rank deficits are common."""
+    m = [[rng.randbelow(q) if rng.randbelow(2) else 0 for _ in range(cols)] for _ in range(rows)]
+    for i in range(1, rows):
+        pick = rng.randbelow(4)
+        if pick == 0:
+            m[i] = [0] * cols
+        elif pick == 1:
+            m[i] = list(m[rng.randbelow(i)])
+    return m
+
+
+def matrices(field, shape, count=15):
+    rows, cols = shape
+    rng = SplitMix64(field.q * 1000 + rows * 10 + cols)
+    return [degenerate_matrix(rng, rows, cols, field.q) for _ in range(count)]
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_rank_on_every_field_kind(field, shape):
+    for m in matrices(field, shape):
+        assert rank(field, m) == rank_gf(m, field.q)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_rref_shape_pivots_and_zero_rows_last(field, shape):
+    rows, cols = shape
+    for m in matrices(field, shape):
+        snapshot = [list(row) for row in m]
+        red, pivots = rref(field, m)
+        assert m == snapshot
+        assert len(red) == rows and all(len(row) == cols for row in red)
+        assert all(a is not b for a, b in zip(red, m))
+        assert sorted(set(pivots)) == pivots
+        assert len(pivots) == rank_gf(m, field.q)
+        for i, pc in enumerate(pivots):
+            assert red[i][:pc] == [0] * pc and red[i][pc] == 1
+            assert all(red[other][pc] == 0 for other in range(rows) if other != i)
+        assert all(not any(row) for row in red[len(pivots):])
+        assert rref(field, red) == (red, pivots)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_rref_preserves_row_space_on_every_field_kind(field, shape):
+    for m in matrices(field, shape):
+        red, _ = rref(field, m)
+        r = rank_gf(m, field.q)
+        assert rank_gf(red, field.q) == r
+        assert rank_gf(m + red, field.q) == r
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_nullspace_on_every_field_kind(field, shape):
+    rows, cols = shape
+    for m in matrices(field, shape):
+        basis = nullspace(field, m)
+        assert len(basis) == cols - rank_gf(m, field.q)
+        for v in basis:
+            assert mat_vec_gf(m, v, field.q) == [0] * rows
+        if basis:
+            assert rank_gf(basis, field.q) == len(basis)
+
+
+def test_solve_on_every_field_kind(field):
+    q = field.q
+    rng = SplitMix64(q)
+    solved = 0
+    for m in matrices(field, (7, 3), count=30):
+        x0 = [rng.randbelow(q) for _ in range(3)]
+        b = mat_vec_gf(m, x0, q)
+        if rank_gf(m, q) == 3:
+            assert solve(field, m, b) == x0
+            solved += 1
+        else:
+            assert solve(field, m, b) is None
+    assert solved > 0
+    # a repeated row with a different right-hand side has no solution
+    a = [[1, 2, 0], [1, 2, 0], [0, 0, 1]]
+    with pytest.raises(InconsistentSystemError):
+        solve(field, a, [1, 0, 1])
+    # so does a zero row with a nonzero right-hand side
+    with pytest.raises(InconsistentSystemError):
+        solve(field, [[0, 0], [1, 1]], [1, 1])
+    # wide and consistent: underdetermined
+    assert solve(field, [[1, 1, 0]], [1]) is None
+
+
+def test_empty_and_zero_width_inputs(f7):
+    assert rref(f7, []) == ([], [])
+    assert rref(f7, [[], []]) == ([[], []], [])
+    assert rank(f7, []) == 0 and rank(f7, [[]]) == 0
+    assert rref(f7, [[0, 0, 0], [0, 0, 0]]) == ([[0, 0, 0], [0, 0, 0]], [])

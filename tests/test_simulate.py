@@ -1,6 +1,8 @@
 import pytest
 
+from lrc5.errors import BudgetExceededError
 from lrc5.simulate import SimulationConfig, SimulationResult, run_simulation
+from lrc5.verify import SUBSET_BUDGET
 
 FROZEN = {
     "fixed_t1_local": (
@@ -152,3 +154,20 @@ def test_result_type_shape(code75):
     assert isinstance(res, SimulationResult)
     doc = res.to_json_dict()
     assert set(doc) == {"config", "results", "rng"}
+
+
+def test_trials_above_the_budget_are_refused_before_any_trial(code75, monkeypatch):
+    assert SimulationConfig(model="fixed", t=1, trials=SUBSET_BUDGET, seed=0,
+                            policy="hybrid").validate(36) is None
+    too_many = SimulationConfig(model="fixed", t=1, trials=SUBSET_BUDGET + 1, seed=0,
+                                policy="hybrid")
+    with pytest.raises(BudgetExceededError, match="at most 10000000"):
+        too_many.validate(36)
+
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("lrc5.simulate.encode", no_trials)
+    with pytest.raises(BudgetExceededError):
+        run_simulation(code75, SimulationConfig(model="fixed", t=1, trials=10**9, seed=0,
+                                                policy="hybrid"))

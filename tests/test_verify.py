@@ -513,3 +513,35 @@ def test_distance_four_certified_exhaustively_on_extension_fields(p, m, r, trial
     assert rep.result is True and rep.witness is None
     assert rep.mode == "exhaustive"
     assert rep.trials == trials
+
+
+def test_distance_five_holds_at_r2_over_gf7():
+    """At r = 2 the pigeonhole count allows d = 5: (q-1)^2 = 36 pairs
+    against the q^2+q+1 = 57 points of PG(2,7). The code reaches d = 5
+    exactly: every 4-subset of columns is independent, and the first
+    dependent 5-subset carries a weight-5 codeword. The Singleton-like
+    bound is 6, so d = 5 is not optimal here."""
+    code = Code.build(field_new(7), 2)
+    f, h = code.field, code.parity_check_matrix
+    assert (code.n, code.k) == (36, 21)
+    rep = verify_distance_at_least(f, h, 5)
+    assert rep.result is True and rep.witness is None
+    assert rep.mode == "exhaustive" and rep.trials == 58_905
+    found = find_min_weight_codeword(f, h, 5)
+    assert found.trials == 67_135
+    assert found.witness["weight"] == 5
+    assert found.witness["support"] == [1, 2, 3, 22, 23]
+    cw = found.witness["codeword"]
+    assert [i + 1 for i, x in enumerate(cw) if x] == [1, 2, 3, 22, 23]
+    assert all(f.dot(row, cw) == 0 for row in h)
+    assert singleton_like_bound(code.n, code.k, code.r) == 6
+
+
+def test_distance_five_holds_at_r2_over_gf13():
+    """144 pair directions against 183 points: d >= 5 holds exhaustively."""
+    field = field_new(13)
+    code = Code.build(field, 2)
+    assert (code.n, code.k) == (144, 93)
+    rep = verify_distance_at_least(field, code.parity_check_matrix, 5)
+    assert rep.result is True and rep.witness is None
+    assert rep.mode == "exhaustive" and rep.trials == 17_178_876
