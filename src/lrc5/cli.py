@@ -19,7 +19,6 @@ stdout only.
 import argparse
 import sys
 import time
-from math import comb
 from pathlib import Path
 
 from .codec import erasure_decode, encode, hybrid_decode, local_repair
@@ -40,9 +39,9 @@ from .linalg import rank
 from .rng import RNG_NAME
 from .simulate import SimulationConfig, run_simulation
 from .verify import (
-    AUTO_EXHAUSTIVE_LIMIT,
     SUBSET_BUDGET,
     VerificationReport,
+    exhaustive_cost,
     find_min_weight_codeword,
     length_regime_report,
     optimality_equivalence_holds,
@@ -97,12 +96,6 @@ def _add_field_args(sub) -> None:
     sub.add_argument("--q", type=int, help="field order (prime power)")
     sub.add_argument("--p", type=int, help="field characteristic")
     sub.add_argument("--m", type=int, help="extension degree (default 1)")
-
-
-def _resolve_mode(requested: str, subset_count: int) -> str:
-    if requested == "auto":
-        return "exhaustive" if subset_count <= AUTO_EXHAUSTIVE_LIMIT else "sampled"
-    return requested
 
 
 def cmd_params(args) -> int:
@@ -242,15 +235,12 @@ def _run_suites(args, code: Code) -> list[VerificationReport]:
             h_rows = code.parity_check_matrix
             if args.load is not None:
                 reports.append(_parity_consistency_report(code))
-            mode = _resolve_mode(args.mode, comb(p.n, 4))
-            reports.append(
-                verify_distance_at_least(
-                    field, h_rows, 5, mode=mode,
-                    trials=args.trials, seed=args.seed,
-                )
+            d5 = verify_distance_at_least(
+                field, h_rows, 5, mode=args.mode, trials=args.trials, seed=args.seed
             )
-            budget = sum(comb(p.n, w) for w in range(1, 6))
-            if mode == "exhaustive" and budget <= SUBSET_BUDGET:
+            reports.append(d5)
+            cost = sum(exhaustive_cost(p.n, w) for w in range(1, 6))
+            if d5.mode == "exhaustive" and cost <= SUBSET_BUDGET:
                 mw = find_min_weight_codeword(field, h_rows, 5)
                 if mw.witness is not None:
                     bound = singleton_like_bound(p.n, p.k, p.r)
@@ -260,10 +250,9 @@ def _run_suites(args, code: Code) -> list[VerificationReport]:
                     )
                 reports.append(mw)
         elif suite == "lemma":
-            mode = _resolve_mode(args.mode, comb(p.n, 4))
             reports.append(
                 verify_constraint_matrix(
-                    field, mode=mode, trials=args.trials, seed=args.seed
+                    field, mode=args.mode, trials=args.trials, seed=args.seed
                 )
             )
         elif suite == "locality":
@@ -311,7 +300,7 @@ def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ValidationError("--trials must be at least 1")
     if args.load is not None:
-        if args.q is not None or args.p is not None or args.r is not None:
+        if any(x is not None for x in (args.q, args.p, args.m, args.r)):
             raise ValidationError("--load replaces --q/--p/--m/--r")
         code = load_artifacts(args.load)
     else:
@@ -428,7 +417,9 @@ def build_parser() -> _Parser:
     sv.add_argument("--r", type=int, help="locality")
     sv.add_argument("--load", help="verify stored artifacts instead of rebuilding")
     sv.add_argument("--suite", choices=SUITES + ("all",), default="all")
-    sv.add_argument("--mode", choices=("auto", "exhaustive", "sampled"), default="auto")
+    sv.add_argument("--mode", choices=("auto", "exhaustive", "sampled"), default="auto",
+                    help=f"auto: exhaustive when a complete scan fits the "
+                         f"{SUBSET_BUDGET:,}-reduction budget, else sampled")
     sv.add_argument("--trials", type=int, default=100_000,
                     help="subset count for sampled mode")
     sv.set_defaults(func=cmd_verify)

@@ -40,9 +40,11 @@ class SimulationConfig:
         if self.model == "fixed":
             if self.t is None or not 0 <= self.t <= n:
                 raise ValueError(f"fixed model needs an erasure count t in [0, {n}]")
-        else:
-            if self.rho is None or not 0.0 <= self.rho <= 1.0:
-                raise ValueError("bernoulli model needs a probability rho in [0, 1]")
+        elif self.rho is None or not 0.0 <= self.rho <= 1.0:
+            raise ValueError("bernoulli model needs a probability rho in [0, 1]")
+        other = "rho" if self.model == "fixed" else "t"
+        if getattr(self, other) is not None:
+            raise ValueError(f"{other} does not apply to the {self.model} model")
 
     def to_json_dict(self) -> dict:
         return {

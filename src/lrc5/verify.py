@@ -8,9 +8,11 @@ last level is decided by hashing: against the basis of a (w-2)-prefix,
 columns j and l complete a dependent subset exactly when l's normalized
 residual is zero or equals j's, because the residual map is linear with the
 prefix span as its kernel. Each prefix thus costs one reduction per later
-column, not one per leaf. Every scan is bounded by SUBSET_BUDGET:
-exhaustive scans stop with BudgetExceededError once they have made that
-many reductions, and sampled scans refuse more trials than that.
+column, not one per leaf. Every scan is bounded by SUBSET_BUDGET, counted
+in column reductions plus, when a scan bins, leaf callbacks: exhaustive
+scans stop with BudgetExceededError once they would pass it, and sampled
+scans refuse more trials than that. exhaustive_cost is the exact count of a
+complete exhaustive scan; mode "auto" runs exhaustive exactly when it fits.
 
 Every check returns a VerificationReport. A failing report always carries a
 witness concrete enough to replay by hand (a column subset, a point subset,
@@ -33,8 +35,15 @@ from .rng import SplitMix64
 #: scan, trials in a sampled one
 SUBSET_BUDGET = 10_000_000
 
-#: exhaustive scans above this many subsets fall back to sampling in auto mode
-AUTO_EXHAUSTIVE_LIMIT = 250_000
+
+def exhaustive_cost(n: int, size: int) -> int:
+    """Column reductions a complete exhaustive scan of size-subsets of n
+    columns makes: one per prefix at each level above the last two, and one
+    per later column at each (size-2)-prefix."""
+    if size < 2:
+        return 0
+    above = sum(comb(n - size + d + 1, d + 1) for d in range(size - 2))
+    return above + comb(n, size - 1) - (comb(n - 2, size - 3) if size > 2 else 0)
 
 
 @dataclass
@@ -92,8 +101,8 @@ def _scan_exhaustive(field, columns, size, on_leaf=None):
     residual. That is exact because two columns extend the prefix to a
     dependent set iff their residuals are parallel or one is zero.
 
-    Raises BudgetExceededError before the reductions made pass
-    SUBSET_BUDGET, so a scan that ends within it is never cut short.
+    Raises BudgetExceededError before the reductions and on_leaf calls made
+    pass SUBSET_BUDGET, so a scan that ends within it is never cut short.
     """
     n = len(columns)
     checked = reductions = 0
@@ -134,8 +143,10 @@ def _scan_exhaustive(field, columns, size, on_leaf=None):
                 first = i, partner
         j_end = stop if first is None else first[0]
         # leaves (j, l) for j in [start, j_end), l in (j, n) all pass
-        checked += comb(n - start, 2) - comb(n - j_end, 2)
+        passed = comb(n - start, 2) - comb(n - j_end, 2)
+        checked += passed
         if on_leaf is not None:
+            spend(passed)
             for j in range(start, j_end):
                 for l in range(j + 1, n):
                     on_leaf(chosen + [j, l])
@@ -144,6 +155,7 @@ def _scan_exhaustive(field, columns, size, on_leaf=None):
         j, partner = first
         checked += partner - j
         if on_leaf is not None:
+            spend(partner - j - 1)
             for l in range(j + 1, partner):
                 on_leaf(chosen + [j, l])
         return (*chosen, j, partner)
@@ -218,10 +230,16 @@ def _scan(field, columns, size, mode, trials, seed, betas=None):
     """Scan size-subsets of columns for independence in one mode.
 
     Exhaustive mode walks every subset in lexicographic order; sampled mode
-    checks `trials` seeded subsets, at most SUBSET_BUDGET of them. Returns
-    (checked, failure, bins): with betas, bins counts the y-pattern of every
-    subset confirmed independent; otherwise it is None.
+    checks `trials` seeded subsets, at most SUBSET_BUDGET of them; auto mode
+    is exhaustive when a complete scan fits SUBSET_BUDGET. Returns (mode,
+    checked, failure, bins): the mode that ran, and with betas, bins counts
+    the y-pattern of every subset confirmed independent, otherwise None.
     """
+    if mode == "auto":
+        cost = exhaustive_cost(len(columns), size)
+        if betas is not None:  # one on_leaf call per subset
+            cost += comb(len(columns), size)
+        mode = "exhaustive" if cost <= SUBSET_BUDGET else "sampled"
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and trials > SUBSET_BUDGET:
@@ -229,13 +247,13 @@ def _scan(field, columns, size, mode, trials, seed, betas=None):
             f"{trials} sampled subsets exceed the {SUBSET_BUDGET} rank-check budget"
         )
     if size == 0:
-        return 0, None, None
+        return mode, 0, None, None
     bins, on_leaf = _pattern_bins(betas)
     if mode == "exhaustive":
         checked, failure = _scan_exhaustive(field, columns, size, on_leaf=on_leaf)
     else:
         checked, failure = _scan_sampled(field, columns, size, trials, seed, on_leaf)
-    return checked, failure, bins
+    return mode, checked, failure, bins
 
 
 def verify_distance_at_least(
@@ -260,11 +278,7 @@ def verify_distance_at_least(
         raise ValueError(f"w must lie in [1, n-k+1] = [1, {len(h_rows) + 1}]")
     size = w - 1
     claim = f"distance>={w}"
-    checked, failure, _ = _scan(field, transpose(h_rows), size, mode, trials, seed)
-    if size == 0:  # every code has d >= 1
-        return VerificationReport(
-            claim, mode, 0, True, None, None, (time.perf_counter() - t0) * 1000
-        )
+    mode, checked, failure, _ = _scan(field, transpose(h_rows), size, mode, trials, seed)
     witness = None
     if failure is not None:
         witness = {"columns": [c + 1 for c in failure]}
@@ -284,22 +298,17 @@ def find_min_weight_codeword(
     field: Field,
     h_rows: list[list[int]],
     w_cap: int,
-    budget: int = SUBSET_BUDGET,
 ) -> VerificationReport:
     """Exhaustive search for a minimum-weight codeword of weight <= w_cap.
 
     Scans w-subsets of parity columns for w = 1..w_cap; the first dependent
     subset found (smallest w, then lexicographic) supports a codeword of
     exactly that weight, recovered from the one-dimensional nullspace of the
-    subset columns. A report with witness None certifies d > w_cap.
+    subset columns. A report with witness None certifies d > w_cap. Each
+    weight's scan is bounded by SUBSET_BUDGET like any exhaustive scan.
     """
     t0 = time.perf_counter()
     n = len(h_rows[0])
-    total = sum(comb(n, w) for w in range(1, w_cap + 1))
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} subsets exceed the {budget} rank-check budget"
-        )
     columns = transpose(h_rows)
     checked_total = 0
     witness = None
@@ -393,12 +402,7 @@ def verify_constraint_matrix(
     """
     t0 = time.perf_counter()
     points, columns, betas = _moment_columns(field)
-    total = comb(len(columns), 4)
-    if mode == "exhaustive" and total > SUBSET_BUDGET:
-        raise BudgetExceededError(
-            f"{total} subsets exceed the {SUBSET_BUDGET} rank-check budget"
-        )
-    checked, failure, bins = _scan(field, columns, 4, mode, trials, seed, betas)
+    mode, checked, failure, bins = _scan(field, columns, 4, mode, trials, seed, betas)
     witness = None
     if failure is not None:
         witness = {"points": [list(points[i]) for i in failure]}

@@ -337,6 +337,35 @@ def test_verify_load_conflicts_with_build_flags(tmp_path, capsys):
     assert rc == 2 and err.startswith("ERR Validation:")
 
 
+def test_verify_load_refuses_extension_degree(tmp_path, capsys):
+    """The stored code fixes its field: --m is refused like --q, --p and --r."""
+    d = gen_code(tmp_path, capsys)
+    out_dir = tmp_path / "v"
+    rc, out, err = run(capsys, "verify", "--load", str(d), "--m", "2", "--suite",
+                       "locality", "--out", str(out_dir))
+    assert rc == 2 and out == ""
+    assert err == "ERR Validation: --load replaces --q/--p/--m/--r\n"
+    assert not out_dir.exists()
+
+
+def test_verify_auto_refutes_distance_five_over_gf16(tmp_path, capsys):
+    """GF(16) r=4 (n=225): a complete d>=5 scan makes 1,897,952 reductions,
+    so auto runs it exhaustively and meets the first weight-4 support.
+    The min-weight search would not fit the budget, so it is left out."""
+    fail = ("FAIL  distance>=5  mode=exhaustive trials=22340 "
+            "witness={'columns': [1, 2, 156, 158]}")
+    d = tmp_path / "code16"
+    assert run(capsys, "gen", "--p", "2", "--m", "4", "--r", "4", "--out", str(d))[0] == 0
+    for source in (["--p", "2", "--m", "4", "--r", "4"], ["--load", str(d)]):
+        out_dir = tmp_path / source[0].strip("-")
+        rc, out, err = run(capsys, "verify", *source, "--suite", "distance",
+                           "--out", str(out_dir))
+        assert rc == 3 and err == "ERR VerificationFailed: distance>=5\n"
+        lines = (out_dir / "report.txt").read_text().splitlines()
+        assert lines[-1] == fail
+        assert "min-weight-search" not in out
+
+
 def test_verify_load_runs_consistency_check(tmp_path, capsys):
     d = gen_code(tmp_path, capsys)
     rc, out, _ = run(capsys, "verify", "--load", str(d), "--suite", "distance",
@@ -490,6 +519,21 @@ def test_simulate_validates_model_arguments(tmp_path, capsys):
     rc, _, err = run(capsys, "simulate", "--q", "7", "--r", "5",
                      "--model", "bernoulli", "--rho", "1.5", "--out", str(tmp_path))
     assert rc == 2 and err.startswith("ERR Validation:")
+
+
+@pytest.mark.parametrize(
+    "model_args",
+    [["--model", "fixed", "--t", "3", "--rho", "0.9"],
+     ["--model", "bernoulli", "--rho", "0.1", "--t", "3"]],
+    ids=["rho-under-fixed", "t-under-bernoulli"],
+)
+def test_simulate_refuses_the_other_models_parameter(tmp_path, capsys, model_args):
+    out_dir = tmp_path / "sim"
+    rc, out, err = run(capsys, "simulate", "--q", "7", "--r", "5", *model_args,
+                       "--out", str(out_dir))
+    assert rc == 2 and out == ""
+    assert err.startswith("ERR Validation:") and err.count("ERR") == 1
+    assert not out_dir.exists()
 
 
 def test_simulate_refuses_trials_above_the_budget(tmp_path, capsys, monkeypatch):

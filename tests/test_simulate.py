@@ -148,6 +148,17 @@ def test_config_validation(code75):
         SimulationConfig(model="fixed", t=1, trials=5, seed=0, policy="psychic").validate(36)
 
 
+def test_config_refuses_the_other_models_parameter():
+    """rho has no effect under the fixed model, nor t under bernoulli; a
+    config that names one would persist a setting that was never used."""
+    with pytest.raises(ValueError, match="rho does not apply to the fixed model"):
+        SimulationConfig(model="fixed", t=3, rho=0.9, trials=5, seed=0,
+                         policy="hybrid").validate(36)
+    with pytest.raises(ValueError, match="t does not apply to the bernoulli model"):
+        SimulationConfig(model="bernoulli", t=3, rho=0.1, trials=5, seed=0,
+                         policy="hybrid").validate(36)
+
+
 def test_result_type_shape(code75):
     cfg = SimulationConfig(model="fixed", t=1, trials=3, seed=0, policy="hybrid")
     res = run_simulation(code75, cfg)

@@ -1,5 +1,8 @@
 """The benchmark's tracing rebinds lrc5 names; every one of them must exist.
 
+Its field-operation counter also rebinds the Field arithmetic methods on the
+class, so those must stay class attributes that every call goes through.
+
 bench/tracing.py is read and executed here without importing it as a module,
 so no bytecode is written next to it.
 """
@@ -7,7 +10,7 @@ so no bytecode is written next to it.
 from pathlib import Path
 
 from lrc5 import Code, cli, construct, field_new
-from lrc5.codec import encode
+from lrc5.codec import encode, hybrid_decode, local_repair
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -61,3 +64,19 @@ def test_hybrid_decode_of_loaded_code_builds_no_matrix(tmp_path, capsys):
     assert names.count("codec.erasure_decode") == 1
     assert names.count("construct.parity") == 0
     assert names.count("construct.generator") == 0
+
+
+def test_field_op_counter_sees_repair_and_decode():
+    """Counted over a local repair and a hybrid decode that needs the global
+    solve. The counter wraps Field.add/mul/dot on the class: were they made
+    per-instance attributes, it would miss them or find nothing to wrap."""
+    code = Code.build(field_new(7), 5)
+    word = encode(code.field, code.generator_matrix, [i % 7 for i in range(1, 28)])
+    counts: dict[str, int] = {}
+    with load_tracing()["counting_field_ops"](counts):
+        received = list(word)
+        received[3] = None
+        assert local_repair(code, received, 3) == word[3]
+        received[0] = received[1] = None  # two erasures in one cell
+        assert hybrid_decode(code, received).codeword == word
+    assert all(counts[op] > 0 for op in ("add", "mul", "dot")), counts

@@ -9,6 +9,7 @@ rank claims verify False here, with witnesses; that is the honest output.
 """
 
 import random
+from math import comb
 
 import pytest
 
@@ -20,13 +21,14 @@ from lrc5.errors import (
 )
 from lrc5.field import field_new
 from lrc5.verify import (
-    AUTO_EXHAUSTIVE_LIMIT,
     SUBSET_BUDGET,
     VerificationReport,
     _moment_columns,
+    _scan,
     _scan_exhaustive,
     constraint_matrix,
     constraint_matrix_rank,
+    exhaustive_cost,
     find_min_weight_codeword,
     length_regime_report,
     optimality_equivalence_holds,
@@ -193,10 +195,20 @@ def test_min_weight_search_none_found_on_toy_mds(f7):
     assert "no codeword" in rep.details["conclusion"]
 
 
-def test_min_weight_search_budget_guard(code135):
-    with pytest.raises(BudgetExceededError):
-        find_min_weight_codeword(code135.field, code135.parity_check_matrix, 5)
+def test_min_weight_search_over_gf13_stops_at_its_witness(code135, monkeypatch):
+    """No up-front refusal: weights 1-3 are scanned in full and weight 4
+    stops at its witness, well within the budget. Each weight's scan still
+    answers to the reduction budget."""
+    f, h = code135.field, code135.parity_check_matrix
+    rep = find_min_weight_codeword(f, h, 5)
+    assert rep.witness["weight"] == 4
+    assert rep.witness["support"] == [1, 2, 106, 108]
+    assert rep.trials == 507_056
+    assert all(f.dot(row, rep.witness["codeword"]) == 0 for row in h)
     assert SUBSET_BUDGET == 10_000_000
+    monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", exhaustive_cost(144, 3) - 1)
+    with pytest.raises(BudgetExceededError):
+        find_min_weight_codeword(f, h, 5)
 
 
 def test_scans_stop_at_the_budget(monkeypatch):
@@ -411,8 +423,85 @@ def test_report_json_timing_toggle(code53):
     assert without["millis"] is None
 
 
-def test_auto_exhaustive_limit_constant():
-    assert AUTO_EXHAUSTIVE_LIMIT == 250_000
+def vandermonde_columns(n):
+    """n columns (1, x, ..., x^4) over GF(31): any 5 of them are independent."""
+    return [[pow(x, e, 31) for e in range(5)] for x in range(1, n + 1)]
+
+
+def test_exhaustive_cost_closed_form():
+    assert [exhaustive_cost(10, s) for s in range(5)] == [0, 0, 10, 52, 147]
+    assert exhaustive_cost(36, 4) == 7_700  # GF(7) r=2, d>=5
+    assert exhaustive_cost(225, 4) == 1_897_952  # GF(16) r=4, d>=5
+    assert exhaustive_cost(576, 4) == 31_849_250  # GF(25) r=2, d>=5
+
+
+@pytest.mark.parametrize("n", [5, 9, 17, 30])
+@pytest.mark.parametrize("size", [2, 3, 4, 5])
+def test_exhaustive_cost_is_the_budget_edge_of_a_complete_scan(n, size, monkeypatch):
+    """A complete scan runs on a budget of exactly its cost, and one less
+    stops it: the cost is the number of reductions it makes."""
+    f = field_new(31)
+    columns = vandermonde_columns(n)
+    cost = exhaustive_cost(n, size)
+    monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", cost)
+    assert _scan_exhaustive(f, columns, size) == (comb(n, size), None)
+    monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", cost - 1)
+    with pytest.raises(BudgetExceededError):
+        _scan_exhaustive(f, columns, size)
+
+
+def test_binned_scan_budget_counts_leaf_callbacks(f5, monkeypatch):
+    """Every 3-subset of the q=5 lemma columns is independent; binning
+    them costs one on_leaf call per subset on top of the reductions."""
+    _, columns, betas = _moment_columns(f5)
+    cost = exhaustive_cost(16, 3) + 560
+    monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", cost)
+    mode, checked, failure, bins = _scan(f5, columns, 3, "exhaustive", 1, 0, betas)
+    assert (mode, checked, failure) == ("exhaustive", 560, None)
+    assert sum(bins.values()) == 560
+    monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", cost - 1)
+    with pytest.raises(BudgetExceededError):
+        _scan(f5, columns, 3, "exhaustive", 1, 0, betas)
+
+
+def test_auto_mode_is_exhaustive_exactly_when_a_complete_scan_fits(f5, monkeypatch):
+    code = Code.build(field_new(7), 2)
+    f, h = code.field, code.parity_check_matrix
+    monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", 7_700)
+    rep = verify_distance_at_least(f, h, 5, mode="auto", trials=1_000)
+    assert (rep.mode, rep.trials, rep.seed, rep.result) == ("exhaustive", 58_905, None, True)
+    monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", 7_699)
+    rep = verify_distance_at_least(f, h, 5, mode="auto", trials=1_000, seed=3)
+    assert (rep.mode, rep.trials, rep.seed) == ("sampled", 1_000, 3)
+
+    lemma_cost = exhaustive_cost(16, 4) + 1_820  # plus one on_leaf per subset
+    monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", lemma_cost)
+    rep = verify_constraint_matrix(f5, mode="auto", trials=100)
+    assert rep.mode == "exhaustive" and rep.trials == FROZEN_LEMMA[(5, 3)]["trials"]
+    monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", lemma_cost - 1)
+    assert verify_constraint_matrix(f5, mode="auto", trials=100).mode == "sampled"
+
+
+@pytest.mark.parametrize(
+    "p,m,r,trials,columns",
+    [(3, 2, 3, 2_820, [1, 3, 22, 24]), (11, 1, 4, 4_677, [1, 2, 88, 90]),
+     (13, 1, 5, 9_272, [1, 2, 106, 108]), (2, 4, 4, 22_340, [1, 2, 156, 158])],
+)
+def test_auto_mode_refutes_distance_five_exhaustively(p, m, r, trials, columns):
+    code = Code.build(field_new(p, m), r)
+    rep = verify_distance_at_least(code.field, code.parity_check_matrix, 5, mode="auto")
+    assert rep.mode == "exhaustive" and rep.seed is None
+    assert rep.trials == trials and rep.witness == {"columns": columns}
+
+
+def test_constraint_matrix_exhaustive_over_gf13_stops_at_its_witness(f13):
+    """17,178,876 subsets in all, but the scan needs only 105,889."""
+    rep = verify_constraint_matrix(f13, mode="exhaustive")
+    assert rep.result is False and rep.trials == 105_889
+    assert rep.witness == {"points": [[1, 1], [2, 1], [4, 6], [12, 6]]}
+    assert sum(rep.details["case_counts"].values()) == 105_888
+    pts = [tuple(pt) for pt in rep.witness["points"]]
+    assert rank_mod(oracle_lemma_matrix(pts, 13), 13) == 3
 
 
 def _reference_reduce(field, basis, col):
