@@ -17,7 +17,7 @@ from .codec import (
 )
 from .construct import Code, CodeParams, EvaluationDomain, Monomial, validate_params
 from .errors import LrcError
-from .field import Field, field_new, primitive_element, subgroup_of_order
+from .field import Field, subgroup_of_order
 from .verify import (
     VerificationReport,
     find_min_weight_codeword,
@@ -44,12 +44,10 @@ __all__ = [
     "encode",
     "erasure_decode",
     "error_correct_bd",
-    "field_new",
     "find_min_weight_codeword",
     "hybrid_decode",
     "local_repair",
     "optimality_equivalence_holds",
-    "primitive_element",
     "singleton_like_bound",
     "subgroup_of_order",
     "validate_params",

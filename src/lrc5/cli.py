@@ -65,11 +65,17 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Refuses abbreviated long options, so that --p or --m cannot stand in
+    for --position, --policy, --message, --mode or --model."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 
 
-def _prime_power(q: int) -> tuple[int, int]:
+def _field_of_order(q: int) -> Field:
     if q > MAX_ORDER:  # before factoring, which trial-divides up to sqrt(q)
         raise TooLargeError(f"field order {q} exceeds 2^16")
     factors = _prime_factors(q)
@@ -78,28 +84,11 @@ def _prime_power(q: int) -> tuple[int, int]:
     p, m = factors[0], 1
     while p**m < q:
         m += 1
-    return p, m
-
-
-def _field_from_args(args) -> Field:
-    if args.q is not None:
-        if args.p is not None or args.m is not None:
-            raise ValidationError("give either --q or --p/--m, not both")
-        p, m = _prime_power(args.q)
-        return Field(p, m)
-    if args.p is None:
-        raise ValidationError("a field is required: --q Q or --p P [--m M]")
-    return Field(args.p, args.m if args.m is not None else 1)
-
-
-def _add_field_args(sub) -> None:
-    sub.add_argument("--q", type=int, help="field order (prime power)")
-    sub.add_argument("--p", type=int, help="field characteristic")
-    sub.add_argument("--m", type=int, help="extension degree (default 1)")
+    return Field(p, m)
 
 
 def cmd_params(args) -> int:
-    field = _field_from_args(args)
+    field = _field_of_order(args.q)
     code = Code.build(field, args.r)
     p = code.params
     bound = singleton_like_bound(p.n, p.k, p.r)
@@ -127,7 +116,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    field = _field_from_args(args)
+    field = _field_of_order(args.q)
     code = Code.build(field, args.r)
     paths = write_artifacts(code, args.out)
     for name in ("manifest", "generator", "parity", "basis"):
@@ -300,13 +289,15 @@ def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ValidationError("--trials must be at least 1")
     if args.load is not None:
-        if any(x is not None for x in (args.q, args.p, args.m, args.r)):
-            raise ValidationError("--load replaces --q/--p/--m/--r")
+        if args.q is not None or args.r is not None:
+            raise ValidationError("--load replaces --q/--r")
         code = load_artifacts(args.load)
     else:
         if args.r is None:
             raise ValidationError("--r is required without --load")
-        code = Code.build(_field_from_args(args), args.r)
+        if args.q is None:
+            raise ValidationError("--q is required without --load")
+        code = Code.build(_field_of_order(args.q), args.r)
     reports = _run_suites(args, code)
     all_pass = all(r.result for r in reports)
     doc = {
@@ -341,7 +332,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    field = _field_from_args(args)
+    field = _field_of_order(args.q)
     code = Code.build(field, args.r)
     config = SimulationConfig(
         model=args.model,
@@ -383,13 +374,13 @@ def build_parser() -> _Parser:
     seeded.add_argument("--out", default=".", help="output directory")
 
     sp = subs.add_parser("params", help="validate parameters and print code facts")
-    _add_field_args(sp)
+    sp.add_argument("--q", type=int, required=True, help="field order (prime power)")
     sp.add_argument("--r", type=int, required=True, help="locality")
     sp.set_defaults(func=cmd_params)
 
     sg = subs.add_parser("gen", help="construct a code and write its artifacts")
     sg.add_argument("--out", default=".", help="output directory")
-    _add_field_args(sg)
+    sg.add_argument("--q", type=int, required=True, help="field order (prime power)")
     sg.add_argument("--r", type=int, required=True, help="locality")
     sg.set_defaults(func=cmd_gen)
 
@@ -413,7 +404,7 @@ def build_parser() -> _Parser:
     sd.set_defaults(func=cmd_decode)
 
     sv = subs.add_parser("verify", parents=[seeded], help="run verification suites")
-    _add_field_args(sv)
+    sv.add_argument("--q", type=int, help="field order (prime power)")
     sv.add_argument("--r", type=int, help="locality")
     sv.add_argument("--load", help="verify stored artifacts instead of rebuilding")
     sv.add_argument("--suite", choices=SUITES + ("all",), default="all")
@@ -426,7 +417,7 @@ def build_parser() -> _Parser:
 
     ss = subs.add_parser("simulate", parents=[seeded],
                          help="Monte Carlo erasure and repair simulation")
-    _add_field_args(ss)
+    ss.add_argument("--q", type=int, required=True, help="field order (prime power)")
     ss.add_argument("--r", type=int, required=True, help="locality")
     ss.add_argument("--model", choices=("fixed", "bernoulli"), required=True)
     ss.add_argument("--t", type=int, help="erasures per trial (fixed model)")

@@ -13,11 +13,12 @@ The field kind is decided here and nowhere else: the vector primitives
 submul (ys - a*xs) and scale (a*xs) that row reduction and encoding run on
 are specialised once, when the Field is built.
 
-The reducing modulus defaults to the first monic irreducible polynomial of
-degree m in index order (non-leading coefficients read as a base-p integer,
-constant term least significant). That choice is re-derivable from (p, m)
-alone, so serialized fields are self-describing. For m = 1 the modulus is
-the placeholder x and arithmetic is plain mod p.
+A field is named by (p, m) alone. Its reducing modulus is the first monic
+irreducible polynomial of degree m in index order (non-leading coefficients
+read as a base-p integer, constant term least significant), and its
+generator is the smallest primitive element, so both are re-derived from
+(p, m) and a serialized field is checked by comparing it with spec_dict().
+For m = 1 the modulus is the placeholder x and arithmetic is plain mod p.
 """
 
 from collections.abc import Sequence
@@ -98,7 +99,8 @@ class Field:
         p: field characteristic (prime).
         m: extension degree, at least 1.
         q: field order p^m.
-        modulus: m+1 coefficients of the reducing polynomial, constant first.
+        modulus: m+1 coefficients of the canonical reducing polynomial,
+            constant first.
         generator: index of the canonical primitive element, the smallest
             index of multiplicative order q-1.
         submul: submul(ys, a, xs) returns ys - a*xs as a new list. It is
@@ -111,40 +113,23 @@ class Field:
         "_qm1", "_half", "_zech",
     )
 
-    def __init__(self, p: int, m: int = 1, modulus: Sequence[int] | None = None):
-        # before trial division of p; min(m, 17) decides it for any p >= 2
-        if p >= 2 and m >= 1 and p ** min(m, 17) > MAX_ORDER:
+    def __init__(self, p: int, m: int = 1):
+        # both checks come before trial division of p; min(m, 17) decides
+        # the cap for any p >= 2
+        if m < 1:
+            raise ValueError("extension degree must be at least 1")
+        if p >= 2 and p ** min(m, 17) > MAX_ORDER:
             raise TooLargeError(f"field order {p}^{m} exceeds 2^16")
         if p < 2 or _prime_factors(p) != [p]:
             raise NotPrimeError(f"characteristic {p} is not prime")
-        if m < 1:
-            raise ValueError("extension degree must be at least 1")
         q = p**m
         self.p = p
         self.m = m
         self.q = q
-        if modulus is None:
-            modulus = (0, 1) if m == 1 else _smallest_irreducible(p, m)
-        else:
-            modulus = tuple(int(c) for c in modulus)
-            self._check_modulus(modulus)
-        self.modulus = modulus
+        self.modulus = (0, 1) if m == 1 else _smallest_irreducible(p, m)
         self._qm1 = q - 1
         self.generator = self._find_generator()
         self._build_tables()
-
-    def _check_modulus(self, modulus: tuple[int, ...]) -> None:
-        p, m = self.p, self.m
-        if m == 1:
-            if modulus != (0, 1):
-                raise ValueError("prime fields use the placeholder modulus x")
-            return
-        if len(modulus) != m + 1 or modulus[-1] != 1:
-            raise ValueError(f"modulus must be monic of degree {m}")
-        if any(not 0 <= c < p for c in modulus):
-            raise ValueError("modulus coefficients must lie in [0, p)")
-        if not _is_irreducible(modulus, p):
-            raise ValueError("modulus is reducible")
 
     # Bootstrap arithmetic on polynomial indices, used only to build tables.
     def _raw_mul(self, a: int, b: int) -> int:
@@ -337,16 +322,6 @@ class Field:
 
     def spec_dict(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus), "q": self.q}
-
-
-def field_new(p: int, m: int = 1) -> Field:
-    """Build GF(p^m) with the canonical modulus."""
-    return Field(p, m)
-
-
-def primitive_element(field: Field) -> int:
-    """Smallest element index of multiplicative order q-1."""
-    return field.generator
 
 
 def subgroup_of_order(field: Field, t: int) -> list[int]:

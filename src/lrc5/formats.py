@@ -8,6 +8,9 @@ artifact byte for byte.
 load_artifacts returns a Code whose generator and parity-check matrices are
 the stored CSV rows, taken as-is rather than re-derived, so every command
 and check downstream sees any tampering instead of silently repairing it.
+The manifest names its field by p and m; its whole field section must equal
+the canonical GF(p^m)'s spec_dict(), so no manifest can select another
+modulus than the one gen wrote.
 """
 
 import json
@@ -172,22 +175,23 @@ def load_artifacts(dirpath: str | Path) -> Code:
         fsec = manifest["field"]
         csec = manifest["code"]
         osec = manifest["ordering"]
-        fsec_p, fsec_m = int(fsec["p"]), int(fsec["m"])
-        modulus = [int(c) for c in fsec["modulus"]]
+        p, m = int(fsec["p"]), int(fsec["m"])
         r = int(csec["r"])
-    except (KeyError, TypeError, ValueError):
+        point_order = osec.get("point_order")
+        primitive = osec.get("primitive_element")
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
         raise FormatError(f"{mpath}: missing or malformed manifest fields") from None
     if manifest.get("format_version") != FORMAT_VERSION:
         raise FormatError(f"{mpath}: unsupported format_version")
-    if osec.get("point_order") != POINT_ORDER:
-        raise FormatError(f"{mpath}: unknown point order {osec.get('point_order')!r}")
+    if point_order != POINT_ORDER:
+        raise FormatError(f"{mpath}: unknown point order {point_order!r}")
     try:
-        field = Field(fsec_p, fsec_m, modulus)
+        field = Field(p, m)
     except ValueError as e:
         raise FormatError(f"{mpath}: bad field spec ({e})") from None
-    if field.q != fsec.get("q"):
-        raise FormatError(f"{mpath}: q does not match p^m")
-    if osec.get("primitive_element") != field.generator:
+    if fsec != field.spec_dict():
+        raise FormatError(f"{mpath}: field section is not the canonical {field!r}")
+    if primitive != field.generator:
         raise FormatError(f"{mpath}: primitive element does not match the field")
     code = Code.build(field, r)
     params = code.params

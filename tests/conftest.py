@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from lrc5 import Code, field_new
+from lrc5 import Code, Field
 
 settings.register_profile(
     "repeatable",
@@ -15,32 +15,32 @@ settings.load_profile("repeatable")
 
 @pytest.fixture(scope="session")
 def f5():
-    return field_new(5)
+    return Field(5)
 
 
 @pytest.fixture(scope="session")
 def f7():
-    return field_new(7)
+    return Field(7)
 
 
 @pytest.fixture(scope="session")
 def f8():
-    return field_new(2, 3)
+    return Field(2, 3)
 
 
 @pytest.fixture(scope="session")
 def f9():
-    return field_new(3, 2)
+    return Field(3, 2)
 
 
 @pytest.fixture(scope="session")
 def f11():
-    return field_new(11)
+    return Field(11)
 
 
 @pytest.fixture(scope="session")
 def f13():
-    return field_new(13)
+    return Field(13)
 
 
 @pytest.fixture(scope="session")

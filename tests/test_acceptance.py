@@ -31,7 +31,7 @@ from lrc5.errors import (
     ConditionViolatedError,
     LocalRepairImpossibleError,
 )
-from lrc5.field import field_new
+from lrc5.field import Field
 from lrc5.rng import SplitMix64
 from lrc5.verify import (
     constraint_matrix_rank,
@@ -74,7 +74,7 @@ def record(num, name, ok, detail):
 
 
 def field_for(q):
-    return field_new(2, 3) if q == 8 else field_new(q)
+    return Field(2, 3) if q == 8 else Field(q)
 
 
 def test_criterion_1_parameter_reproduction():
@@ -136,7 +136,7 @@ def test_criterion_2_distance_certification():
     if {tuple(b) for b in swept} != set(oracle_weight4_supports(5, 3)):
         problems.append(f"(5,3) dependent 4-subsets {swept} are not the closed form")
 
-    f7 = field_new(7)
+    f7 = Field(7)
     h75 = codes[(7, 5)].parity_check_matrix
     g75 = oracle_generator_matrix(7, 5)
     first75 = [p + 1 for p in oracle_weight4_supports(7, 5)[0]]
@@ -212,7 +212,7 @@ def test_criterion_3_lemma_suite():
     problems = []
     sizes = []
     for q in (5, 7):
-        field = field_new(q)
+        field = Field(q)
         family = oracle_lemma_family(q)
         family_set = set(family)
         sizes.append(f"{len(family)} of {comb((q - 1) ** 2, 4)}")
@@ -303,7 +303,7 @@ def test_criterion_4_interpolation_identity():
 
 
 def test_criterion_5_locality():
-    f7 = field_new(7)
+    f7 = Field(7)
     code = Code.build(f7, 5)
     g = code.generator_matrix
     rng = SplitMix64(0)
@@ -389,7 +389,7 @@ def _erase(word, positions):
 def test_criterion_6_erasure_tolerance():
     t0 = time.perf_counter()
     problems = []
-    f7 = field_new(7)
+    f7 = Field(7)
     code = Code.build(f7, 5)
     h = code.parity_check_matrix
     rng = SplitMix64(0)
@@ -470,17 +470,17 @@ def test_criterion_7_bound_checks():
             except ConditionViolatedError:
                 pass
 
-    rep = length_regime_report(validate_params(field_new(7), 5))
+    rep = length_regime_report(validate_params(Field(7), 5))
     if rep.details["block_count_inequality"] != {"lhs": 6, "rhs": 52, "holds": False}:
         problems.append("(7,5) block-count arithmetic off")
     if rep.details["coset_count_condition"] != {
         "value": 1, "threshold": 3, "holds": False,
     }:
         problems.append("(7,5) coset-count arithmetic off")
-    rep = length_regime_report(validate_params(field_new(13), 3))
+    rep = length_regime_report(validate_params(Field(13), 3))
     if rep.details["block_count_inequality"] != {"lhs": 36, "rhs": 34, "holds": True}:
         problems.append("(13,3) block-count arithmetic off")
-    rep = length_regime_report(validate_params(field_new(29), 3))
+    rep = length_regime_report(validate_params(Field(29), 3))
     if rep.details["coset_count_condition"] != {
         "value": 7, "threshold": 3, "holds": True,
     }:

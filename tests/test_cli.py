@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from lrc5 import field as field_module
 from lrc5.cli import main
 from lrc5.codec import encode
 from lrc5.formats import load_artifacts
@@ -25,6 +26,22 @@ def gen_code(tmp_path, capsys, q="7", r="5"):
     rc, out, err = run(capsys, "gen", "--q", q, "--r", r, "--out", str(d))
     assert rc == 0 and err == ""
     return d
+
+
+def edit_manifest(d, edit):
+    """Apply edit to the parsed manifest.json of gen directory d."""
+    mpath = d / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    edit(manifest)
+    mpath.write_text(json.dumps(manifest))
+
+
+def encode_argv(d, tmp_path):
+    """An encode of a valid message for d, so that only loading can fail."""
+    k = json.loads((d / "manifest.json").read_text())["code"]["k"]
+    msg = tmp_path / "msg.txt"
+    msg.write_text(",".join(["1"] * k) + "\n")
+    return ["encode", "--code", str(d), "--message", str(msg), "--out", str(tmp_path / "w.txt")]
 
 
 def write_word(path, symbols):
@@ -57,7 +74,7 @@ def test_params_reports_equivalence_side_condition(capsys):
 
 
 def test_params_extension_field(capsys):
-    rc, out, _ = run(capsys, "params", "--p", "2", "--m", "3", "--r", "6")
+    rc, out, _ = run(capsys, "params", "--q", "8", "--r", "6")
     assert rc == 0
     assert "q=8 p=2 m=3 modulus=[1, 1, 0, 1]" in out
     assert "r=6 n=49 k=39 d_target=5" in out
@@ -76,6 +93,13 @@ def test_usage_errors_exit_1(capsys):
     rc, _, err = run(capsys)
     assert rc == 1
 
+    for command in ("params", "gen", "simulate"):
+        argv = [a for a in VALID_ARGV[command] if a not in ("--q", "7")]
+        rc, out, err = run(capsys, command, *argv)
+        assert rc == 1 and out == ""
+        assert err.startswith("ERR Usage:") and err.count("\n") == 1
+        assert "--q" in err
+
 
 def test_validation_errors_exit_2(capsys):
     rc, _, err = run(capsys, "params", "--q", "6", "--r", "5")
@@ -88,24 +112,69 @@ def test_validation_errors_exit_2(capsys):
     rc, _, err = run(capsys, "params", "--q", "5", "--r", "1")
     assert rc == 2 and err.startswith("ERR DegenerateCode:")
 
-    rc, _, err = run(capsys, "params", "--q", "7", "--p", "7", "--r", "5")
-    assert rc == 2 and err.startswith("ERR Validation:")
 
-
-@pytest.mark.parametrize("flag", ["--q", "--p"])
+@pytest.mark.parametrize("source", ["--q", "manifest"])
 @pytest.mark.parametrize("order", ["2305843009213693951", "65538"])
-def test_orders_above_cap_rejected_before_factoring(capsys, flag, order):
+def test_orders_above_cap_rejected_before_factoring(tmp_path, capsys, source, order):
     # 2^61 - 1 is prime: trial division up to its square root takes hours
-    rc, out, err = run(capsys, "params", flag, order, "--r", "5")
+    if source == "--q":
+        argv = ["params", "--q", order, "--r", "5"]
+    else:
+        d = gen_code(tmp_path, capsys)
+        edit_manifest(d, lambda doc: doc["field"].update(p=int(order), m=1))
+        argv = encode_argv(d, tmp_path)
+    rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == ""
     assert err.startswith("ERR TooLarge:") and err.count("ERR") == 1
 
 
-@pytest.mark.parametrize("p,m", [("-300", "2"), ("6", "1"), ("4", "2")])
-def test_non_prime_characteristic_reports_not_prime(capsys, p, m):
-    rc, out, err = run(capsys, "params", "--p", p, "--m", m, "--r", "5")
+@pytest.mark.parametrize("p,m", [(-300, 2), (6, 1), (4, 2)])
+def test_non_prime_characteristic_reports_not_prime(tmp_path, capsys, p, m):
+    d = gen_code(tmp_path, capsys)
+    edit_manifest(d, lambda doc: doc["field"].update(p=p, m=m))
+    rc, out, err = run(capsys, *encode_argv(d, tmp_path))
     assert rc == 2 and out == ""
     assert err.startswith("ERR NotPrime:") and err.count("ERR") == 1
+    assert not (tmp_path / "w.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "q,r,field",
+    [("8", "6", {"modulus": [1, 0, 1, 1]}), ("9", "3", {"modulus": [0, 0, 1]}),
+     ("9", "3", {"modulus": [1, 2, 1]}), ("7", "5", {"q": 49}),
+     ("7", "5", {"p": 2305843009213693951, "m": 0}), ("7", "5", {"p": float("inf")})],
+    ids=["gf8-other-irreducible", "gf9-reducible", "gf9-square", "q-not-p^m",
+         "degree-0", "p-infinite"],
+)
+def test_load_refuses_non_canonical_field(tmp_path, capsys, monkeypatch, q, r, field):
+    """A manifest names its field by p and m. x^3 + x^2 + 1 is irreducible
+    and has primitive element 2 too, but encoding under it would write a
+    word of another code than the one gen built. No number above the order
+    cap is factored: trial division of the prime 2^61 - 1 takes hours."""
+    d = gen_code(tmp_path, capsys, q=q, r=r)
+    edit_manifest(d, lambda doc: doc["field"].update(field))
+    factor = field_module._prime_factors
+
+    def capped(n):
+        assert n <= field_module.MAX_ORDER, f"factored {n}"
+        return factor(n)
+
+    monkeypatch.setattr(field_module, "_prime_factors", capped)
+    rc, out, err = run(capsys, *encode_argv(d, tmp_path))
+    assert rc == 2 and out == ""
+    assert err.startswith("ERR Format:") and err.count("\n") == 1
+    assert "manifest.json" in err
+    assert not (tmp_path / "w.txt").exists()
+
+
+@pytest.mark.parametrize("ordering", [[], "x", 5, None], ids=["list", "str", "int", "null"])
+def test_load_refuses_ordering_that_is_not_an_object(tmp_path, capsys, ordering):
+    d = gen_code(tmp_path, capsys)
+    edit_manifest(d, lambda doc: doc.update(ordering=ordering))
+    rc, out, err = run(capsys, *encode_argv(d, tmp_path))
+    assert rc == 2 and out == ""
+    assert err.startswith("ERR Format:") and err.count("\n") == 1
+    assert not (tmp_path / "w.txt").exists()
 
 
 def test_help_exits_zero(capsys):
@@ -315,11 +384,14 @@ VALID_ARGV = {
 @pytest.mark.parametrize(
     "command,flag",
     [(c, "--threads 2") for c in VALID_ARGV]
-    + [(c, "--seed 0") for c in ("params", "gen", "encode", "repair", "decode")],
+    + [(c, "--seed 0") for c in ("params", "gen", "encode", "repair", "decode")]
+    + [(c, f"{f} 2") for c in VALID_ARGV for f in ("--p", "--m")],
 )
 def test_unread_flags_are_usage_errors(tmp_path, capsys, command, flag):
-    """Scans run in one process, and only verify and simulate draw random
-    numbers, so no other command takes --threads or --seed."""
+    """Scans run in one process, only verify and simulate draw random
+    numbers, and a field is named by --q alone, so no other command takes
+    --threads or --seed, and none takes --p or --m, not even as an
+    abbreviation of --position, --policy, --message, --mode or --model."""
     argv = [a.replace("@", str(tmp_path)) for a in VALID_ARGV[command]]
     rc, out, err = run(capsys, command, *argv, *flag.split())
     assert rc == 1
@@ -330,21 +402,26 @@ def test_unread_flags_are_usage_errors(tmp_path, capsys, command, flag):
 
 def test_verify_load_conflicts_with_build_flags(tmp_path, capsys):
     d = gen_code(tmp_path, capsys)
-    rc, _, err = run(capsys, "verify", "--load", str(d), "--q", "7",
-                     "--out", str(tmp_path / "x"))
-    assert rc == 2 and err.startswith("ERR Validation:")
+    for flag in ("--q", "--r"):
+        rc, _, err = run(capsys, "verify", "--load", str(d), flag, "7",
+                         "--out", str(tmp_path / "x"))
+        assert rc == 2 and err == "ERR Validation: --load replaces --q/--r\n"
     rc, _, err = run(capsys, "verify", "--out", str(tmp_path / "x"))
     assert rc == 2 and err.startswith("ERR Validation:")
+    rc, _, err = run(capsys, "verify", "--r", "5", "--out", str(tmp_path / "x"))
+    assert rc == 2 and err == "ERR Validation: --q is required without --load\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_verify_load_refuses_extension_degree(tmp_path, capsys):
-    """The stored code fixes its field: --m is refused like --q, --p and --r."""
+    """The stored code fixes its field, and no command takes --m: it is not
+    read as an abbreviation of --mode either."""
     d = gen_code(tmp_path, capsys)
     out_dir = tmp_path / "v"
     rc, out, err = run(capsys, "verify", "--load", str(d), "--m", "2", "--suite",
                        "locality", "--out", str(out_dir))
-    assert rc == 2 and out == ""
-    assert err == "ERR Validation: --load replaces --q/--p/--m/--r\n"
+    assert rc == 1 and out == ""
+    assert err == "ERR Usage: unrecognized arguments: --m 2\n"
     assert not out_dir.exists()
 
 
@@ -355,8 +432,8 @@ def test_verify_auto_refutes_distance_five_over_gf16(tmp_path, capsys):
     fail = ("FAIL  distance>=5  mode=exhaustive trials=22340 "
             "witness={'columns': [1, 2, 156, 158]}")
     d = tmp_path / "code16"
-    assert run(capsys, "gen", "--p", "2", "--m", "4", "--r", "4", "--out", str(d))[0] == 0
-    for source in (["--p", "2", "--m", "4", "--r", "4"], ["--load", str(d)]):
+    assert run(capsys, "gen", "--q", "16", "--r", "4", "--out", str(d))[0] == 0
+    for source in (["--q", "16", "--r", "4"], ["--load", str(d)]):
         out_dir = tmp_path / source[0].strip("-")
         rc, out, err = run(capsys, "verify", *source, "--suite", "distance",
                            "--out", str(out_dir))
@@ -472,10 +549,7 @@ def test_verify_load_refuses_manifest_file_names(tmp_path, capsys, tamper):
     """The files section must name the fixed file names: a manifest may not
     send the loader outside its directory."""
     d = gen_code(tmp_path, capsys)
-    mpath = d / "manifest.json"
-    manifest = json.loads(mpath.read_text())
-    tamper(d, tmp_path, manifest["files"])
-    mpath.write_text(json.dumps(manifest))
+    edit_manifest(d, lambda doc: tamper(d, tmp_path, doc["files"]))
     out_dir = tmp_path / "v"
     rc, out, err = run(capsys, "verify", "--load", str(d), "--suite", "locality",
                        "--out", str(out_dir))
@@ -601,3 +675,16 @@ def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
         assert rc == (3 if cmd == "verify" else 0), (argv, err)
         if cmd in ("encode", "decode"):
             assert read_word(Path(flags["--out"])) == codeword
+
+
+def test_readme_report_example_lines_are_real(tmp_path, capsys, monkeypatch):
+    """The report example under the CLI block is what its verify line writes."""
+    text = README.read_text(encoding="utf-8")
+    example = text.split("`verify` writes `report.json`", 1)[1].split("```", 2)[1]
+    argv = next(line for line in readme_cli_lines() if line[1] == "verify")
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv[1:])[0] == 3
+    out_dir = Path(argv[argv.index("--out") + 1])
+    report = (out_dir / "report.txt").read_text(encoding="utf-8").splitlines()
+    lines = example.strip().splitlines()
+    assert lines and all(line in report for line in lines), (lines, report)

@@ -12,7 +12,7 @@ from lrc5.construct import (
     validate_params,
 )
 from lrc5.errors import DegenerateCodeError, DivisibilityViolationError
-from lrc5.field import Field, field_new
+from lrc5.field import Field
 from lrc5.linalg import mat_vec, matmul, nullspace, rank, rref
 from lrc5.rng import SplitMix64
 
@@ -45,7 +45,7 @@ POINTS_5_3 = [
 
 
 def field_for(q):
-    return field_new(*{8: (2, 3), 9: (3, 2), 16: (2, 4)}.get(q, (q, 1)))
+    return Field(*{8: (2, 3), 9: (3, 2), 16: (2, 4)}.get(q, (q, 1)))
 
 
 @pytest.mark.parametrize("q,r", INSTANCES)
@@ -66,25 +66,25 @@ def test_optimality_flags(q, r):
 
 def test_divisibility_is_enforced():
     with pytest.raises(DivisibilityViolationError):
-        validate_params(field_new(7), 4)
+        validate_params(Field(7), 4)
     with pytest.raises(DivisibilityViolationError):
-        validate_params(field_new(5), 2)
+        validate_params(Field(5), 2)
 
 
 def test_locality_one_is_degenerate():
     # r = 1 makes two of the three removed monomials collide
     with pytest.raises(DegenerateCodeError):
-        validate_params(field_new(5), 1)
+        validate_params(Field(5), 1)
 
 
 def test_tiny_fields_yield_no_message_space():
     # (q=3, r=1) also has k = 4 - 2 - 3 < 0, caught by the same gate
     with pytest.raises(DegenerateCodeError):
-        validate_params(field_new(3), 1)
+        validate_params(Field(3), 1)
 
 
 def test_monomial_basis_frozen_and_oracle_checked():
-    params = validate_params(field_new(5), 3)
+    params = validate_params(Field(5), 3)
     basis = build_monomial_basis(params)
     assert [(m.i, m.j) for m in basis] == BASIS_5_3
     assert all(isinstance(m, Monomial) for m in basis)
@@ -99,9 +99,9 @@ def test_monomial_basis_matches_independent_rule(q, r):
 
 
 def test_domain_frozen_points():
-    code = Code.build(field_new(5), 3)
+    code = Code.build(Field(5), 3)
     assert code.domain.points == POINTS_5_3
-    code75 = Code.build(field_new(7), 5)
+    code75 = Code.build(Field(7), 5)
     assert code75.domain.points[:8] == [
         (1, 1), (3, 1), (2, 1), (6, 1), (4, 1), (5, 1), (1, 3), (3, 3),
     ]
@@ -109,7 +109,7 @@ def test_domain_frozen_points():
 
 @pytest.mark.parametrize("q,r", [(5, 3), (7, 5), (11, 4), (13, 5)])
 def test_domain_matches_contract_ordering(q, r):
-    field = field_new(q)
+    field = Field(q)
     params = validate_params(field, r)
     dom = build_domain(field, params)
     assert dom.points == oracle_points(q, r)
@@ -149,7 +149,7 @@ def test_domain_is_a_plain_dataclass_snapshot(code53):
 
 @pytest.mark.parametrize("q,r", [(5, 3), (7, 5), (11, 4)])
 def test_generator_matrix_matches_plain_evaluation(q, r):
-    code = Code.build(field_new(q), r)
+    code = Code.build(Field(q), r)
     assert code.generator_matrix == oracle_generator_matrix(q, r)
 
 
@@ -251,7 +251,7 @@ def test_code_build_and_caching(code75):
     assert code75.n == 36 and code75.k == 27 and code75.r == 5
     assert code75.generator_matrix is code75.generator_matrix
     assert code75.parity_check_matrix is code75.parity_check_matrix
-    fresh = Code.build(field_new(7), 5)
+    fresh = Code.build(Field(7), 5)
     assert fresh.generator_matrix == code75.generator_matrix
 
 

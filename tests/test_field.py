@@ -3,14 +3,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lrc5.errors import NotADivisorError, NotPrimeError, TooLargeError
-from lrc5.field import Field, field_new, primitive_element, subgroup_of_order
+from lrc5.field import Field, subgroup_of_order
 
 from .oracles import PolyField, mult_order, smallest_generator
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
 def test_prime_field_tables_match_plain_modular_arithmetic(q):
-    f = field_new(q)
+    f = Field(q)
     for a in range(q):
         for b in range(q):
             assert f.add(a, b) == (a + b) % q
@@ -31,7 +31,7 @@ def test_prime_field_tables_match_plain_modular_arithmetic(q):
     ],
 )
 def test_extension_field_modulus_and_generator(p, m, modulus, gen):
-    f = field_new(p, m)
+    f = Field(p, m)
     assert tuple(f.modulus) == modulus
     assert f.generator == gen
     oracle = PolyField(p, m)
@@ -41,7 +41,7 @@ def test_extension_field_modulus_and_generator(p, m, modulus, gen):
 
 @pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (2, 4), (3, 3), (5, 2), (7, 2)])
 def test_extension_field_arithmetic_matches_polynomial_model(p, m):
-    f = field_new(p, m)
+    f = Field(p, m)
     oracle = PolyField(p, m)
     assert tuple(f.modulus) == oracle.modulus
     q = p**m
@@ -57,7 +57,7 @@ def test_extension_field_arithmetic_matches_polynomial_model(p, m):
 
 @pytest.mark.parametrize("p,m", [(13, 1), (2, 4), (3, 2), (3, 3)])
 def test_submul_and_scale_match_scalar_ops(p, m):
-    f = field_new(p, m)
+    f = Field(p, m)
     q = f.q
     # every (y, x) pair, so the vectors hold zeros on both sides and, for
     # each a, entries with y = a*x where ys - a*xs cancels to 0
@@ -74,7 +74,7 @@ def test_submul_and_scale_match_scalar_ops(p, m):
 
 
 def test_gf49_spot_checks_against_polynomial_model():
-    f = field_new(7, 2)
+    f = Field(7, 2)
     oracle = PolyField(7, 2)
     # x = index 7; x*x = -1 = 6 under modulus x^2 + 1
     assert f.mul(7, 7) == 6 == oracle.mul_idx(7, 7)
@@ -88,9 +88,8 @@ def test_gf49_spot_checks_against_polynomial_model():
 
 @pytest.mark.parametrize("q", [5, 7, 11, 13])
 def test_generator_is_smallest_primitive_index(q):
-    f = field_new(q)
+    f = Field(q)
     assert f.generator == smallest_generator(q)
-    assert primitive_element(f) == f.generator
     for x in range(2, f.generator):
         assert mult_order(x, q) < q - 1
 
@@ -139,28 +138,32 @@ def test_subgroup_requires_divisor(f7, f8):
 
 def test_field_rejects_non_prime_characteristic():
     with pytest.raises(NotPrimeError):
-        field_new(6)
+        Field(6)
     with pytest.raises(NotPrimeError):
-        field_new(1)
+        Field(1)
     with pytest.raises(NotPrimeError):
-        field_new(4, 2)
+        Field(4, 2)
     with pytest.raises(NotPrimeError):  # (-300)^2 is above the order cap
-        field_new(-300, 2)
+        Field(-300, 2)
 
 
 def test_field_rejects_orders_beyond_cap():
     with pytest.raises(TooLargeError):
-        field_new(65537)
+        Field(65537)
     with pytest.raises(TooLargeError):
-        field_new(2, 17)
+        Field(2, 17)
 
 
-def test_invalid_modulus_rejected():
-    # x^2 has a root, x^2 + 2x + 1 = (x+1)^2 factors
-    with pytest.raises(ValueError):
-        Field(3, 2, [0, 0, 1])
-    with pytest.raises(ValueError):
-        Field(3, 2, [1, 2, 1])
+@pytest.mark.parametrize("p", [2**61 - 1, 7])
+@pytest.mark.parametrize("m", [0, -1])
+def test_extension_degree_checked_before_factoring(monkeypatch, p, m):
+    # trial division of the prime 2^61 - 1 would run for hours
+    def no_factoring(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr("lrc5.field._prime_factors", no_factoring)
+    with pytest.raises(ValueError, match="extension degree"):
+        Field(p, m)
 
 
 def test_division_by_zero(f7):
@@ -192,7 +195,7 @@ def test_elements_and_units_ranges(f8):
 @given(st.data())
 def test_field_axioms_hold_on_sampled_triples(spec, data):
     p, m = spec
-    f = field_new(p, m)
+    f = Field(p, m)
     q = p**m
     a = data.draw(st.integers(0, q - 1))
     b = data.draw(st.integers(0, q - 1))

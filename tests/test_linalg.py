@@ -1,6 +1,6 @@
 import pytest
 
-from lrc5.field import field_new
+from lrc5.field import Field
 from lrc5.linalg import (
     InconsistentSystemError,
     mat_vec,
@@ -137,7 +137,7 @@ SHAPES = [(3, 7), (7, 3), (5, 5), (1, 6), (6, 1)]
 
 @pytest.fixture(scope="module", params=FIELD_KINDS, ids=lambda pm: f"GF{pm[0] ** pm[1]}")
 def field(request):
-    return field_new(*request.param)
+    return Field(*request.param)
 
 
 def degenerate_matrix(rng, rows, cols, q):

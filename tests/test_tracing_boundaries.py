@@ -9,7 +9,7 @@ so no bytecode is written next to it.
 
 from pathlib import Path
 
-from lrc5 import Code, cli, construct, field_new
+from lrc5 import Code, Field, cli, construct
 from lrc5.codec import encode, hybrid_decode, local_repair
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -33,7 +33,7 @@ def test_every_boundary_exists():
 def test_construct_boundaries_record_spans():
     tracer = load_tracing()["Tracer"]()
     with tracer.operation():
-        code = Code.build(field_new(7), 5)
+        code = Code.build(Field(7), 5)
         code.parity_check_matrix
         code.local_parity(0)
         code.local_parity(1)
@@ -48,7 +48,7 @@ def test_hybrid_decode_of_loaded_code_builds_no_matrix(tmp_path, capsys):
     """Loaded G and H are the stored ones: decoding constructs neither."""
     d = tmp_path / "code"
     assert cli.main(["gen", "--q", "7", "--r", "5", "--out", str(d)]) == 0
-    code = Code.build(field_new(7), 5)
+    code = Code.build(Field(7), 5)
     word = encode(code.field, code.generator_matrix, [i % 7 for i in range(1, 28)])
     word[0] = word[1] = None  # one cell, two erasures: needs the global solve
     holey = tmp_path / "h.txt"
@@ -70,7 +70,7 @@ def test_field_op_counter_sees_repair_and_decode():
     """Counted over a local repair and a hybrid decode that needs the global
     solve. The counter wraps Field.add/mul/dot on the class: were they made
     per-instance attributes, it would miss them or find nothing to wrap."""
-    code = Code.build(field_new(7), 5)
+    code = Code.build(Field(7), 5)
     word = encode(code.field, code.generator_matrix, [i % 7 for i in range(1, 28)])
     counts: dict[str, int] = {}
     with load_tracing()["counting_field_ops"](counts):

@@ -19,7 +19,7 @@ from lrc5.errors import (
     ConditionViolatedError,
     NotDistinctError,
 )
-from lrc5.field import field_new
+from lrc5.field import Field
 from lrc5.verify import (
     SUBSET_BUDGET,
     VerificationReport,
@@ -215,7 +215,7 @@ def test_scans_stop_at_the_budget(monkeypatch):
     """GF(7) r=2 passes d>=5 after all 58,905 subsets and 7,700 reductions:
     a budget of 7,700 keeps the full report, one less stops the scan.
     Sampled scans count trials against the same budget."""
-    code = Code.build(field_new(7), 2)
+    code = Code.build(Field(7), 2)
     f, h = code.field, code.parity_check_matrix
     monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", 7_700)
     rep = verify_distance_at_least(f, h, 5)
@@ -351,7 +351,7 @@ def test_singleton_like_bound_values():
 
 @pytest.mark.parametrize("q,r", [(7, 5), (8, 6), (11, 4), (13, 5), (13, 11)])
 def test_optimality_equivalence_holds_above_r3(q, r):
-    field = field_new(2, 3) if q == 8 else field_new(q)
+    field = Field(2, 3) if q == 8 else Field(q)
     from lrc5.construct import validate_params
 
     params = validate_params(field, r)
@@ -361,7 +361,7 @@ def test_optimality_equivalence_holds_above_r3(q, r):
 def test_optimality_equivalence_refuses_r3():
     from lrc5.construct import validate_params
 
-    params = validate_params(field_new(5), 3)
+    params = validate_params(Field(5), 3)
     with pytest.raises(ConditionViolatedError):
         optimality_equivalence_holds(params)
 
@@ -369,7 +369,7 @@ def test_optimality_equivalence_refuses_r3():
 def test_optimality_equivalence_other_distance():
     from lrc5.construct import validate_params
 
-    params = validate_params(field_new(7), 5)
+    params = validate_params(Field(7), 5)
     # d = 6: applicable (4 mod 6 != 5) but the identity fails: 9 != 10
     assert optimality_equivalence_holds(params, d=6) is False
 
@@ -377,7 +377,7 @@ def test_optimality_equivalence_other_distance():
 def test_length_regime_frozen_values():
     from lrc5.construct import validate_params
 
-    rep75 = length_regime_report(validate_params(field_new(7), 5))
+    rep75 = length_regime_report(validate_params(Field(7), 5))
     assert rep75.result is True  # informational: reporting never fails
     assert rep75.details["block_count_inequality"] == {
         "lhs": 6,
@@ -390,14 +390,14 @@ def test_length_regime_frozen_values():
         "holds": False,
     }
 
-    rep133 = length_regime_report(validate_params(field_new(13), 3))
+    rep133 = length_regime_report(validate_params(Field(13), 3))
     assert rep133.details["block_count_inequality"] == {
         "lhs": 36,
         "rhs": 34,
         "holds": True,
     }
 
-    rep293 = length_regime_report(validate_params(field_new(29), 3))
+    rep293 = length_regime_report(validate_params(Field(29), 3))
     assert rep293.details["coset_count_condition"] == {
         "value": 7,
         "threshold": 3,
@@ -440,7 +440,7 @@ def test_exhaustive_cost_closed_form():
 def test_exhaustive_cost_is_the_budget_edge_of_a_complete_scan(n, size, monkeypatch):
     """A complete scan runs on a budget of exactly its cost, and one less
     stops it: the cost is the number of reductions it makes."""
-    f = field_new(31)
+    f = Field(31)
     columns = vandermonde_columns(n)
     cost = exhaustive_cost(n, size)
     monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", cost)
@@ -465,7 +465,7 @@ def test_binned_scan_budget_counts_leaf_callbacks(f5, monkeypatch):
 
 
 def test_auto_mode_is_exhaustive_exactly_when_a_complete_scan_fits(f5, monkeypatch):
-    code = Code.build(field_new(7), 2)
+    code = Code.build(Field(7), 2)
     f, h = code.field, code.parity_check_matrix
     monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", 7_700)
     rep = verify_distance_at_least(f, h, 5, mode="auto", trials=1_000)
@@ -488,7 +488,7 @@ def test_auto_mode_is_exhaustive_exactly_when_a_complete_scan_fits(f5, monkeypat
      (13, 1, 5, 9_272, [1, 2, 106, 108]), (2, 4, 4, 22_340, [1, 2, 156, 158])],
 )
 def test_auto_mode_refutes_distance_five_exhaustively(p, m, r, trials, columns):
-    code = Code.build(field_new(p, m), r)
+    code = Code.build(Field(p, m), r)
     rep = verify_distance_at_least(code.field, code.parity_check_matrix, 5, mode="auto")
     assert rep.mode == "exhaustive" and rep.seed is None
     assert rep.trials == trials and rep.witness == {"columns": columns}
@@ -555,7 +555,7 @@ def engine_scan(field, columns, size):
 
 @pytest.mark.parametrize("p,m,r", [(5, 1, 3), (7, 1, 5), (2, 3, 6), (3, 2, 3), (11, 1, 4)])
 def test_scan_matches_per_leaf_reference_on_parity_columns(p, m, r):
-    field = field_new(p, m)
+    field = Field(p, m)
     columns = [list(c) for c in zip(*Code.build(field, r).parity_check_matrix)]
     for size in (1, 2, 3, 4):
         assert engine_scan(field, columns, size) == reference_scan(field, columns, size)
@@ -564,7 +564,7 @@ def test_scan_matches_per_leaf_reference_on_parity_columns(p, m, r):
 @pytest.mark.parametrize("q", [5, 7])
 def test_scan_matches_reference_on_lemma_columns(q):
     """Equal on_leaf sequences give equal y-pattern bins."""
-    field = field_new(q)
+    field = Field(q)
     _, columns, _ = _moment_columns(field)
     assert engine_scan(field, columns, 4) == reference_scan(field, columns, 4)
 
@@ -574,7 +574,7 @@ def test_scan_matches_reference_on_random_columns(p, m):
     """Seeded column sets salted with zero, repeated and parallel columns,
     so every last-level case (zero residual, equal normalized residual,
     first-level dependency) occurs."""
-    field = field_new(p, m)
+    field = Field(p, m)
     rng = random.Random(p * 100 + m)
     for _ in range(60):
         dim = rng.randint(2, 5)
@@ -596,7 +596,7 @@ def test_scan_matches_reference_on_random_columns(p, m):
 
 @pytest.mark.parametrize("p,m,r,trials", [(3, 2, 3, 41_664), (2, 4, 4, 1_873_200)])
 def test_distance_four_certified_exhaustively_on_extension_fields(p, m, r, trials):
-    field = field_new(p, m)
+    field = Field(p, m)
     code = Code.build(field, r)
     rep = verify_distance_at_least(field, code.parity_check_matrix, 4)
     assert rep.result is True and rep.witness is None
@@ -610,7 +610,7 @@ def test_distance_five_holds_at_r2_over_gf7():
     exactly: every 4-subset of columns is independent, and the first
     dependent 5-subset carries a weight-5 codeword. The Singleton-like
     bound is 6, so d = 5 is not optimal here."""
-    code = Code.build(field_new(7), 2)
+    code = Code.build(Field(7), 2)
     f, h = code.field, code.parity_check_matrix
     assert (code.n, code.k) == (36, 21)
     rep = verify_distance_at_least(f, h, 5)
@@ -628,7 +628,7 @@ def test_distance_five_holds_at_r2_over_gf7():
 
 def test_distance_five_holds_at_r2_over_gf13():
     """144 pair directions against 183 points: d >= 5 holds exhaustively."""
-    field = field_new(13)
+    field = Field(13)
     code = Code.build(field, 2)
     assert (code.n, code.k) == (144, 93)
     rep = verify_distance_at_least(field, code.parity_check_matrix, 5)
