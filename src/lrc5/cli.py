@@ -35,7 +35,6 @@ from .formats import (
     write_artifacts,
     write_text_atomic,
 )
-from .linalg import rank
 from .rng import RNG_NAME
 from .simulate import SimulationConfig, run_simulation
 from .verify import (
@@ -180,41 +179,6 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
-def _parity_consistency_report(code: Code) -> VerificationReport:
-    """Loaded artifacts only: G and H must have full row rank and H must
-    annihilate G."""
-    t0 = time.perf_counter()
-    field, g_rows, h_rows = code.field, code.generator_matrix, code.parity_check_matrix
-    expected_rows = code.n - code.k
-    witness = None
-    hr = rank(field, h_rows)
-    if hr != expected_rows:
-        witness = {"reason": "parity rank deficit", "rank": hr, "expected": expected_rows}
-    elif (gr := rank(field, g_rows)) != code.k:
-        witness = {"reason": "generator rank deficit", "rank": gr, "expected": code.k}
-    else:
-        for i, hrow in enumerate(h_rows):
-            if witness is not None:
-                break
-            for j, grow in enumerate(g_rows):
-                if field.dot(hrow, grow) != 0:
-                    witness = {
-                        "reason": "parity times generator is nonzero",
-                        "parity_row": i + 1,
-                        "generator_row": j + 1,
-                    }
-                    break
-    return VerificationReport(
-        claim="parity-consistency",
-        mode="exhaustive",
-        trials=len(h_rows) * len(g_rows),
-        result=witness is None,
-        witness=witness,
-        seed=None,
-        millis=(time.perf_counter() - t0) * 1000,
-    )
-
-
 def _run_suites(args, code: Code) -> list[VerificationReport]:
     field, p = code.field, code.params
     suites = SUITES if args.suite == "all" else (args.suite,)
@@ -222,8 +186,6 @@ def _run_suites(args, code: Code) -> list[VerificationReport]:
     for suite in suites:
         if suite == "distance":
             h_rows = code.parity_check_matrix
-            if args.load is not None:
-                reports.append(_parity_consistency_report(code))
             d5 = verify_distance_at_least(
                 field, h_rows, 5, mode=args.mode, trials=args.trials, seed=args.seed
             )
@@ -406,7 +368,8 @@ def build_parser() -> _Parser:
     sv = subs.add_parser("verify", parents=[seeded], help="run verification suites")
     sv.add_argument("--q", type=int, help="field order (prime power)")
     sv.add_argument("--r", type=int, help="locality")
-    sv.add_argument("--load", help="verify stored artifacts instead of rebuilding")
+    sv.add_argument("--load", help="verify the code of a gen directory; its files "
+                    "must be exactly what gen writes")
     sv.add_argument("--suite", choices=SUITES + ("all",), default="all")
     sv.add_argument("--mode", choices=("auto", "exhaustive", "sampled"), default="auto",
                     help=f"auto: exhaustive when a complete scan fits the "

@@ -81,10 +81,15 @@ def validate_params(field: Field, r: int) -> CodeParams:
     )
 
 
+def removed_monomials(q: int) -> list[Monomial]:
+    """The three filtered monomials the construction drops."""
+    return [Monomial(0, 0), Monomial(q - 3, q - 2), Monomial(q - 4, q - 2)]
+
+
 def build_monomial_basis(params: CodeParams) -> list[Monomial]:
     """Monomials spanning the message space, ascending by (i, j)."""
     q, r = params.field.q, params.r
-    removed = {(0, 0), (q - 3, q - 2), (q - 4, q - 2)}
+    removed = set(removed_monomials(q))
     basis = [
         Monomial(i, j)
         for i in range(q - 1)
@@ -112,6 +117,11 @@ class EvaluationDomain:
 
     def cell_of(self, position: int) -> list[int]:
         return self.cells[self.cell_index_of(position)]
+
+    @cached_property
+    def local_parity(self) -> list[int]:
+        """The local parity every cell shares, built once per domain."""
+        return local_parity_vector(self)
 
 
 def build_domain(field: Field, params: CodeParams) -> EvaluationDomain:
@@ -146,29 +156,38 @@ def build_generator_matrix(
     ]
 
 
-def build_parity_check(
-    basis: list[Monomial], domain: EvaluationDomain
-) -> list[list[int]]:
-    """Canonical parity-check matrix: the RREF of the dual's closed-form rows.
-
-    On V the sum of x^a y^b is 0 unless a = b = 0 mod q-1, so the
-    evaluations of x^(-i) y^(-j), for the n-k pairs (i, j) in [0, q-2]^2
-    outside the basis, are independent and span the dual. The RREF of a row
-    space is unique, so this equals the RREF of any other dual basis.
-    """
+def extra_dual_rows(domain: EvaluationDomain) -> list[list[int]]:
+    """The dual's three dense rows: the evaluations of x^(-i) y^(-j) for the
+    removed monomials x^i y^j, which are 1, x^2 y and x^3 y."""
     field = domain.field
     qm1 = field.q - 1
     exp, log = field.exp, field.log
-    plogs = [(qm1 - log[a], qm1 - log[b]) for a, b in domain.points]
-    kept = set(basis)
-    rows = [
-        [exp[(i * la + j * lb) % qm1] for la, lb in plogs]
-        for i in range(qm1)
-        for j in range(qm1)
-        if (i, j) not in kept
+    return [
+        [exp[(-i * log[a] - j * log[b]) % qm1] for a, b in domain.points]
+        for i, j in removed_monomials(field.q)
     ]
-    reduced, pivots = rref(field, rows)
-    assert len(pivots) == len(rows)
+
+
+def build_parity_check(
+    basis: list[Monomial], domain: EvaluationDomain
+) -> list[list[int]]:
+    """Canonical parity-check matrix: the RREF of the dual's sparse generators.
+
+    On V the sum of x^a y^b is 0 unless a = b = 0 mod q-1, so the
+    evaluations of x^(-i) y^(-j), for the n-k pairs (i, j) in [0, q-2]^2
+    outside the basis, are independent and span the dual. Those with
+    i = r mod r+1 restrict to each cell as multiples of the local parity, so
+    together they span the local rows: the local parity on one cell and
+    zero elsewhere. The three others are extra_dual_rows. The RREF of a row
+    space is unique, so this equals the RREF of any other dual basis.
+    """
+    n, local = len(domain.points), domain.local_parity
+    rows = [
+        [0] * start + local + [0] * (n - start - len(local))
+        for start in range(0, n, len(local))
+    ] + extra_dual_rows(domain)
+    reduced, pivots = rref(domain.field, rows)
+    assert len(pivots) == n - len(basis)
     return reduced
 
 
@@ -251,8 +270,7 @@ class Code:
     """One constructed code: parameters, domain, and its matrices.
 
     The generator and parity-check matrices are built on first access and
-    kept; load_artifacts assigns them from stored files instead, so every
-    consumer of a Code reads the same G and H.
+    kept, so every consumer of a Code reads the same G and H.
     """
 
     def __init__(
@@ -294,10 +312,6 @@ class Code:
     def parity_check_matrix(self) -> list[list[int]]:
         return build_parity_check(self.basis, self.domain)
 
-    @cached_property
-    def _local_parity(self) -> list[int]:
-        return local_parity_vector(self.domain)
-
     def local_parity(self, cell_index: int) -> list[int]:
         """Local parity of one cell; every cell shares the same vector."""
-        return self._local_parity
+        return self.domain.local_parity

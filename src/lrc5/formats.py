@@ -5,12 +5,13 @@ timestamps in anything persisted) and atomic (temp file then rename inside
 the target directory), so regenerating with the same flags reproduces every
 artifact byte for byte.
 
-load_artifacts returns a Code whose generator and parity-check matrices are
-the stored CSV rows, taken as-is rather than re-derived, so every command
-and check downstream sees any tampering instead of silently repairing it.
-The manifest names its field by p and m; its whole field section must equal
-the canonical GF(p^m)'s spec_dict(), so no manifest can select another
-modulus than the one gen wrote.
+load_artifacts returns the Code that the manifest's q and r build, and
+refuses any directory that does not describe exactly that code: the
+manifest names its field by p and m, and its whole field section must
+equal the canonical GF(p^m)'s spec_dict(); the basis file must list the
+built code's basis, and the generator and parity-check files must be byte
+for byte the built code's. So a loaded code is the built code: no stored
+matrix is parsed.
 """
 
 import json
@@ -47,28 +48,8 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 
 def matrix_to_csv(rows: list[list[int]]) -> str:
-    return "\n".join(",".join(str(x) for x in row) for row in rows) + "\n"
-
-
-def parse_matrix_csv(text: str, q: int, path: str = "matrix") -> list[list[int]]:
-    rows = []
-    for ln, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            row = list(map(int, line.split(",")))
-        except ValueError:
-            raise FormatError(f"{path}: line {ln} is not comma-separated integers")
-        if min(row) < 0 or max(row) >= q:
-            raise FormatError(f"{path}: line {ln} has entries outside [0, {q})")
-        rows.append(row)
-    if not rows:
-        raise FormatError(f"{path}: no rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise FormatError(f"{path}: ragged rows")
-    return rows
+    names = [str(x) for x in range(max(map(max, rows), default=0) + 1)]
+    return "\n".join(",".join([names[x] for x in row]) for row in rows) + "\n"
 
 
 def basis_to_text(basis: list[Monomial]) -> str:
@@ -161,15 +142,19 @@ def write_artifacts(code: Code, outdir: str | Path) -> dict[str, Path]:
 
 
 def load_artifacts(dirpath: str | Path) -> Code:
-    """The Code a gen directory describes, with the stored G and H as its
-    matrices: size-checked against the manifest, never re-derived. The
-    files section must name the fixed file names, and the stored basis must
-    equal the one the manifest's q and r determine."""
+    """The Code a gen directory describes, built from the manifest's q and r.
+
+    The files section must name the fixed file names, the basis file must
+    list that code's basis, and the generator and parity-check files must
+    equal, byte for byte, what gen writes for it; any other directory is a
+    FormatError.
+    """
     dirpath = Path(dirpath)
     mpath = dirpath / MANIFEST_NAME
+    text = mpath.read_text(encoding="utf-8")
     try:
-        manifest = json.loads(mpath.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+        manifest = json.loads(text)
+    except ValueError as e:  # also an integer past int's digit limit
         raise FormatError(f"{mpath}: invalid JSON ({e})") from None
     try:
         fsec = manifest["field"]
@@ -199,17 +184,14 @@ def load_artifacts(dirpath: str | Path) -> Code:
         raise FormatError(f"{mpath}: recorded n, k do not match q, r")
     if manifest.get("files") != FILES:
         raise FormatError(f"{mpath}: files must be {FILES}")
-    gname, pname, bname = GENERATOR_NAME, PARITY_NAME, BASIS_NAME
-    g_rows = parse_matrix_csv((dirpath / gname).read_text(encoding="utf-8"), field.q, gname)
-    h_rows = parse_matrix_csv((dirpath / pname).read_text(encoding="utf-8"), field.q, pname)
-    if len(g_rows) != params.k or len(g_rows[0]) != params.n:
-        raise FormatError(f"{gname}: expected a {params.k} x {params.n} matrix")
-    if len(h_rows) != params.n - params.k or len(h_rows[0]) != params.n:
-        raise FormatError(
-            f"{pname}: expected a {params.n - params.k} x {params.n} matrix"
-        )
+    of_code = f"of q = {field.q}, r = {r}"
+    bname = BASIS_NAME
     if parse_basis((dirpath / bname).read_text(encoding="utf-8"), bname) != code.basis:
-        raise FormatError(f"{bname}: not the monomial basis of q = {field.q}, r = {r}")
-    code.generator_matrix = g_rows
-    code.parity_check_matrix = h_rows
+        raise FormatError(f"{bname}: not the monomial basis {of_code}")
+    for name, what, rows in (
+        (GENERATOR_NAME, "generator", code.generator_matrix),
+        (PARITY_NAME, "parity-check", code.parity_check_matrix),
+    ):
+        if (dirpath / name).read_bytes() != matrix_to_csv(rows).encode():
+            raise FormatError(f"{name}: not the {what} matrix {of_code}")
     return code

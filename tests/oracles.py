@@ -285,6 +285,42 @@ def oracle_generator_matrix(q: int, r: int) -> list[list[int]]:
     ]
 
 
+def oracle_parity_check(q: int, r: int) -> list[list[int]]:
+    """The parity-check matrix from the whole dense dual: the RREF of the
+    n-k evaluations of x^(-i) y^(-j) for the pairs (i, j) outside
+    oracle_monomials, by Gauss-Jordan on tables of _arith."""
+    add, mul, g = _arith(q)
+    add_t = [[add(a, b) for b in range(q)] for a in range(q)]
+    mul_t = [[mul(a, b) for b in range(q)] for a in range(q)]
+    neg = [row.index(0) for row in add_t]
+    inv = [None] + [row.index(1) for row in mul_t[1:]]
+    powers = [1]
+    for _ in range(q - 2):
+        powers.append(mul(powers[-1], g))
+    log = {x: e for e, x in enumerate(powers)}
+    kept = set(oracle_monomials(q, r))
+    rows = [
+        [powers[(-i * log[x] - j * log[y]) % (q - 1)] for x, y in oracle_points(q, r)]
+        for i in range(q - 1)
+        for j in range(q - 1)
+        if (i, j) not in kept
+    ]
+    lead = 0
+    for col in range(len(rows[0])):
+        piv = next((i for i in range(lead, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[lead], rows[piv] = rows[piv], rows[lead]
+        scale = mul_t[inv[rows[lead][col]]]
+        prow = rows[lead] = [scale[x] for x in rows[lead]]
+        for i, row in enumerate(rows):
+            if i != lead and row[col]:
+                sub = mul_t[neg[row[col]]]
+                rows[i] = [add_t[a][sub[b]] for a, b in zip(row, prow)]
+        lead += 1
+    return rows
+
+
 def oracle_supports_codeword(g_rows: list[list[int]], q: int, support: list[int]) -> bool:
     """Whether a nonzero codeword lives entirely inside the given positions.
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from lrc5 import Code, Field
 from lrc5 import field as field_module
 from lrc5.cli import main
 from lrc5.codec import encode
@@ -177,6 +178,21 @@ def test_load_refuses_ordering_that_is_not_an_object(tmp_path, capsys, ordering)
     assert not (tmp_path / "w.txt").exists()
 
 
+def test_load_refuses_manifest_integer_past_digit_limit(tmp_path, capsys):
+    """json.loads raises a plain ValueError for an integer of more than
+    4,300 digits; it is a malformed manifest like any other."""
+    d = gen_code(tmp_path, capsys)
+    argv = encode_argv(d, tmp_path)
+    mpath = d / "manifest.json"
+    text = mpath.read_text()
+    assert '"r": 5\n' in text
+    mpath.write_text(text.replace('"r": 5\n', '"r": ' + "5" * 5000 + "\n"))
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("ERR Format: ") and err.count("\n") == 1
+    assert "manifest.json: invalid JSON (" in err
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "verify", "--help")[0] == 0
@@ -286,11 +302,10 @@ def test_decode_ambiguous_pattern_exits_2(tmp_path, capsys):
 
 
 def test_decode_policies_use_stored_parity(tmp_path, capsys):
-    """Both policies solve with parity.csv as stored, so both see tampering."""
+    """A tampered parity.csv is refused at load under both policies."""
     d = gen_code(tmp_path, capsys)
     code = load_artifacts(d)
     word = encode(code.field, code.generator_matrix, [i % 7 for i in range(1, 28)])
-    assert word[10] != 0  # so the tampered entry changes a syndrome
     ppath = d / "parity.csv"
     rows = [line.split(",") for line in ppath.read_text().strip().split("\n")]
     rows[-1][10] = str((int(rows[-1][10]) + 1) % 7)
@@ -303,7 +318,7 @@ def test_decode_policies_use_stored_parity(tmp_path, capsys):
         rc, out, err = run(capsys, "decode", "--code", str(d), "--word", str(holey),
                            "--policy", policy)
         assert rc == 2 and out == "", policy
-        assert err.startswith("ERR Undecodable:") and err.count("ERR") == 1
+        assert err.startswith("ERR Format: parity.csv:") and err.count("ERR") == 1
 
 
 def test_verify_distance_failure_exits_3(tmp_path, capsys):
@@ -441,64 +456,106 @@ def test_verify_auto_refutes_distance_five_over_gf16(tmp_path, capsys):
         lines = (out_dir / "report.txt").read_text().splitlines()
         assert lines[-1] == fail
         assert "min-weight-search" not in out
+    for name in ("report.json", "report.txt"):  # a loaded code is the built code
+        assert (tmp_path / "load" / name).read_bytes() == (tmp_path / "q" / name).read_bytes()
 
 
-def test_verify_load_runs_consistency_check(tmp_path, capsys):
+def test_verify_load_matches_rebuild(tmp_path, capsys):
+    """A loaded code is the built code, so its reports are byte-identical."""
     d = gen_code(tmp_path, capsys)
-    rc, out, _ = run(capsys, "verify", "--load", str(d), "--suite", "distance",
-                     "--out", str(tmp_path / "v"))
-    assert rc == 3  # distance still honestly fails
-    assert "pass  parity-consistency" in out
-    assert str(BAD_SUPPORT_1BASED) in out
+    for source in (["--q", "7", "--r", "5"], ["--load", str(d)]):
+        out_dir = tmp_path / source[0].strip("-")
+        rc, out, _ = run(capsys, "verify", *source, "--out", str(out_dir))
+        assert rc == 3  # distance still honestly fails
+        assert str(BAD_SUPPORT_1BASED) in out
+    for name in ("report.json", "report.txt"):
+        assert (tmp_path / "load" / name).read_bytes() == (tmp_path / "q" / name).read_bytes()
 
 
-def test_verify_load_catches_tampered_generator(tmp_path, capsys):
-    d = gen_code(tmp_path, capsys)
+def tamper_generator_entry(d):
     gpath = d / "generator.csv"
     rows = [line.split(",") for line in gpath.read_text().strip().split("\n")]
     rows[0][0] = str((int(rows[0][0]) + 1) % 7)
     gpath.write_text("\n".join(",".join(r) for r in rows) + "\n")
 
-    rc, out, _ = run(capsys, "verify", "--load", str(d), "--suite", "distance",
-                     "--out", str(tmp_path / "v"))
-    assert rc == 3
-    assert "FAIL  parity-consistency" in out
-    doc = json.loads((tmp_path / "v" / "report.json").read_text())
-    consistency = next(
-        r for r in doc["reports"] if r["claim"] == "parity-consistency"
-    )
-    assert consistency["result"] is False
-    assert consistency["witness"]["reason"] == "parity times generator is nonzero"
-    assert consistency["witness"]["parity_row"] >= 1
-    assert consistency["witness"]["generator_row"] == 1
 
-    # locality encodes with the stored generator, so it fails too
-    rc, out, err = run(capsys, "verify", "--load", str(d), "--suite", "locality",
-                       "--out", str(tmp_path / "loc"))
-    assert rc == 3
-    assert "FAIL  locality" in out
-    assert err.startswith("ERR VerificationFailed: locality")
+def test_verify_load_catches_tampered_generator(tmp_path, capsys):
+    """Every suite is refused at load: none runs on a tampered G."""
+    d = gen_code(tmp_path, capsys)
+    tamper_generator_entry(d)
+    for suite in ("distance", "locality"):
+        out_dir = tmp_path / suite
+        rc, out, err = run(capsys, "verify", "--load", str(d), "--suite", suite,
+                           "--out", str(out_dir))
+        assert rc == 2 and out == ""
+        assert err.startswith("ERR Format: generator.csv:") and err.count("ERR") == 1
+        assert not out_dir.exists()
 
 
 def test_verify_load_catches_generator_rank_deficit(tmp_path, capsys):
-    # a repeated row is still a codeword, so H G^T = 0 alone misses it
+    # a repeated row is still a codeword, so H G^T = 0 alone would miss it
     d = gen_code(tmp_path, capsys)
     gpath = d / "generator.csv"
     lines = gpath.read_text().strip().split("\n")
     lines[1] = lines[0]
     gpath.write_text("\n".join(lines) + "\n")
 
-    rc, out, _ = run(capsys, "verify", "--load", str(d), "--suite", "distance",
-                     "--out", str(tmp_path / "v"))
-    assert rc == 3
-    assert "FAIL  parity-consistency" in out
-    doc = json.loads((tmp_path / "v" / "report.json").read_text())
-    consistency = next(
-        r for r in doc["reports"] if r["claim"] == "parity-consistency"
-    )
-    assert consistency["witness"] == {
-        "reason": "generator rank deficit", "rank": 26, "expected": 27,
-    }
+    rc, out, err = run(capsys, "verify", "--load", str(d), "--suite", "distance",
+                       "--out", str(tmp_path / "v"))
+    assert rc == 2 and out == ""
+    assert err.startswith("ERR Format: generator.csv:") and err.count("ERR") == 1
+    assert not (tmp_path / "v").exists()
+
+
+def swap_parity_rows(d):
+    ppath = d / "parity.csv"
+    lines = ppath.read_text().splitlines()
+    lines[0], lines[1] = lines[1], lines[0]
+    ppath.write_text("\n".join(lines) + "\n")
+
+
+def add_parity_row(d):
+    """Row 0 += row 1: another basis of the same dual space."""
+    ppath = d / "parity.csv"
+    rows = [[int(x) for x in line.split(",")] for line in ppath.read_text().splitlines()]
+    rows[0] = [(a + b) % 7 for a, b in zip(rows[0], rows[1])]
+    ppath.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+
+
+def convert_generator_to_crlf(d):
+    gpath = d / "generator.csv"
+    gpath.write_bytes(gpath.read_bytes().replace(b"\n", b"\r\n"))
+
+
+def truncate_parity(d):
+    ppath = d / "parity.csv"
+    ppath.write_text("".join(ppath.read_text().splitlines(keepends=True)[:-1]))
+
+
+@pytest.mark.parametrize(
+    "tamper,name",
+    [(tamper_generator_entry, "generator.csv"), (swap_parity_rows, "parity.csv"),
+     (add_parity_row, "parity.csv"), (convert_generator_to_crlf, "generator.csv"),
+     (truncate_parity, "parity.csv")],
+    ids=["generator-entry", "parity-swapped-rows", "parity-other-basis", "crlf",
+         "parity-truncated"],
+)
+def test_load_refuses_non_canonical_matrix(tmp_path, capsys, tamper, name):
+    """All but the truncated file used to load: encode then wrote a wrong
+    word, or decode solved with a stored H that is not the canonical one."""
+    d = gen_code(tmp_path, capsys)
+    code = Code.build(Field(7), 5)
+    word = encode(code.field, code.generator_matrix, [1] * code.k)
+    word[0] = word[1] = None
+    holey = tmp_path / "h.txt"
+    write_word(holey, word)
+    tamper(d)
+    for argv in (encode_argv(d, tmp_path),
+                 ["decode", "--code", str(d), "--word", str(holey), "--policy", "global"]):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "", argv
+        assert err.startswith(f"ERR Format: {name}:") and err.count("\n") == 1
+    assert not (tmp_path / "w.txt").exists()
 
 
 def swap_in_removed_monomial(basis_text):

@@ -8,6 +8,7 @@ from lrc5.construct import (
     build_generator_matrix,
     build_monomial_basis,
     build_parity_check,
+    extra_dual_rows,
     local_parity_vector,
     validate_params,
 )
@@ -18,7 +19,9 @@ from lrc5.rng import SplitMix64
 
 from .oracles import (
     oracle_generator_matrix,
+    mat_vec_gf,
     oracle_monomials,
+    oracle_parity_check,
     oracle_points,
     rank_mod,
 )
@@ -45,7 +48,7 @@ POINTS_5_3 = [
 
 
 def field_for(q):
-    return Field(*{8: (2, 3), 9: (3, 2), 16: (2, 4)}.get(q, (q, 1)))
+    return Field(*{8: (2, 3), 9: (3, 2), 16: (2, 4), 27: (3, 3)}.get(q, (q, 1)))
 
 
 @pytest.mark.parametrize("q,r", INSTANCES)
@@ -219,6 +222,21 @@ def test_parity_check_equals_rref_of_generic_nullspace(q, r):
     code = Code.build(field_for(q), r)
     reference, _ = rref(code.field, nullspace(code.field, code.generator_matrix))
     assert build_parity_check(code.basis, code.domain) == reference
+
+
+@pytest.mark.parametrize("q,r", [(9, 3), (13, 5), (16, 4), (27, 12), (29, 6)])
+def test_parity_check_equals_rref_of_dense_dual_rows(q, r):
+    """H from the local and extra rows is the RREF of all n-k dense rows."""
+    assert Code.build(field_for(q), r).parity_check_matrix == oracle_parity_check(q, r)
+
+
+@pytest.mark.parametrize("q,r", CLOSED_FORM_INSTANCES)
+def test_extra_dual_rows_annihilate_generator(q, r):
+    code = Code.build(field_for(q), r)
+    rows = extra_dual_rows(code.domain)
+    assert len(rows) == 3 and rows[0] == [1] * code.n
+    for row in rows:
+        assert mat_vec_gf(code.generator_matrix, row, q) == [0] * code.k
 
 
 @pytest.mark.parametrize("q,r", CLOSED_FORM_INSTANCES)

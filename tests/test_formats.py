@@ -14,7 +14,6 @@ from lrc5.formats import (
     manifest_dict,
     matrix_to_csv,
     parse_basis,
-    parse_matrix_csv,
     parse_message,
     parse_word,
     word_to_text,
@@ -41,18 +40,8 @@ def test_matrix_csv_roundtrip():
     rows = [[0, 1, 6], [3, 4, 5]]
     text = matrix_to_csv(rows)
     assert text == "0,1,6\n3,4,5\n"
-    assert parse_matrix_csv(text, 7) == rows
-
-
-def test_matrix_csv_rejects_bad_input():
-    with pytest.raises(FormatError):
-        parse_matrix_csv("1,2\n3", 7)  # ragged
-    with pytest.raises(FormatError):
-        parse_matrix_csv("1,9\n", 7)  # symbol out of range
-    with pytest.raises(FormatError):
-        parse_matrix_csv("1,x\n", 7)  # not an integer
-    with pytest.raises(FormatError):
-        parse_matrix_csv("", 7)
+    assert [[int(x) for x in line.split(",")] for line in text.splitlines()] == rows
+    assert matrix_to_csv([[2, 0], [0, 12]]) == "2,0\n0,12\n"
 
 
 def test_basis_roundtrip():
@@ -156,15 +145,14 @@ def test_load_rejects_inconsistent_dimensions(tmp_path, code75):
 
 
 def test_load_keeps_tampered_matrices_as_stored(tmp_path, code75):
-    """Tampering is preserved for the verifier to catch, not silently fixed."""
+    """A tampered matrix file is refused, naming the file: a loaded code is
+    always the built one."""
     write_artifacts(code75, tmp_path)
     gpath = tmp_path / "generator.csv"
-    rows = parse_matrix_csv(gpath.read_text(), 7)
-    rows[0][0] = (rows[0][0] + 1) % 7
-    gpath.write_text(matrix_to_csv(rows))
-    loaded = load_artifacts(tmp_path)
-    assert loaded.generator_matrix == rows
-    assert loaded.generator_matrix != code75.generator_matrix
+    text = gpath.read_text()
+    gpath.write_text(str((int(text[0]) + 1) % 7) + text[1:])
+    with pytest.raises(FormatError, match="generator.csv"):
+        load_artifacts(tmp_path)
 
 
 def test_load_missing_directory_raises_oserror(tmp_path):
