@@ -30,7 +30,8 @@ def erasure_positions(received: list[int | None]) -> list[int]:
 
 
 def encode(field: Field, g_rows: list[list[int]], message: list[int]) -> list[int]:
-    """Codeword m G for a message of k element indices."""
+    """Codeword m G for a message of k element indices: the generic m*G
+    product, kept as the reference that Code.encode must equal."""
     k = len(g_rows)
     n = len(g_rows[0]) if g_rows else 0
     if len(message) != k:
@@ -71,25 +72,55 @@ def local_repair(code: Code, received: list[int | None], position: int) -> int:
     return field.mul(field.neg(acc), field.inv(v[off]))
 
 
-def erasure_decode(
-    field: Field, h_rows: list[list[int]], received: list[int | None]
-) -> list[int]:
-    """Complete a codeword by solving the parity equations on the erasures."""
-    n = len(h_rows[0])
-    if len(received) != n:
-        raise LengthMismatchError(f"word length {len(received)} != n = {n}")
+def _check_length(code: Code, received: list[int | None]) -> None:
+    if len(received) != code.n:
+        raise LengthMismatchError(f"word length {len(received)} != n = {code.n}")
+
+
+def erasure_decode(code: Code, received: list[int | None]) -> list[int]:
+    """Complete a codeword by solving the dual's equations on the erasures.
+
+    The dual is spanned by one local row per cell and the three dense
+    extra_dual rows. A cell without erasures only checks its kept symbols,
+    so the system is the erased columns of the other cells' local rows and
+    of the dense rows: the same solutions as all of H, from far fewer rows.
+    """
+    _check_length(code, received)
     erased = erasure_positions(received)
     if not erased:
         return list(received)
-    if len(erased) > len(h_rows):
+    redundancy = code.n - code.k
+    if len(erased) > redundancy:
         raise TooManyErasuresError(
-            f"{len(erased)} erasures exceed the redundancy n-k = {len(h_rows)}"
+            f"{len(erased)} erasures exceed the redundancy n-k = {redundancy}"
         )
+    field, domain = code.field, code.domain
+    dot, neg = field.dot, field.neg
+    local, size = domain.local_parity, domain.cell_size
     y0 = [0 if s is None else s for s in received]
-    rhs = [field.neg(field.dot(row, y0)) for row in h_rows]
-    cols = [[row[e] for e in erased] for row in h_rows]
+    in_cell: dict[int, list[int]] = {}
+    for col, pos in enumerate(erased):
+        in_cell.setdefault(pos // size, []).append(col)
+    rows: list[list[int]] = []
+    rhs: list[int] = []
+    stray = False
+    for ci, start in enumerate(range(0, code.n, size)):
+        syn = dot(local, y0[start:start + size])
+        if (cols := in_cell.get(ci)) is None:
+            stray = stray or syn != 0
+            continue
+        row = [0] * len(erased)
+        for col in cols:
+            row[col] = local[erased[col] - start]
+        rows.append(row)
+        rhs.append(neg(syn))
+    for dense in domain.extra_dual:
+        rows.append([dense[e] for e in erased])
+        rhs.append(neg(dot(dense, y0)))
     try:
-        x = solve(field, cols, rhs)
+        if stray:
+            raise InconsistentSystemError("a cell without erasures fails its local parity")
+        x = solve(field, rows, rhs)
     except InconsistentSystemError:
         raise UndecodableError(
             "kept symbols are not consistent with any codeword"
@@ -131,12 +162,13 @@ class HybridResult:
 
 def hybrid_decode(code: Code, received: list[int | None]) -> HybridResult:
     """Local repair to a fixed point, then one global erasure solve if needed."""
+    _check_length(code, received)
     work: list[int | None] = list(received)
     local_fixed, reads = _local_pass(code, work)
     remaining = erasure_positions(work)
     if remaining:
         reads += code.n - len(remaining)
-        work = erasure_decode(code.field, code.parity_check_matrix, work)
+        work = erasure_decode(code, work)
     return HybridResult(
         codeword=work,
         locally_repaired=local_fixed,

@@ -17,13 +17,26 @@ positions, and each such cell satisfies one local parity equation.
 
 The parity-check matrix and the local parity (1, h, ..., h^r) are closed
 forms from character-sum duality on V; no nullspace of G is computed.
+
+The codec works on the grid. Position t*(q-1) + u holds (x_u, g^t), where
+x_u is the x-value of position u, so grid row t of x^i y^j is the block
+g^(j*t) * (x_u^i)_u: each row of G is a row of a Kronecker product, joined
+from the q-1 blocks g^e * (x_u^i)_u that all rows with the same i share.
+Code.encode is a (q-1) x (q-1) two-dimensional transform: first
+P_i(t) = sum_j m_ij g^(j*t), then grid row t is sum_i P_i(t) (x_u^i)_u.
+With |I| distinct exponents i in the basis that is about k + (q-1)*|I|
+vector operations of length q-1, against k of length n for m*G. The dual
+is spanned by one local row per cell and the three dense extra_dual_rows,
+so an erasure decode checks the local parity of each cell without erasures
+and solves only (cells with erasures + 3) equations in the erased symbols,
+after O(n) work for the syndromes.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import DegenerateCodeError, DivisibilityViolationError
+from .errors import DegenerateCodeError, DivisibilityViolationError, LengthMismatchError
 from .field import Field, subgroup_of_order
 # nullspace is unused here but stays bound: the benchmark's tracing rebinds it
 from .linalg import nullspace, rref
@@ -123,6 +136,27 @@ class EvaluationDomain:
         """The local parity every cell shares, built once per domain."""
         return local_parity_vector(self)
 
+    @cached_property
+    def extra_dual(self) -> list[list[int]]:
+        """The three dense dual rows, built once per domain."""
+        return extra_dual_rows(self)
+
+    @cached_property
+    def x_powers(self) -> list[list[int]]:
+        """Row i is x_u^i over the x-values x_u of one grid row, i in [0, q-2]."""
+        qm1 = self.field.q - 1
+        exp, log = self.field.exp, self.field.log
+        lx = [log[x] for x, _ in self.points[:qm1]]
+        return [[exp[i * la % qm1] for la in lx] for i in range(qm1)]
+
+    @cached_property
+    def y_powers(self) -> list[list[int]]:
+        """Row j is y_t^j over the grid rows' y-values y_t = g^t, j in [0, q-2]."""
+        qm1 = self.field.q - 1
+        exp, log = self.field.exp, self.field.log
+        ly = [log[y] for _, y in self.points[::qm1]]
+        return [[exp[j * lb % qm1] for lb in ly] for j in range(qm1)]
+
 
 def build_domain(field: Field, params: CodeParams) -> EvaluationDomain:
     q, r = field.q, params.r
@@ -146,14 +180,27 @@ def build_domain(field: Field, params: CodeParams) -> EvaluationDomain:
 def build_generator_matrix(
     basis: list[Monomial], domain: EvaluationDomain
 ) -> list[list[int]]:
-    """k x n matrix of monomial evaluations; row u is basis[u] over the grid."""
+    """k x n matrix of monomial evaluations; row u is basis[u] over the grid.
+
+    Grid row t of x^i y^j is the block g^(j*t) * (x_u^i)_u, so each row
+    joins q-1 of the blocks g^e * (x_u^i)_u, built once per i.
+    """
     field = domain.field
     qm1 = field.q - 1
     exp, log = field.exp, field.log
-    plogs = [(log[a], log[b]) for a, b in domain.points]
-    return [
-        [exp[(i * la + j * lb) % qm1] for la, lb in plogs] for i, j in basis
-    ]
+    lx = [log[x] for x, _ in domain.points[:qm1]]
+    ly = [log[y] for _, y in domain.points[::qm1]]
+    blocks: dict[int, list[list[int]]] = {}
+    rows = []
+    for i, j in basis:
+        if (ib := blocks.get(i)) is None:
+            lxi = [i * la % qm1 for la in lx]
+            ib = blocks[i] = [[exp[la + e] for la in lxi] for e in range(qm1)]
+        row: list[int] = []
+        for lb in ly:
+            row += ib[j * lb % qm1]
+        rows.append(row)
+    return rows
 
 
 def extra_dual_rows(domain: EvaluationDomain) -> list[list[int]]:
@@ -180,13 +227,26 @@ def build_parity_check(
     together they span the local rows: the local parity on one cell and
     zero elsewhere. The three others are extra_dual_rows. The RREF of a row
     space is unique, so this equals the RREF of any other dual basis.
+
+    The dense rows are first reduced against the local rows in closed form:
+    an entry at cell offset s loses its cell-start entry times h^s, which
+    leaves zeros at every local pivot, so rref inserts them almost for free.
     """
+    field = domain.field
+    exp, log = field.exp, field.log
     n, local = len(domain.points), domain.local_parity
+    size, llocal = len(local), [log[v] for v in local]
     rows = [
-        [0] * start + local + [0] * (n - start - len(local))
-        for start in range(0, n, len(local))
-    ] + extra_dual_rows(domain)
-    reduced, pivots = rref(domain.field, rows)
+        [0] * start + local + [0] * (n - start - size)
+        for start in range(0, n, size)
+    ]
+    for row in domain.extra_dual:
+        # dense rows have no zero entry, so every cell start has a log
+        at_starts = [
+            exp[log[row[start]] + ls] for start in range(0, n, size) for ls in llocal
+        ]
+        rows.append(field.submul(row, 1, at_starts))
+    reduced, pivots = rref(field, rows)
     assert len(pivots) == n - len(basis)
     return reduced
 
@@ -315,3 +375,27 @@ class Code:
     def local_parity(self, cell_index: int) -> list[int]:
         """Local parity of one cell; every cell shares the same vector."""
         return self.domain.local_parity
+
+    def encode(self, message: list[int]) -> list[int]:
+        """Codeword of a message of k element indices, one per basis monomial.
+
+        Equal to message * G, computed as a 2D transform on the grid: with
+        N_i(t) = -sum_j m_ij y_t^j, grid row t is sum_i -N_i(t) (x_u^i)_u.
+        """
+        if len(message) != self.k:
+            raise LengthMismatchError(f"message length {len(message)} != k = {self.k}")
+        submul, qm1 = self.field.submul, self.field.q - 1
+        xp, yp = self.domain.x_powers, self.domain.y_powers
+        zero = [0] * qm1
+        neg_poly: dict[int, list[int]] = {}
+        for mu, (i, j) in zip(message, self.basis):
+            if mu:
+                neg_poly[i] = submul(neg_poly.get(i, zero), mu, yp[j])
+        out: list[int] = []
+        for t in range(qm1):
+            row = zero
+            for i, npi in neg_poly.items():
+                if npi[t]:
+                    row = submul(row, npi[t], xp[i])
+            out += row
+        return out

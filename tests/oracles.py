@@ -2,14 +2,23 @@
 
 Everything here is deliberately written from scratch with plain integer
 arithmetic: no imports from lrc5 except in the tests that compare the two
-sides. Extension fields get a tuple-coefficient polynomial model instead of
-the package's index tables.
+sides, and lrc5.errors, whose classes oracle_erasure_decode raises so that a
+test can compare verdicts. Extension fields get a tuple-coefficient
+polynomial model instead of the package's index tables.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import lru_cache
 from itertools import combinations
+
+from lrc5.errors import (
+    AmbiguousErasuresError,
+    LengthMismatchError,
+    TooManyErasuresError,
+    UndecodableError,
+)
 
 
 def is_prime(n: int) -> bool:
@@ -276,19 +285,10 @@ def oracle_points(q: int, r: int) -> list[tuple[int, int]]:
     return pts
 
 
-def oracle_generator_matrix(q: int, r: int) -> list[list[int]]:
-    """Evaluation matrix over prime q with plain pow arithmetic."""
-    pts = oracle_points(q, r)
-    return [
-        [(pow(x, i, q) * pow(y, j, q)) % q for (x, y) in pts]
-        for (i, j) in oracle_monomials(q, r)
-    ]
-
-
-def oracle_parity_check(q: int, r: int) -> list[list[int]]:
-    """The parity-check matrix from the whole dense dual: the RREF of the
-    n-k evaluations of x^(-i) y^(-j) for the pairs (i, j) outside
-    oracle_monomials, by Gauss-Jordan on tables of _arith."""
+@lru_cache(maxsize=None)
+def _tables(q: int):
+    """(add, mul, neg, inv, powers, log) tables of _arith; powers[e] is g^e
+    and log inverts it on the units. Shared between calls: never mutate."""
     add, mul, g = _arith(q)
     add_t = [[add(a, b) for b in range(q)] for a in range(q)]
     mul_t = [[mul(a, b) for b in range(q)] for a in range(q)]
@@ -298,6 +298,30 @@ def oracle_parity_check(q: int, r: int) -> list[list[int]]:
     for _ in range(q - 2):
         powers.append(mul(powers[-1], g))
     log = {x: e for e, x in enumerate(powers)}
+    return add_t, mul_t, neg, inv, powers, log
+
+
+def oracle_generator_matrix(q: int, r: int) -> list[list[int]]:
+    """Evaluation matrix: plain pow arithmetic for prime q, powers of the
+    PolyField model's generator otherwise."""
+    pts = oracle_points(q, r)
+    if is_prime(q):
+        return [
+            [(pow(x, i, q) * pow(y, j, q)) % q for (x, y) in pts]
+            for (i, j) in oracle_monomials(q, r)
+        ]
+    *_, powers, log = _tables(q)
+    return [
+        [powers[(i * log[x] + j * log[y]) % (q - 1)] for (x, y) in pts]
+        for (i, j) in oracle_monomials(q, r)
+    ]
+
+
+def oracle_parity_check(q: int, r: int) -> list[list[int]]:
+    """The parity-check matrix from the whole dense dual: the RREF of the
+    n-k evaluations of x^(-i) y^(-j) for the pairs (i, j) outside
+    oracle_monomials, by Gauss-Jordan on tables of _arith."""
+    add_t, mul_t, neg, inv, powers, log = _tables(q)
     kept = set(oracle_monomials(q, r))
     rows = [
         [powers[(-i * log[x] - j * log[y]) % (q - 1)] for x, y in oracle_points(q, r)]
@@ -319,6 +343,53 @@ def oracle_parity_check(q: int, r: int) -> list[list[int]]:
                 rows[i] = [add_t[a][sub[b]] for a, b in zip(row, prow)]
         lead += 1
     return rows
+
+
+def oracle_erasure_decode(field, h_rows: list[list[int]], received: list) -> list[int]:
+    """The dense erasure decoder: solve H_E x = -H y over all n-k rows of H,
+    y the kept symbols, by Gauss-Jordan on the tables of _arith (field is read
+    only for its order). Checks and errors come in lrc5's order with lrc5's
+    messages: length, no erasures, too many, inconsistent, ambiguous."""
+    add_t, mul_t, neg, inv, _, _ = _tables(field.q)
+    n = len(h_rows[0])
+    if len(received) != n:
+        raise LengthMismatchError(f"word length {len(received)} != n = {n}")
+    erased = [i for i, s in enumerate(received) if s is None]
+    if not erased:
+        return list(received)
+    if len(erased) > len(h_rows):
+        raise TooManyErasuresError(
+            f"{len(erased)} erasures exceed the redundancy n-k = {len(h_rows)}"
+        )
+    aug = []
+    for row in h_rows:
+        acc = 0
+        for a, s in zip(row, received):
+            if s is not None:
+                acc = add_t[acc][mul_t[a][s]]
+        aug.append([row[e] for e in erased] + [neg[acc]])
+    width = len(erased)
+    lead = 0
+    for col in range(width + 1):
+        piv = next((i for i in range(lead, len(aug)) if aug[i][col]), None)
+        if piv is None:
+            continue
+        if col == width:
+            raise UndecodableError("kept symbols are not consistent with any codeword")
+        aug[lead], aug[piv] = aug[piv], aug[lead]
+        scale = mul_t[inv[aug[lead][col]]]
+        prow = aug[lead] = [scale[x] for x in aug[lead]]
+        for i, row in enumerate(aug):
+            if i != lead and row[col]:
+                sub = mul_t[neg[row[col]]]
+                aug[i] = [add_t[a][sub[b]] for a, b in zip(row, prow)]
+        lead += 1
+    if lead < width:
+        raise AmbiguousErasuresError("erasure pattern does not determine a unique codeword")
+    out = list(received)
+    for row, pos in zip(aug, erased):
+        out[pos] = row[width]
+    return out
 
 
 def oracle_supports_codeword(g_rows: list[list[int]], q: int, support: list[int]) -> bool:

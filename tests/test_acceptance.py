@@ -30,6 +30,7 @@ from lrc5.errors import (
     AmbiguousErasuresError,
     ConditionViolatedError,
     LocalRepairImpossibleError,
+    LrcError,
 )
 from lrc5.field import Field
 from lrc5.rng import SplitMix64
@@ -45,6 +46,7 @@ from lrc5.verify import (
 
 from .oracles import (
     mat_vec_mod,
+    oracle_erasure_decode,
     oracle_generator_matrix,
     oracle_lemma_family,
     oracle_lemma_matrix,
@@ -386,6 +388,19 @@ def _erase(word, positions):
     return received
 
 
+def _erasure_verdicts(code, h, received):
+    """(library decoder, dense oracle on all of H): each the decoded word or
+    the class of the error it raised."""
+    out = []
+    for decode, args in ((erasure_decode, (code, received)),
+                         (oracle_erasure_decode, (code.field, h, received))):
+        try:
+            out.append(decode(*args))
+        except LrcError as exc:
+            out.append(type(exc))
+    return out
+
+
 def test_criterion_6_erasure_tolerance():
     t0 = time.perf_counter()
     problems = []
@@ -397,8 +412,12 @@ def test_criterion_6_erasure_tolerance():
 
     threes = 0
     for subset in combinations(range(36), 3):
-        if erasure_decode(f7, h, _erase(word, subset)) != word:
+        ours, dense = _erasure_verdicts(code, h, _erase(word, subset))
+        if ours != word:
             problems.append(f"three-erasure pattern {list(subset)} decoded incorrectly")
+            break
+        if dense != ours:
+            problems.append(f"three-erasure pattern {list(subset)}: the dense oracle disagrees")
             break
         threes += 1
 
@@ -415,29 +434,33 @@ def test_criterion_6_erasure_tolerance():
             f"closed-form family"
         )
     for support in family:
-        try:
-            erasure_decode(f7, h, _erase(word, support))
+        ours, dense = _erasure_verdicts(code, h, _erase(word, support))
+        if ours is not AmbiguousErasuresError:
             problems.append(f"pattern {list(support)} decoded despite dependency")
-        except AmbiguousErasuresError:
-            pass
+        if dense != ours:
+            problems.append(f"pattern {list(support)}: the dense oracle disagrees")
     total = 58905
     sample = 0
     for subset in combinations(range(36), 4):
         if subset in family_set:
             continue
         # spot-check a spread of independent patterns
-        if sample % 97 == 0 and erasure_decode(f7, h, _erase(word, subset)) != word:
-            problems.append(f"pattern {list(subset)} decoded incorrectly")
+        if sample % 97 == 0:
+            ours, dense = _erasure_verdicts(code, h, _erase(word, subset))
+            if ours != word:
+                problems.append(f"pattern {list(subset)} decoded incorrectly")
+            if dense != ours:
+                problems.append(f"pattern {list(subset)}: the dense oracle disagrees")
         sample += 1
 
     # five-erasure clause: the minimum-weight support plus any fifth position
     mw = find_min_weight_codeword(f7, h, 5)
     support5 = sorted({p - 1 for p in mw.witness["support"]} | {2})
-    try:
-        erasure_decode(f7, h, _erase(word, support5))
+    ours, dense = _erasure_verdicts(code, h, _erase(word, support5))
+    if ours is not AmbiguousErasuresError:
         problems.append("five-erasure pattern over the minimum support decoded")
-    except AmbiguousErasuresError:
-        pass
+    if dense != ours:
+        problems.append("five-erasure pattern over the minimum support: the dense oracle disagrees")
 
     elapsed = time.perf_counter() - t0
     if elapsed >= 120.0:

@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -13,17 +14,20 @@ from lrc5.codec import (
     hybrid_decode,
     local_repair,
 )
+from lrc5.construct import Code
 from lrc5.errors import (
     AmbiguousErasuresError,
     LengthMismatchError,
+    LrcError,
     LocalRepairImpossibleError,
     NotErasedError,
     TooManyErasuresError,
     UndecodableError,
 )
+from lrc5.field import Field
 from lrc5.rng import SplitMix64
 
-from .oracles import mat_vec_mod
+from .oracles import mat_vec_mod, oracle_erasure_decode, oracle_weight4_supports
 
 # first dependent 4-column subset of the (7,5) parity check, 0-based
 BAD_SUPPORT_7_5 = [0, 1, 33, 35]
@@ -125,7 +129,6 @@ def test_local_repair_impossible_with_two_holes_in_a_cell(code75):
 
 
 def test_erasure_decode_small_patterns_exactly(code75):
-    f, h = code75.field, code75.parity_check_matrix
     rng = SplitMix64(77)
     for t in (1, 2, 3):
         for _ in range(60):
@@ -134,13 +137,13 @@ def test_erasure_decode_small_patterns_exactly(code75):
             received: list = list(w)
             for p in holes:
                 received[p] = None
-            assert erasure_decode(f, h, received) == w
+            assert erasure_decode(code75, received) == w
 
 
 def test_erasure_decode_no_erasures_is_identity(code75):
     rng = SplitMix64(6)
     w = random_codeword(code75, rng)
-    assert erasure_decode(code75.field, code75.parity_check_matrix, list(w)) == w
+    assert erasure_decode(code75, list(w)) == w
 
 
 def test_erasure_decode_ambiguous_on_dependent_support(code75):
@@ -150,7 +153,7 @@ def test_erasure_decode_ambiguous_on_dependent_support(code75):
     for p in BAD_SUPPORT_7_5:
         received[p] = None
     with pytest.raises(AmbiguousErasuresError):
-        erasure_decode(code75.field, code75.parity_check_matrix, received)
+        erasure_decode(code75, received)
 
 
 def test_erasure_decode_generic_four_pattern_succeeds(code75):
@@ -159,7 +162,7 @@ def test_erasure_decode_generic_four_pattern_succeeds(code75):
     received: list = list(w)
     for p in (0, 7, 19, 30):
         received[p] = None
-    assert erasure_decode(code75.field, code75.parity_check_matrix, received) == w
+    assert erasure_decode(code75, received) == w
 
 
 def test_erasure_decode_too_many_erasures(code75):
@@ -167,7 +170,7 @@ def test_erasure_decode_too_many_erasures(code75):
     for p in range(10):  # n - k = 9
         received[p] = None
     with pytest.raises(TooManyErasuresError):
-        erasure_decode(code75.field, code75.parity_check_matrix, received)
+        erasure_decode(code75, received)
 
 
 def test_erasure_decode_undecodable_on_corrupt_survivors(code75):
@@ -179,12 +182,12 @@ def test_erasure_decode_undecodable_on_corrupt_survivors(code75):
     received[0] = None
     received[5] = code75.field.add(received[5], 1)
     with pytest.raises(UndecodableError):
-        erasure_decode(code75.field, code75.parity_check_matrix, received)
+        erasure_decode(code75, received)
 
 
 def test_erasure_decode_length_check(code75):
     with pytest.raises(LengthMismatchError):
-        erasure_decode(code75.field, code75.parity_check_matrix, [0] * 35)
+        erasure_decode(code75, [0] * 35)
 
 
 def test_bd_zero_syndrome_returns_word(code75):
@@ -328,3 +331,131 @@ def test_hybrid_ambiguous_on_bad_four_pattern(code75):
         received[p] = None
     with pytest.raises(AmbiguousErasuresError):
         hybrid_decode(code75, received)
+
+
+def test_hybrid_refuses_a_word_of_the_wrong_length(code75):
+    """Checked before the local pass: a short word used to raise IndexError
+    there, and a long one came back as a 37-symbol "codeword"."""
+    w = random_codeword(code75, SplitMix64(90))
+    for word in (w[:-1], w + [0]):
+        word[3] = None
+        with pytest.raises(LengthMismatchError) as exc:
+            hybrid_decode(code75, word)
+        assert str(exc.value) == f"word length {len(word)} != n = 36"
+
+
+# --- the grid paths against their references, on every field kind ---------
+
+# prime (7,5), (13,5), (17,7); characteristic 2 (8,6), (16,4); odd
+# extensions (9,3), (27,12)
+GRID_INSTANCES = [(7, 5), (13, 5), (17, 7), (8, 6), (16, 4), (9, 3), (27, 12)]
+
+
+@lru_cache(maxsize=None)
+def built(q, r):
+    return Code.build(Field(*{8: (2, 3), 9: (3, 2), 16: (2, 4), 27: (3, 3)}.get(q, (q, 1))), r)
+
+
+def verdict(decode, *args):
+    """The decoded word, or the error's class and message."""
+    try:
+        return decode(*args)
+    except LrcError as exc:
+        return type(exc), str(exc)
+
+
+def assert_decoders_agree(code, received):
+    """erasure_decode on the sparse dual against the dense oracle on all of
+    H; returns the shared verdict."""
+    ours = verdict(erasure_decode, code, received)
+    assert ours == verdict(oracle_erasure_decode, code.field, code.parity_check_matrix, received)
+    return ours
+
+
+def erased(word, positions):
+    out = list(word)
+    for p in positions:
+        out[p] = None
+    return out
+
+
+@pytest.mark.parametrize("q,r", GRID_INSTANCES)
+def test_code_encode_equals_generic_product(q, r):
+    code = built(q, r)
+    f, g = code.field, code.generator_matrix
+    rng = SplitMix64(q * 100 + r)
+    messages = [[rng.randbelow(q) for _ in range(code.k)] for _ in range(5)]
+    messages.append([0] * code.k)
+    for u in range(code.k):
+        one_hot = [0] * code.k
+        one_hot[u] = 1 + u % (q - 1)
+        messages.append(one_hot)
+    for m in messages:
+        assert code.encode(m) == encode(f, g, m)
+    with pytest.raises(LengthMismatchError) as exc:
+        code.encode([0] * (code.k - 1))
+    assert str(exc.value) == f"message length {code.k - 1} != k = {code.k}"
+
+
+@pytest.mark.parametrize("q,r", [(7, 5), (9, 3)])
+def test_erasure_decode_agrees_with_dense_oracle_on_every_small_pattern(q, r):
+    code = built(q, r)
+    w = random_codeword(code, SplitMix64(q))
+    for t in (1, 2, 3):
+        for holes in combinations(range(code.n), t):
+            assert assert_decoders_agree(code, erased(w, holes)) == w
+
+
+def test_erasure_decode_agrees_with_dense_oracle_on_weight4_supports(code75):
+    w = random_codeword(code75, SplitMix64(3))
+    family = oracle_weight4_supports(7, 5)
+    assert len(family) == 54
+    for support in family:
+        kind, _ = assert_decoders_agree(code75, erased(w, support))
+        assert kind is AmbiguousErasuresError
+
+
+@pytest.mark.parametrize("q,r", [(13, 5), (16, 4), (27, 12)])
+def test_erasure_decode_agrees_with_dense_oracle_on_four_and_five_erasures(q, r):
+    """Uniform patterns, and patterns that put two erasures in each of two
+    cells (plus one more for five), which only the global solve can fill."""
+    code = built(q, r)
+    rng = SplitMix64(q * 10 + r)
+    size = r + 1
+    w = random_codeword(code, rng)
+    outcomes = set()
+    for t in (4, 5):
+        for _ in range(12):
+            outcomes.add(assert_decoders_agree(code, erased(w, rng.sample_sorted(code.n, t))) == w)
+            c1, c2 = rng.sample_sorted(code.n // size, 2)
+            holes = {c * size + s for c in (c1, c2) for s in rng.sample_sorted(size, 2)}
+            while len(holes) < t:
+                holes.add(rng.randbelow(code.n))
+            got = assert_decoders_agree(code, erased(w, sorted(holes)))
+            outcomes.add(got == w or got[0])
+    assert True in outcomes
+
+
+def test_erasure_decode_agrees_with_dense_oracle_on_corrupt_survivors(code75):
+    """A corrupt kept symbol in an erased cell, then in a cell without
+    erasures. Five erasures, three in one cell and two in another, use up
+    all three dense rows, so only the local parity of the corrupt symbol's
+    own cell can refuse that word."""
+    f = code75.field
+    w = random_codeword(code75, SplitMix64(29))
+    assert assert_decoders_agree(code75, erased(w, [0, 1, 2, 6, 7])) == w
+    for holes, corrupt in (([0, 1], 4), ([0, 1], 20), ([0, 1, 2, 6, 7], 20)):
+        received = erased(w, holes)
+        received[corrupt] = f.add(received[corrupt], 1)
+        kind, _ = assert_decoders_agree(code75, received)
+        assert kind is UndecodableError
+
+
+def test_erasure_decode_agrees_with_dense_oracle_on_edge_counts(code75):
+    w = random_codeword(code75, SplitMix64(31))
+    assert assert_decoders_agree(code75, list(w)) == w
+    kind, message = assert_decoders_agree(code75, erased(w, range(10)))
+    assert kind is TooManyErasuresError
+    assert message == "10 erasures exceed the redundancy n-k = 9"
+    kind, _ = assert_decoders_agree(code75, list(w)[:-1])
+    assert kind is LengthMismatchError

@@ -150,9 +150,13 @@ def test_domain_is_a_plain_dataclass_snapshot(code53):
     assert code53.domain.h == 2
 
 
-@pytest.mark.parametrize("q,r", [(5, 3), (7, 5), (11, 4)])
+# the block-built G on every field kind: prime, characteristic 2 and odd
+# extensions
+@pytest.mark.parametrize(
+    "q,r", [(5, 3), (7, 5), (11, 4), (13, 5), (17, 7), (8, 6), (16, 4), (9, 3), (27, 12)]
+)
 def test_generator_matrix_matches_plain_evaluation(q, r):
-    code = Code.build(Field(q), r)
+    code = Code.build(field_for(q), r)
     assert code.generator_matrix == oracle_generator_matrix(q, r)
 
 
