@@ -77,6 +77,18 @@ def _check_length(code: Code, received: list[int | None]) -> None:
         raise LengthMismatchError(f"word length {len(received)} != n = {code.n}")
 
 
+_INCONSISTENT = "kept symbols are not consistent with any codeword"
+
+
+def _check_codeword(code: Code, word: list[int]) -> None:
+    """Raise UndecodableError unless word meets every local and dense dual row."""
+    domain = code.domain
+    dot, local, size = code.field.dot, domain.local_parity, domain.cell_size
+    local_syndromes = (dot(local, word[start:start + size]) for start in range(0, code.n, size))
+    if any(local_syndromes) or any(dot(dense, word) for dense in domain.extra_dual):
+        raise UndecodableError(_INCONSISTENT)
+
+
 def erasure_decode(code: Code, received: list[int | None]) -> list[int]:
     """Complete a codeword by solving the dual's equations on the erasures.
 
@@ -84,10 +96,12 @@ def erasure_decode(code: Code, received: list[int | None]) -> list[int]:
     extra_dual rows. A cell without erasures only checks its kept symbols,
     so the system is the erased columns of the other cells' local rows and
     of the dense rows: the same solutions as all of H, from far fewer rows.
+    A word without erasures is returned only when it is a codeword.
     """
     _check_length(code, received)
     erased = erasure_positions(received)
     if not erased:
+        _check_codeword(code, received)
         return list(received)
     redundancy = code.n - code.k
     if len(erased) > redundancy:
@@ -122,9 +136,7 @@ def erasure_decode(code: Code, received: list[int | None]) -> list[int]:
             raise InconsistentSystemError("a cell without erasures fails its local parity")
         x = solve(field, rows, rhs)
     except InconsistentSystemError:
-        raise UndecodableError(
-            "kept symbols are not consistent with any codeword"
-        ) from None
+        raise UndecodableError(_INCONSISTENT) from None
     if x is None:
         raise AmbiguousErasuresError(
             "erasure pattern does not determine a unique codeword"
@@ -161,7 +173,12 @@ class HybridResult:
 
 
 def hybrid_decode(code: Code, received: list[int | None]) -> HybridResult:
-    """Local repair to a fixed point, then one global erasure solve if needed."""
+    """Local repair to a fixed point, then one global erasure solve if needed.
+
+    When local repair leaves nothing to solve, the repaired word is still
+    checked against the whole dual, so a corrupt kept symbol is refused
+    rather than returned. symbols_read does not count that check.
+    """
     _check_length(code, received)
     work: list[int | None] = list(received)
     local_fixed, reads = _local_pass(code, work)
@@ -169,6 +186,8 @@ def hybrid_decode(code: Code, received: list[int | None]) -> HybridResult:
     if remaining:
         reads += code.n - len(remaining)
         work = erasure_decode(code, work)
+    else:
+        _check_codeword(code, work)
     return HybridResult(
         codeword=work,
         locally_repaired=local_fixed,

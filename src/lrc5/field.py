@@ -10,8 +10,9 @@ logarithm table, zech[k] = log(1 + g^k), so g^i + g^j = g^(i + zech[j-i])
 costs a few table lookups in every odd-characteristic extension.
 
 The field kind is decided here and nowhere else: the vector primitives
-submul (ys - a*xs) and scale (a*xs) that row reduction and encoding run on
-are specialised once, when the Field is built.
+submul (ys - a*xs) and scale (a*xs) that row reduction and encoding run on,
+and the affine_det certificate that verify's sampled lemma scan runs on, are
+specialised once, when the Field is built.
 
 A field is named by (p, m) alone. Its reducing modulus is the first monic
 irreducible polynomial of degree m in index order (non-leading coefficients
@@ -106,11 +107,15 @@ class Field:
         submul: submul(ys, a, xs) returns ys - a*xs as a new list. It is
             chosen at construction: ints mod p (m = 1), xor on the log
             tables (p = 2), or Zech addition (odd-characteristic extensions).
+        affine_det: affine_det(p0, p1, p2, p3) returns the determinant of
+            the 4x4 matrix whose columns are (1, p_k) for four points of
+            F^3. It is chosen at construction: one integer expression and a
+            single reduction mod p (m = 1), or the field's sub, mul and add.
     """
 
     __slots__ = (
         "p", "m", "q", "modulus", "generator", "exp", "log", "submul",
-        "_qm1", "_half", "_zech",
+        "affine_det", "_qm1", "_half", "_zech",
     )
 
     def __init__(self, p: int, m: int = 1):
@@ -181,6 +186,7 @@ class Field:
             exp[i] = exp[i - qm1]
         self.exp = exp
         self.log = log
+        self.affine_det = self._affine_det_mod if self.m == 1 else self._affine_det_field
         if self.m == 1:
             self.submul = self._submul_mod
         elif p == 2:
@@ -283,11 +289,40 @@ class Field:
                 if x and y:
                     acc ^= exp[log[x] + log[y]]
             return acc
+        # Zech addition of each term g^lt to acc = g^la; a sum that cancels
+        # reads 0 from the exp padding. lt - la may be negative, and the
+        # doubled zech table wraps that index to the same residue.
+        exp, log, zech = self.exp, self.log, self._zech
         acc = 0
-        add, mul = self.add, self.mul
         for x, y in zip(xs, ys):
-            acc = add(acc, mul(x, y))
+            if x and y:
+                lt = log[x] + log[y]
+                if acc:
+                    la = log[acc]
+                    acc = exp[la + zech[lt - la]]
+                else:
+                    acc = exp[lt]
         return acc
+
+    def _affine_det_mod(self, p0, p1, p2, p3) -> int:
+        # subtracting the first column leaves the 3x3 determinant of the
+        # differences p_k - p0, taken over the integers and reduced once
+        x0, y0, z0 = p0
+        a, b, c = p1[0] - x0, p1[1] - y0, p1[2] - z0
+        d, e, f = p2[0] - x0, p2[1] - y0, p2[2] - z0
+        g, h, i = p3[0] - x0, p3[1] - y0, p3[2] - z0
+        return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % self.p
+
+    def _affine_det_field(self, p0, p1, p2, p3) -> int:
+        sub, mul, add = self.sub, self.mul, self.add
+        x0, y0, z0 = p0
+        a, b, c = sub(p1[0], x0), sub(p1[1], y0), sub(p1[2], z0)
+        d, e, f = sub(p2[0], x0), sub(p2[1], y0), sub(p2[2], z0)
+        g, h, i = sub(p3[0], x0), sub(p3[1], y0), sub(p3[2], z0)
+        return add(
+            sub(mul(a, sub(mul(e, i), mul(f, h))), mul(b, sub(mul(d, i), mul(f, g)))),
+            mul(c, sub(mul(d, h), mul(e, g))),
+        )
 
     def _submul_mod(self, ys: Sequence[int], a: int, xs: Sequence[int]) -> list[int]:
         p = self.p

@@ -349,14 +349,13 @@ def oracle_erasure_decode(field, h_rows: list[list[int]], received: list) -> lis
     """The dense erasure decoder: solve H_E x = -H y over all n-k rows of H,
     y the kept symbols, by Gauss-Jordan on the tables of _arith (field is read
     only for its order). Checks and errors come in lrc5's order with lrc5's
-    messages: length, no erasures, too many, inconsistent, ambiguous."""
+    messages: length, too many, inconsistent, ambiguous. A word without
+    erasures is a system of no columns, consistent only when H y = 0."""
     add_t, mul_t, neg, inv, _, _ = _tables(field.q)
     n = len(h_rows[0])
     if len(received) != n:
         raise LengthMismatchError(f"word length {len(received)} != n = {n}")
     erased = [i for i, s in enumerate(received) if s is None]
-    if not erased:
-        return list(received)
     if len(erased) > len(h_rows):
         raise TooManyErasuresError(
             f"{len(erased)} erasures exceed the redundancy n-k = {len(h_rows)}"

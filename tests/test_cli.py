@@ -301,6 +301,26 @@ def test_decode_ambiguous_pattern_exits_2(tmp_path, capsys):
         assert err.count("ERR") == 1
 
 
+def test_decode_refuses_a_corrupt_survivor_with_nothing_left_to_solve(tmp_path, capsys):
+    """Position 1 erased, and a corrupt symbol in its cell (5) or in another
+    (21): hybrid repairs position 1 locally, then must still refuse the
+    word. With no erasure at all, both policies refuse. Each used to exit 0."""
+    d = gen_code(tmp_path, capsys)
+    word = encode(Field(7), load_artifacts(d).generator_matrix, [i % 7 for i in range(1, 28)])
+    holey = tmp_path / "h.txt"
+    for holes, corrupt in (([1], 5), ([1], 21), ([], 21)):
+        symbols = list(word)
+        for pos in holes:
+            symbols[pos - 1] = None
+        symbols[corrupt - 1] = (symbols[corrupt - 1] + 1) % 7
+        write_word(holey, symbols)
+        for policy in ("hybrid", "global"):
+            rc, out, err = run(capsys, "decode", "--code", str(d), "--word", str(holey),
+                               "--policy", policy)
+            assert (rc, out) == (2, ""), (holes, corrupt, policy)
+            assert err == "ERR Undecodable: kept symbols are not consistent with any codeword\n"
+
+
 def test_decode_policies_use_stored_parity(tmp_path, capsys):
     """A tampered parity.csv is refused at load under both policies."""
     d = gen_code(tmp_path, capsys)

@@ -451,6 +451,20 @@ def test_erasure_decode_agrees_with_dense_oracle_on_corrupt_survivors(code75):
         assert kind is UndecodableError
 
 
+def test_a_corrupt_survivor_is_refused_when_nothing_is_left_to_solve(code75):
+    """One erasure, repaired locally, beside a corrupt kept symbol in its own
+    cell or in another, and a corrupt word without erasures. hybrid_decode
+    used to return each as a non-codeword, and erasure_decode the last."""
+    f = code75.field
+    w = random_codeword(code75, SplitMix64(29))
+    refusal = (UndecodableError, "kept symbols are not consistent with any codeword")
+    for holes, corrupt in (([0], 4), ([0], 20), ([], 20)):
+        received = erased(w, holes)
+        received[corrupt] = f.add(received[corrupt], 1)
+        assert verdict(hybrid_decode, code75, received) == refusal
+        assert assert_decoders_agree(code75, received) == refusal
+
+
 def test_erasure_decode_agrees_with_dense_oracle_on_edge_counts(code75):
     w = random_codeword(code75, SplitMix64(31))
     assert assert_decoders_agree(code75, list(w)) == w

@@ -1,9 +1,12 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from lrc5.errors import NotADivisorError, NotPrimeError, TooLargeError
 from lrc5.field import Field, subgroup_of_order
+from lrc5.rng import SplitMix64
 
 from .oracles import PolyField, mult_order, smallest_generator
 
@@ -184,6 +187,69 @@ def test_check_validates_range(f7):
 def test_dot_product(f7):
     assert f7.dot([1, 2, 3], [4, 5, 6]) == (4 + 10 + 18) % 7
     assert f7.dot([], []) == 0
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (5, 2), (7, 2)])
+def test_odd_extension_dot_matches_scalar_fold(p, m):
+    f = Field(p, m)
+    q = f.q
+
+    def fold(xs, ys):
+        acc = 0
+        for x, y in zip(xs, ys):
+            acc = f.add(acc, f.mul(x, y))
+        return acc
+
+    # every (x, y) pair, so both sides hold zeros
+    xs = [x for x in range(q) for _ in range(q)]
+    ys = [y for _ in range(q) for y in range(q)]
+    assert f.dot(xs, ys) == fold(xs, ys)
+    assert f.dot([], []) == 0
+    for a in range(q):
+        for b in range(q):
+            # a + b, which cancels to 0 at b = -a, then a term after it
+            assert f.dot([a, b], [1, 1]) == f.add(a, b)
+            assert f.dot([a, f.neg(a), b], [1, 1, 1]) == b
+            assert f.dot([a, b, a], [b, f.neg(a), 1]) == a
+    rng = SplitMix64(q)
+    for _ in range(200):
+        xs = [rng.randbelow(q) for _ in range(64)]
+        ys = [rng.randbelow(q) for _ in range(64)]
+        assert f.dot(xs, ys) == fold(xs, ys)
+
+
+def _leibniz(rows, mul, add, sub):
+    """Sum over permutations of the signed products of a 4x4 matrix."""
+    total = 0
+    for perm in permutations(range(4)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = mul(term, rows[i][j])
+        odd = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4)) % 2
+        total = sub(total, term) if odd else add(total, term)
+    return total
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (7, 1), (13, 1), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
+def test_affine_det_is_the_leibniz_determinant(p, m):
+    """Over the integers reduced mod p at prime q, otherwise in the field's
+    own arithmetic; repeated points from a small pool make zeros common."""
+    f = Field(p, m)
+    rng = SplitMix64(f.q)
+    pool = [tuple(rng.randbelow(f.q) for _ in range(3)) for _ in range(12)]
+    zeros = 0
+    for _ in range(1_000):
+        pts = [pool[rng.randbelow(12)] if rng.randbelow(4) == 0
+               else tuple(rng.randbelow(f.q) for _ in range(3)) for _ in range(4)]
+        rows = [[1, 1, 1, 1]] + [list(row) for row in zip(*pts)]
+        if m == 1:
+            want = _leibniz(rows, int.__mul__, int.__add__, int.__sub__) % p
+        else:
+            want = _leibniz(rows, f.mul, f.add, f.sub)
+        got = f.affine_det(*pts)
+        assert got == want
+        zeros += got == 0
+    assert zeros > 0
 
 
 def test_elements_and_units_ranges(f8):

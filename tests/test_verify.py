@@ -9,6 +9,8 @@ rank claims verify False here, with witnesses; that is the honest output.
 """
 
 import random
+from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -20,6 +22,8 @@ from lrc5.errors import (
     NotDistinctError,
 )
 from lrc5.field import Field
+from lrc5.linalg import rank
+from lrc5.rng import SplitMix64
 from lrc5.verify import (
     SUBSET_BUDGET,
     VerificationReport,
@@ -314,6 +318,78 @@ def test_constraint_matrix_sampled_frozen(f13):
         "three-equal": 80,
         "two-pairs": 54,
     }
+
+
+FIELDS = {5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2), 13: (13, 1),
+          16: (2, 4), 17: (17, 1), 27: (3, 3)}
+
+
+def _minor_drop_agrees(f, affine, quad):
+    """affine_det vanishes exactly when the rows (0, 1, 2, 4) minor of the
+    quadruple's moment columns has rank below 4."""
+    minor = [[1, *affine[i]] for i in quad]
+    return (f.affine_det(*(affine[i] for i in quad)) == 0) == (rank(f, minor) < 4)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_lemma_minor_vanishes_exactly_when_it_drops_rank_on_every_quadruple(q):
+    f = Field(q)
+    _, columns, _ = _moment_columns(f)
+    affine = [(c[1], c[2], c[4]) for c in columns]
+    assert all(_minor_drop_agrees(f, affine, quad) for quad in combinations(range(len(columns)), 4))
+
+
+@pytest.mark.parametrize("q", [8, 9, 16, 27])
+def test_lemma_minor_vanishes_exactly_when_it_drops_rank_on_seeded_quadruples(q):
+    f = Field(*FIELDS[q])
+    _, columns, _ = _moment_columns(f)
+    affine = [(c[1], c[2], c[4]) for c in columns]
+    rng = SplitMix64(q)
+    assert all(_minor_drop_agrees(f, affine, rng.sample_sorted(len(columns), 4))
+               for _ in range(5_000))
+
+
+def reduce_only_lemma_scan(f, trials, seed):
+    """The sampled lemma scan without the minor certificate: every subset's
+    rank by reduction, y-patterns binned by their multiplicities."""
+    points, columns, betas = _moment_columns(f)
+    rng = SplitMix64(seed)
+    names = {(4,): "all-equal", (1, 3): "three-equal", (2, 2): "two-pairs", (1, 1, 2): "one-pair"}
+    bins: Counter = Counter()
+    for t in range(trials):
+        subset = rng.sample_sorted(len(columns), 4)
+        if rank(f, [columns[i] for i in subset]) < 4:
+            return t + 1, {"points": [list(points[i]) for i in subset]}, bins
+        counts = tuple(sorted(Counter(betas[i] for i in subset).values()))
+        bins[names.get(counts, "all-distinct")] += 1
+    return trials, None, bins
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 13, 16, 27])
+def test_sampled_lemma_scan_equals_the_reduce_only_reference(q):
+    f = Field(*FIELDS[q])
+    for seed in range(6):
+        rep = verify_constraint_matrix(f, mode="sampled", trials=1_500, seed=seed)
+        trials, witness, bins = reduce_only_lemma_scan(f, 1_500, seed)
+        assert (rep.trials, rep.witness, rep.result) == (trials, witness, witness is None)
+        assert rep.details["case_counts"] == {k: bins[k] for k in sorted(bins)}
+
+
+@pytest.mark.parametrize(
+    "q,trials,witness,counts",
+    [
+        (8, 1_056, [[1, 4], [2, 6], [4, 6], [7, 4]], (452, 2, 509, 45, 47)),
+        (9, 1_205, [[3, 5], [4, 3], [7, 3], [8, 5]], (521, 2, 567, 59, 55)),
+        (16, 20_000, None, (13_266, 4, 6_270, 261, 199)),
+        (17, 40, [[3, 5], [5, 1], [14, 1], [16, 5]], (29, 0, 9, 1, 0)),
+    ],
+)
+def test_constraint_matrix_sampled_frozen_on_every_field_kind(q, trials, witness, counts):
+    rep = verify_constraint_matrix(Field(*FIELDS[q]), mode="sampled", trials=20_000, seed=1)
+    assert (rep.trials, rep.result) == (trials, witness is None)
+    assert rep.witness == (None if witness is None else {"points": witness})
+    names = ("all-distinct", "all-equal", "one-pair", "three-equal", "two-pairs")
+    assert rep.details["case_counts"] == {k: c for k, c in zip(names, counts) if c}
 
 
 def test_locality_verifies_clean(code53, code75):
