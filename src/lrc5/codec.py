@@ -80,15 +80,6 @@ def _check_length(code: Code, received: list[int | None]) -> None:
 _INCONSISTENT = "kept symbols are not consistent with any codeword"
 
 
-def _check_codeword(code: Code, word: list[int]) -> None:
-    """Raise UndecodableError unless word meets every local and dense dual row."""
-    domain = code.domain
-    dot, local, size = code.field.dot, domain.local_parity, domain.cell_size
-    local_syndromes = (dot(local, word[start:start + size]) for start in range(0, code.n, size))
-    if any(local_syndromes) or any(dot(dense, word) for dense in domain.extra_dual):
-        raise UndecodableError(_INCONSISTENT)
-
-
 def erasure_decode(code: Code, received: list[int | None]) -> list[int]:
     """Complete a codeword by solving the dual's equations on the erasures.
 
@@ -96,13 +87,12 @@ def erasure_decode(code: Code, received: list[int | None]) -> list[int]:
     extra_dual rows. A cell without erasures only checks its kept symbols,
     so the system is the erased columns of the other cells' local rows and
     of the dense rows: the same solutions as all of H, from far fewer rows.
-    A word without erasures is returned only when it is a codeword.
+    A word without erasures is returned only when it is a codeword: every
+    local check passes and the dense rows give a system of no unknowns whose
+    right-hand side must be 0.
     """
     _check_length(code, received)
     erased = erasure_positions(received)
-    if not erased:
-        _check_codeword(code, received)
-        return list(received)
     redundancy = code.n - code.k
     if len(erased) > redundancy:
         raise TooManyErasuresError(
@@ -115,19 +105,16 @@ def erasure_decode(code: Code, received: list[int | None]) -> list[int]:
     in_cell: dict[int, list[int]] = {}
     for col, pos in enumerate(erased):
         in_cell.setdefault(pos // size, []).append(col)
+    syndromes = [dot(local, y0[start:start + size]) for start in range(0, code.n, size)]
+    stray = any(syn for ci, syn in enumerate(syndromes) if ci not in in_cell)
     rows: list[list[int]] = []
     rhs: list[int] = []
-    stray = False
-    for ci, start in enumerate(range(0, code.n, size)):
-        syn = dot(local, y0[start:start + size])
-        if (cols := in_cell.get(ci)) is None:
-            stray = stray or syn != 0
-            continue
+    for ci, cols in in_cell.items():
         row = [0] * len(erased)
         for col in cols:
-            row[col] = local[erased[col] - start]
+            row[col] = local[erased[col] - ci * size]
         rows.append(row)
-        rhs.append(neg(syn))
+        rhs.append(neg(syndromes[ci]))
     for dense in domain.extra_dual:
         rows.append([dense[e] for e in erased])
         rhs.append(neg(dot(dense, y0)))
@@ -173,11 +160,12 @@ class HybridResult:
 
 
 def hybrid_decode(code: Code, received: list[int | None]) -> HybridResult:
-    """Local repair to a fixed point, then one global erasure solve if needed.
+    """Local repair to a fixed point, then one global erasure solve.
 
-    When local repair leaves nothing to solve, the repaired word is still
-    checked against the whole dual, so a corrupt kept symbol is refused
-    rather than returned. symbols_read does not count that check.
+    The solve runs even when local repair leaves nothing to solve: with no
+    unknowns it checks the repaired word against the whole dual, so a
+    corrupt kept symbol is refused rather than returned. symbols_read does
+    not count that check.
     """
     _check_length(code, received)
     work: list[int | None] = list(received)
@@ -185,9 +173,7 @@ def hybrid_decode(code: Code, received: list[int | None]) -> HybridResult:
     remaining = erasure_positions(work)
     if remaining:
         reads += code.n - len(remaining)
-        work = erasure_decode(code, work)
-    else:
-        _check_codeword(code, work)
+    work = erasure_decode(code, work)
     return HybridResult(
         codeword=work,
         locally_repaired=local_fixed,

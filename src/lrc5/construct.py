@@ -18,20 +18,21 @@ positions, and each such cell satisfies one local parity equation.
 The parity-check matrix and the local parity (1, h, ..., h^r) are closed
 forms from character-sum duality on V; no nullspace of G is computed.
 
-The codec works on the grid. Position t*(q-1) + u holds (x_u, g^t), where
-x_u is the x-value of position u, so grid row t of x^i y^j is the block
-g^(j*t) * (x_u^i)_u: each row of G is a row of a Kronecker product, joined
-from the q-1 blocks g^e * (x_u^i)_u that all rows with the same i share.
-Code.encode is a (q-1) x (q-1) two-dimensional transform: first
-P_i(t) = sum_j m_ij g^(j*t), then grid row t is sum_i P_i(t) (x_u^i)_u.
-With |I| distinct exponents i in the basis that is about k + (q-1)*|I|
-vector operations of length q-1, against k of length n for m*G. The dual
-is spanned by one local row per cell and the three dense extra_dual_rows,
-so an erasure decode checks the local parity of each cell without erasures
-and solves only (cells with erasures + 3) equations in the erased symbols,
-after O(n) work for the syndromes.
+Every monomial evaluation on the grid is one transform on EvaluationDomain.
+Position t*(q-1) + u holds (x_u, g^t), so grid row t of x^i y^j is the
+block g^(j*t) * (x_u^i)_u. monomial_row joins q-1 such blocks, built once
+per i, into a row of G or one of the three dense extra_dual_rows. evaluate
+is a (q-1) x (q-1) two-dimensional transform, about k + (q-1)*|I| vector
+operations of length q-1 for |I| distinct exponents i, against k of length
+n for m*G; Code.encode and evaluate_on_domain run it, and interpolate is
+its inverse, from the character sums on V. The dual is spanned by one
+local row per cell and the three extra_dual_rows, so an erasure decode
+checks the local parity of each cell without erasures and solves only
+(cells with erasures + 3) equations in the erased symbols, after O(n) work
+for the syndromes.
 """
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -114,6 +115,24 @@ def build_monomial_basis(params: CodeParams) -> list[Monomial]:
     return basis
 
 
+class _XBlocks(dict):
+    """Exponent i in [0, q-2] -> the q-1 blocks g^e * (x_u^i)_u, e in
+    [0, q-2], over the x-values x_u of one grid row; block 0 is x^i itself.
+    Each entry is built on first use and shared by every row that needs it.
+    Blocks are tuples: shared, so immutable, and of ints only, so the
+    garbage collector stops scanning them once they survive a collection."""
+
+    def __init__(self, field: Field, xs: list[int]):
+        super().__init__()
+        self.field, self.xs = field, xs
+
+    def __missing__(self, i: int) -> list[tuple[int, ...]]:
+        qm1, exp, log = self.field.q - 1, self.field.exp, self.field.log
+        lxi = [i * log[x] % qm1 for x in self.xs]
+        blocks = self[i] = [tuple([exp[la + e] for la in lxi]) for e in range(qm1)]
+        return blocks
+
+
 @dataclass
 class EvaluationDomain:
     """Ordered grid points plus the recovery-set partition."""
@@ -142,20 +161,48 @@ class EvaluationDomain:
         return extra_dual_rows(self)
 
     @cached_property
-    def x_powers(self) -> list[list[int]]:
-        """Row i is x_u^i over the x-values x_u of one grid row, i in [0, q-2]."""
-        qm1 = self.field.q - 1
-        exp, log = self.field.exp, self.field.log
-        lx = [log[x] for x, _ in self.points[:qm1]]
-        return [[exp[i * la % qm1] for la in lx] for i in range(qm1)]
-
-    @cached_property
     def y_powers(self) -> list[list[int]]:
         """Row j is y_t^j over the grid rows' y-values y_t = g^t, j in [0, q-2]."""
+        qm1, exp = self.field.q - 1, self.field.exp
+        return [[exp[j * t % qm1] for t in range(qm1)] for j in range(qm1)]
+
+    @cached_property
+    def _x_blocks(self) -> _XBlocks:
+        return _XBlocks(self.field, [x for x, _ in self.points[:self.field.q - 1]])
+
+    def monomial_row(self, i: int, j: int) -> list[int]:
+        """The evaluations of x^i y^j over the grid, exponents taken mod q-1.
+
+        Grid row t is the block g^(j*t) * (x_u^i)_u, so the row joins q-1
+        shared blocks rather than computing n products.
+        """
         qm1 = self.field.q - 1
-        exp, log = self.field.exp, self.field.log
-        ly = [log[y] for _, y in self.points[::qm1]]
-        return [[exp[j * lb % qm1] for lb in ly] for j in range(qm1)]
+        blocks = self._x_blocks[i % qm1]
+        row: list[int] = []
+        for t in range(qm1):
+            row += blocks[j * t % qm1]
+        return row
+
+    def evaluate(self, terms: Iterable[tuple[tuple[int, int], int]]) -> list[int]:
+        """Grid evaluations of sum c * x^i y^j over ((i, j), c) terms, exponents
+        taken mod q-1: with N_i(t) = -sum_j c_ij y_t^j (negated, as submul
+        subtracts), grid row t is sum_i -N_i(t) (x_u^i)_u."""
+        submul, qm1 = self.field.submul, self.field.q - 1
+        yp = self.y_powers
+        zero = [0] * qm1
+        neg_poly: dict[int, list[int]] = {}
+        for (i, j), c in terms:
+            if c:
+                neg_poly[i] = submul(neg_poly.get(i, zero), c, yp[j % qm1])
+        parts = [(npi, self._x_blocks[i % qm1][0]) for i, npi in neg_poly.items()]
+        out: list[int] = []
+        for t in range(qm1):
+            row = zero
+            for npi, xi in parts:
+                if npi[t]:
+                    row = submul(row, npi[t], xi)
+            out += row
+        return out
 
 
 def build_domain(field: Field, params: CodeParams) -> EvaluationDomain:
@@ -164,13 +211,10 @@ def build_domain(field: Field, params: CodeParams) -> EvaluationDomain:
     subgroup = subgroup_of_order(field, r + 1)
     h = subgroup[1]
     ncosets = (q - 1) // (r + 1)
-    points = []
-    for t in range(q - 1):
-        y = field.pow(g, t)
-        for c in range(ncosets):
-            rep = field.pow(g, c)
-            for s in range(r + 1):
-                points.append((field.mul(rep, subgroup[s]), y))
+    # every grid row has the same x-values, coset by coset
+    xs = [field.mul(field.pow(g, c), s) for c in range(ncosets) for s in subgroup]
+    ys = [field.pow(g, t) for t in range(q - 1)]
+    points = [(x, y) for y in ys for x in xs]
     cells = [list(range(b, b + r + 1)) for b in range(0, params.n, r + 1)]
     return EvaluationDomain(
         field=field, g=g, h=h, cell_size=r + 1, points=points, cells=cells
@@ -180,39 +224,14 @@ def build_domain(field: Field, params: CodeParams) -> EvaluationDomain:
 def build_generator_matrix(
     basis: list[Monomial], domain: EvaluationDomain
 ) -> list[list[int]]:
-    """k x n matrix of monomial evaluations; row u is basis[u] over the grid.
-
-    Grid row t of x^i y^j is the block g^(j*t) * (x_u^i)_u, so each row
-    joins q-1 of the blocks g^e * (x_u^i)_u, built once per i.
-    """
-    field = domain.field
-    qm1 = field.q - 1
-    exp, log = field.exp, field.log
-    lx = [log[x] for x, _ in domain.points[:qm1]]
-    ly = [log[y] for _, y in domain.points[::qm1]]
-    blocks: dict[int, list[list[int]]] = {}
-    rows = []
-    for i, j in basis:
-        if (ib := blocks.get(i)) is None:
-            lxi = [i * la % qm1 for la in lx]
-            ib = blocks[i] = [[exp[la + e] for la in lxi] for e in range(qm1)]
-        row: list[int] = []
-        for lb in ly:
-            row += ib[j * lb % qm1]
-        rows.append(row)
-    return rows
+    """k x n matrix of monomial evaluations; row u is basis[u] over the grid."""
+    return [domain.monomial_row(i, j) for i, j in basis]
 
 
 def extra_dual_rows(domain: EvaluationDomain) -> list[list[int]]:
     """The dual's three dense rows: the evaluations of x^(-i) y^(-j) for the
     removed monomials x^i y^j, which are 1, x^2 y and x^3 y."""
-    field = domain.field
-    qm1 = field.q - 1
-    exp, log = field.exp, field.log
-    return [
-        [exp[(-i * log[a] - j * log[b]) % qm1] for a, b in domain.points]
-        for i, j in removed_monomials(field.q)
-    ]
+    return [domain.monomial_row(-i, -j) for i, j in removed_monomials(domain.field.q)]
 
 
 def build_parity_check(
@@ -284,33 +303,31 @@ def evaluate_table(field: Field, table: list[list[int]], point: tuple[int, int])
 def evaluate_on_domain(
     field: Field, domain: EvaluationDomain, table: list[list[int]]
 ) -> list[int]:
-    return [evaluate_table(field, table, pt) for pt in domain.points]
+    """Grid evaluations of a coefficient table of any shape (field is domain.field)."""
+    return domain.evaluate(
+        ((i, j), c) for i, row in enumerate(table) for j, c in enumerate(row)
+    )
 
 
 def interpolate(
     field: Field, domain: EvaluationDomain, values: list[int]
 ) -> list[list[int]]:
-    """The unique coefficient table whose grid evaluations equal values.
+    """The unique (q-1) x (q-1) coefficient table whose grid evaluations
+    equal values; the inverse of evaluate_on_domain.
 
-    Inverts evaluation by summing value-weighted indicator polynomials.
+    On V the sum of x^a y^b is (q-1)^2 = 1 when a = b = 0 mod q-1 and 0
+    otherwise, so c_ij = sum_t y_t^(-j) sum_u v_tu x_u^(-i), with v_tu the
+    value at grid row t, column u.
     """
     qm1 = field.q - 1
     if len(values) != len(domain.points):
         raise ValueError("one value per domain point required")
-    coeffs = [[0] * qm1 for _ in range(qm1)]
-    exp, log = field.exp, field.log
-    add = field.add
-    for v, (alpha, beta) in zip(values, domain.points):
-        if v == 0:
-            continue
-        la, lb = log[alpha], log[beta]
-        lv = log[v]
-        for i in range(qm1):
-            base = lv - i * la
-            row = coeffs[i]
-            for j in range(qm1):
-                row[j] = add(row[j], exp[(base - j * lb) % qm1])
-    return coeffs
+    x_inv = [domain._x_blocks[-i % qm1][0] for i in range(qm1)]
+    y_inv = [domain.y_powers[-j % qm1] for j in range(qm1)]
+    grid_rows = [values[s:s + qm1] for s in range(0, len(values), qm1)]
+    # sums[i][t] = sum_u v_tu x_u^(-i)
+    sums = [[field.dot(v, xi) for v in grid_rows] for xi in x_inv]
+    return [[field.dot(s, yj) for yj in y_inv] for s in sums]
 
 
 def local_parity_vector(domain: EvaluationDomain) -> list[int]:
@@ -379,23 +396,8 @@ class Code:
     def encode(self, message: list[int]) -> list[int]:
         """Codeword of a message of k element indices, one per basis monomial.
 
-        Equal to message * G, computed as a 2D transform on the grid: with
-        N_i(t) = -sum_j m_ij y_t^j, grid row t is sum_i -N_i(t) (x_u^i)_u.
+        Equal to message * G, computed as the domain's 2D transform.
         """
         if len(message) != self.k:
             raise LengthMismatchError(f"message length {len(message)} != k = {self.k}")
-        submul, qm1 = self.field.submul, self.field.q - 1
-        xp, yp = self.domain.x_powers, self.domain.y_powers
-        zero = [0] * qm1
-        neg_poly: dict[int, list[int]] = {}
-        for mu, (i, j) in zip(message, self.basis):
-            if mu:
-                neg_poly[i] = submul(neg_poly.get(i, zero), mu, yp[j])
-        out: list[int] = []
-        for t in range(qm1):
-            row = zero
-            for i, npi in neg_poly.items():
-                if npi[t]:
-                    row = submul(row, npi[t], xp[i])
-            out += row
-        return out
+        return self.domain.evaluate(zip(self.basis, message))

@@ -10,6 +10,7 @@ from lrc5.construct import (
     build_parity_check,
     extra_dual_rows,
     local_parity_vector,
+    removed_monomials,
     validate_params,
 )
 from lrc5.errors import DegenerateCodeError, DivisibilityViolationError
@@ -241,6 +242,19 @@ def test_extra_dual_rows_annihilate_generator(q, r):
     assert len(rows) == 3 and rows[0] == [1] * code.n
     for row in rows:
         assert mat_vec_gf(code.generator_matrix, row, q) == [0] * code.k
+
+
+@pytest.mark.parametrize("q,r", CLOSED_FORM_INSTANCES)
+def test_extra_dual_rows_match_per_point_formula(q, r):
+    """The dense dual rows joined from shared blocks equal the per-point
+    formula x^(-i) y^(-j) = exp[(-i log a - j log b) mod (q-1)]."""
+    code = Code.build(field_for(q), r)
+    exp, log = code.field.exp, code.field.log
+    reference = [
+        [exp[(-i * log[a] - j * log[b]) % (q - 1)] for a, b in code.domain.points]
+        for i, j in removed_monomials(q)
+    ]
+    assert extra_dual_rows(code.domain) == reference
 
 
 @pytest.mark.parametrize("q,r", CLOSED_FORM_INSTANCES)

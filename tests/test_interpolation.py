@@ -1,5 +1,6 @@
 import pytest
 
+from lrc5 import Code, Field
 from lrc5.construct import (
     evaluate_on_domain,
     evaluate_table,
@@ -7,6 +8,14 @@ from lrc5.construct import (
     interpolation_poly,
 )
 from lrc5.rng import SplitMix64
+
+# prime fields, characteristic 2 and odd-characteristic extensions
+LOCALITY = {5: 3, 7: 5, 8: 6, 9: 3, 13: 5, 16: 4, 27: 12}
+
+
+def code_for(q):
+    p, m = {8: (2, 3), 9: (3, 2), 16: (2, 4), 27: (3, 3)}.get(q, (q, 1))
+    return Code.build(Field(p, m), LOCALITY[q])
 
 
 def random_table(rng, q):
@@ -56,9 +65,10 @@ def test_interpolation_poly_rejects_zero_coordinates(f5):
         interpolation_poly(f5, (2, 0))
 
 
-@pytest.mark.parametrize("q", [5, 7, 8])
-def test_interpolate_inverts_evaluation(q, f5, f7, f8, code53, code75, code86):
-    field, code = {5: (f5, code53), 7: (f7, code75), 8: (f8, code86)}[q]
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 13, 16, 27])
+def test_interpolate_inverts_evaluation(q):
+    code = code_for(q)
+    field = code.field
     rng = SplitMix64(100 + q)
     for _ in range(30):
         table = random_table(rng, field.q)
@@ -93,12 +103,28 @@ def test_evaluation_is_linear(f7, code75):
     assert ec == [f7.add(f7.mul(c, x), y) for x, y in zip(ea, eb)]
 
 
-def test_codeword_interpolates_inside_basis(f7, code75):
+def test_codeword_interpolates_inside_basis(code75):
     """Evaluation vectors of basis monomials interpolate back to that
     monomial alone; this pins the generator rows to their claimed support."""
-    for m, row in zip(code75.basis, code75.generator_matrix):
-        table = interpolate(f7, code75.domain, row)
-        for i in range(6):
-            for j in range(6):
-                expected = 1 if (i, j) == (m.i, m.j) else 0
-                assert table[i][j] == expected
+    for code in (code75, code_for(9), code_for(16)):
+        qm1 = code.field.q - 1
+        for m, row in zip(code.basis, code.generator_matrix):
+            table = interpolate(code.field, code.domain, row)
+            for i in range(qm1):
+                for j in range(qm1):
+                    expected = 1 if (i, j) == (m.i, m.j) else 0
+                    assert table[i][j] == expected
+
+
+@pytest.mark.parametrize("q", [9, 13, 16, 27])
+def test_evaluate_on_domain_matches_horner(q):
+    """The grid transform equals per-point Horner on tables of every shape:
+    exponents at or past q-1 wrap, since x^(q-1) = 1 on the grid."""
+    code = code_for(q)
+    field, points = code.field, code.domain.points
+    rng = SplitMix64(200 + q)
+    shapes = [(q - 1, q - 1), (q, q + 2), (2, 3), (q + 1, 1), (0, 0)]
+    for rows, cols in shapes:
+        table = [[rng.randbelow(q) for _ in range(cols)] for _ in range(rows)]
+        values = evaluate_on_domain(field, code.domain, table)
+        assert values == [evaluate_table(field, table, pt) for pt in points]

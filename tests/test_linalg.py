@@ -228,6 +228,15 @@ def test_solve_on_every_field_kind(field):
     assert solve(field, [[1, 1, 0]], [1]) is None
 
 
+def test_solve_with_no_unknowns_checks_the_right_hand_side(field):
+    """The erasure decoder's check of a word without erasures: rows of
+    width 0 have the empty solution exactly when every right-hand side is 0."""
+    assert solve(field, [[], [], []], [0, 0, 0]) == []
+    for b in ([1, 0, 0], [0, 0, field.q - 1], [2, 1, 1]):
+        with pytest.raises(InconsistentSystemError):
+            solve(field, [[], [], []], b)
+
+
 def test_empty_and_zero_width_inputs(f7):
     assert rref(f7, []) == ([], [])
     assert rref(f7, [[], []]) == ([[], []], [])
