@@ -24,7 +24,7 @@ from pathlib import Path
 from .codec import erasure_decode, hybrid_decode, local_repair
 # encode is unused here but stays bound: the benchmark's tracing rebinds it
 from .codec import encode
-from .construct import Code
+from .construct import Code, validate_params
 from .errors import LrcError, TooLargeError, ValidationError
 from .field import MAX_ORDER, Field, _prime_factors
 from .formats import (
@@ -90,8 +90,7 @@ def _field_of_order(q: int) -> Field:
 
 def cmd_params(args) -> int:
     field = _field_of_order(args.q)
-    code = Code.build(field, args.r)
-    p = code.params
+    p = validate_params(field, args.r)
     bound = singleton_like_bound(p.n, p.k, p.r)
     print(f"q={field.q} p={field.p} m={field.m} modulus={list(field.modulus)}")
     print(f"r={p.r} n={p.n} k={p.k} d_target={p.d_target}")

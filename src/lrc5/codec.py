@@ -159,13 +159,22 @@ class HybridResult:
     symbols_read: int
 
 
+def _check_codeword(code: Code, word: list[int]) -> None:
+    """Refuse a complete word that a local or dense dual row does not annihilate."""
+    domain = code.domain
+    dot, local, size = code.field.dot, domain.local_parity, domain.cell_size
+    if any(dot(local, word[s:s + size]) for s in range(0, code.n, size)) or any(
+        dot(dense, word) for dense in domain.extra_dual
+    ):
+        raise UndecodableError(_INCONSISTENT)
+
+
 def hybrid_decode(code: Code, received: list[int | None]) -> HybridResult:
     """Local repair to a fixed point, then one global erasure solve.
 
-    The solve runs even when local repair leaves nothing to solve: with no
-    unknowns it checks the repaired word against the whole dual, so a
-    corrupt kept symbol is refused rather than returned. symbols_read does
-    not count that check.
+    When local repair leaves nothing to solve, the repaired word is checked
+    against the whole dual instead, so a corrupt kept symbol is refused
+    rather than returned. symbols_read does not count that check.
     """
     _check_length(code, received)
     work: list[int | None] = list(received)
@@ -173,7 +182,9 @@ def hybrid_decode(code: Code, received: list[int | None]) -> HybridResult:
     remaining = erasure_positions(work)
     if remaining:
         reads += code.n - len(remaining)
-    work = erasure_decode(code, work)
+        work = erasure_decode(code, work)
+    else:
+        _check_codeword(code, work)
     return HybridResult(
         codeword=work,
         locally_repaired=local_fixed,

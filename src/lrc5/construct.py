@@ -22,14 +22,14 @@ Every monomial evaluation on the grid is one transform on EvaluationDomain.
 Position t*(q-1) + u holds (x_u, g^t), so grid row t of x^i y^j is the
 block g^(j*t) * (x_u^i)_u. monomial_row joins q-1 such blocks, built once
 per i, into a row of G or one of the three dense extra_dual_rows. evaluate
-is a (q-1) x (q-1) two-dimensional transform, about k + (q-1)*|I| vector
-operations of length q-1 for |I| distinct exponents i, against k of length
-n for m*G; Code.encode and evaluate_on_domain run it, and interpolate is
-its inverse, from the character sums on V. The dual is spanned by one
-local row per cell and the three extra_dual_rows, so an erasure decode
-checks the local parity of each cell without erasures and solves only
-(cells with erasures + 3) equations in the erased symbols, after O(n) work
-for the syndromes.
+is a (q-1) x (q-1) two-dimensional transform on the rows (x_u^i)_u alone,
+about k + (q-1)*|I| vector operations of length q-1 for |I| distinct
+exponents i, against k of length n for m*G; Code.encode and
+evaluate_on_domain run it, and interpolate is its inverse, from the
+character sums on V. The dual is spanned by one local row per cell and the
+three extra_dual_rows, so an erasure decode checks the local parity of each
+cell without erasures and solves only (cells with erasures + 3) equations
+in the erased symbols, after O(n) work for the syndromes.
 """
 
 from collections.abc import Iterable
@@ -115,24 +115,6 @@ def build_monomial_basis(params: CodeParams) -> list[Monomial]:
     return basis
 
 
-class _XBlocks(dict):
-    """Exponent i in [0, q-2] -> the q-1 blocks g^e * (x_u^i)_u, e in
-    [0, q-2], over the x-values x_u of one grid row; block 0 is x^i itself.
-    Each entry is built on first use and shared by every row that needs it.
-    Blocks are tuples: shared, so immutable, and of ints only, so the
-    garbage collector stops scanning them once they survive a collection."""
-
-    def __init__(self, field: Field, xs: list[int]):
-        super().__init__()
-        self.field, self.xs = field, xs
-
-    def __missing__(self, i: int) -> list[tuple[int, ...]]:
-        qm1, exp, log = self.field.q - 1, self.field.exp, self.field.log
-        lxi = [i * log[x] % qm1 for x in self.xs]
-        blocks = self[i] = [tuple([exp[la + e] for la in lxi]) for e in range(qm1)]
-        return blocks
-
-
 @dataclass
 class EvaluationDomain:
     """Ordered grid points plus the recovery-set partition."""
@@ -167,8 +149,19 @@ class EvaluationDomain:
         return [[exp[j * t % qm1] for t in range(qm1)] for j in range(qm1)]
 
     @cached_property
-    def _x_blocks(self) -> _XBlocks:
-        return _XBlocks(self.field, [x for x, _ in self.points[:self.field.q - 1]])
+    def x_powers(self) -> list[list[int]]:
+        """Row i is x_u^i over one grid row's x-values x_u, i in [0, q-2]."""
+        qm1, exp, log = self.field.q - 1, self.field.exp, self.field.log
+        lxs = [log[x] for x, _ in self.points[:qm1]]
+        return [[exp[i * lx % qm1] for lx in lxs] for i in range(qm1)]
+
+    @cached_property
+    def _x_blocks(self) -> dict[int, list[tuple[int, ...]]]:
+        """Exponent i -> the q-1 blocks g^e * (x_u^i)_u, e in [0, q-2], that
+        monomial_row joins, each built on first use. Blocks are tuples:
+        shared, so immutable, and of ints only, so the garbage collector
+        stops scanning them once they survive a collection."""
+        return {}
 
     def monomial_row(self, i: int, j: int) -> list[int]:
         """The evaluations of x^i y^j over the grid, exponents taken mod q-1.
@@ -177,7 +170,10 @@ class EvaluationDomain:
         shared blocks rather than computing n products.
         """
         qm1 = self.field.q - 1
-        blocks = self._x_blocks[i % qm1]
+        i %= qm1
+        if (blocks := self._x_blocks.get(i)) is None:
+            scale, xi = self.field.scale, self.x_powers[i]
+            blocks = self._x_blocks[i] = [tuple(scale(ge, xi)) for ge in self.field.exp[:qm1]]
         row: list[int] = []
         for t in range(qm1):
             row += blocks[j * t % qm1]
@@ -194,7 +190,7 @@ class EvaluationDomain:
         for (i, j), c in terms:
             if c:
                 neg_poly[i] = submul(neg_poly.get(i, zero), c, yp[j % qm1])
-        parts = [(npi, self._x_blocks[i % qm1][0]) for i, npi in neg_poly.items()]
+        parts = [(npi, self.x_powers[i % qm1]) for i, npi in neg_poly.items()]
         out: list[int] = []
         for t in range(qm1):
             row = zero
@@ -322,7 +318,7 @@ def interpolate(
     qm1 = field.q - 1
     if len(values) != len(domain.points):
         raise ValueError("one value per domain point required")
-    x_inv = [domain._x_blocks[-i % qm1][0] for i in range(qm1)]
+    x_inv = [domain.x_powers[-i % qm1] for i in range(qm1)]
     y_inv = [domain.y_powers[-j % qm1] for j in range(qm1)]
     grid_rows = [values[s:s + qm1] for s in range(0, len(values), qm1)]
     # sums[i][t] = sum_u v_tu x_u^(-i)

@@ -4,15 +4,19 @@ Field elements are plain ints in [0, q). The base-p digits of an index are
 the coefficients of the representative polynomial, constant term first, so
 index 0 is the additive zero, index 1 the multiplicative one, and index p
 the polynomial x (when m > 1). Multiplication, inversion, and powers run on
-log/antilog tables built once at construction. Addition is plain mod-p ints
-when m = 1, a single xor when p = 2, and otherwise goes through a Zech
-logarithm table, zech[k] = log(1 + g^k), so g^i + g^j = g^(i + zech[j-i])
-costs a few table lookups in every odd-characteristic extension.
+log/antilog tables built at construction.
 
-The field kind is decided here and nowhere else: the vector primitives
-submul (ys - a*xs) and scale (a*xs) that row reduction and encoding run on,
-and the affine_det certificate that verify's sampled lemma scan runs on, are
-specialised once, when the Field is built.
+Addition and the vector primitives run on one kernel for every field kind:
+a q x q addition table, a q x q multiplication table and the negation row
+-a = (p-1)*a. add, sub and neg are single lookups; submul (ys - a*xs, the
+step of row reduction), scale (a*xs) and dot are one loop of lookups each.
+The tables are built on first use, so a Field that only names a code, or
+builds its grid from log/antilog, never holds q^2 entries.
+
+The field kind is decided only by the bootstrap arithmetic that finds the
+modulus and generator, and by affine_det, the certificate that verify's
+sampled lemma scan runs on: one integer expression reduced mod p at prime
+q, the field's own sub, mul and add otherwise.
 
 A field is named by (p, m) alone. Its reducing modulus is the first monic
 irreducible polynomial of degree m in index order (non-leading coefficients
@@ -23,6 +27,7 @@ For m = 1 the modulus is the placeholder x and arithmetic is plain mod p.
 """
 
 from collections.abc import Sequence
+from functools import cached_property
 
 from .errors import NotADivisorError, NotPrimeError, TooLargeError
 
@@ -104,19 +109,17 @@ class Field:
             constant first.
         generator: index of the canonical primitive element, the smallest
             index of multiplicative order q-1.
-        submul: submul(ys, a, xs) returns ys - a*xs as a new list. It is
-            chosen at construction: ints mod p (m = 1), xor on the log
-            tables (p = 2), or Zech addition (odd-characteristic extensions).
+        exp, log: antilog and log tables of the generator; exp is doubled,
+            so exp[log[a] + log[b]] needs no reduction mod q-1.
         affine_det: affine_det(p0, p1, p2, p3) returns the determinant of
             the 4x4 matrix whose columns are (1, p_k) for four points of
             F^3. It is chosen at construction: one integer expression and a
             single reduction mod p (m = 1), or the field's sub, mul and add.
-    """
 
-    __slots__ = (
-        "p", "m", "q", "modulus", "generator", "exp", "log", "submul",
-        "affine_det", "_qm1", "_half", "_zech",
-    )
+    add, sub, neg, submul, scale and dot read the q x q addition and
+    multiplication tables, which are built on first use; mul, inv, div and
+    pow read exp and log only.
+    """
 
     def __init__(self, p: int, m: int = 1):
         # both checks come before trial division of p; min(m, 17) decides
@@ -127,14 +130,18 @@ class Field:
             raise TooLargeError(f"field order {p}^{m} exceeds 2^16")
         if p < 2 or _prime_factors(p) != [p]:
             raise NotPrimeError(f"characteristic {p} is not prime")
-        q = p**m
-        self.p = p
-        self.m = m
-        self.q = q
+        self.p, self.m, self.q = p, m, p**m
         self.modulus = (0, 1) if m == 1 else _smallest_irreducible(p, m)
-        self._qm1 = q - 1
+        self._qm1 = self.q - 1
         self.generator = self._find_generator()
-        self._build_tables()
+        exp = [1]
+        for _ in range(self.q - 2):
+            exp.append(self._raw_mul(exp[-1], self.generator))
+        self.log = [0] * self.q
+        for i, e in enumerate(exp):
+            self.log[e] = i
+        self.exp = exp + exp
+        self.affine_det = self._affine_det_mod if m == 1 else self._affine_det_field
 
     # Bootstrap arithmetic on polynomial indices, used only to build tables.
     def _raw_mul(self, a: int, b: int) -> int:
@@ -162,49 +169,37 @@ class Field:
         return out
 
     def _find_generator(self) -> int:
-        qm1 = self._qm1
-        if qm1 == 1:
-            return 1
-        checks = [qm1 // f for f in _prime_factors(qm1)]
-        for a in range(2, self.q):
+        # at q = 2 there is nothing to check and 1 generates
+        checks = [self._qm1 // f for f in _prime_factors(self._qm1)]
+        for a in range(1, self.q):
             if all(self._raw_pow(a, e) != 1 for e in checks):
                 return a
         raise AssertionError("no primitive element found")  # unreachable
 
-    def _build_tables(self) -> None:
-        p, qm1 = self.p, self._qm1
-        # exp is doubled so mul never reduces the summed logs mod q-1, then
-        # padded with zeros for the Zech sentinel to land on
-        exp = [1] * (2 * qm1) + [0] * qm1
-        log = [0] * self.q
-        e = 1
-        for i in range(qm1):
-            exp[i] = e
-            log[e] = i
-            e = self._raw_mul(e, self.generator)
-        for i in range(qm1, 2 * qm1):
-            exp[i] = exp[i - qm1]
-        self.exp = exp
-        self.log = log
-        self.affine_det = self._affine_det_mod if self.m == 1 else self._affine_det_field
-        if self.m == 1:
-            self.submul = self._submul_mod
-        elif p == 2:
-            self.submul = self._submul_xor
-        else:
-            # zech[k] = log(1 + g^k); 1 + g^k only changes the constant
-            # digit of g^k. Where 1 + g^k = 0 the sentinel 2(q-1) makes
-            # exp[log + zech[k]] read the zero padding. The table is doubled
-            # so differences of two or three logs index it without a mod.
-            zech = [2 * qm1] * qm1
-            for k in range(qm1):
-                e = exp[k]
-                one_plus = e + 1 if e % p != p - 1 else e + 1 - p
-                if one_plus:
-                    zech[k] = log[one_plus]
-            self._zech = zech + zech
-            self._half = qm1 // 2
-            self.submul = self._submul_zech
+    @cached_property
+    def _add(self) -> list[list[int]]:
+        """Addition table. Sums are digit-wise mod p, so row a is row a - w
+        with digit k raised by 1 mod p, for w = p^k and k the lowest nonzero
+        digit of a."""
+        p, q = self.p, self.q
+        rows = [list(range(q))]
+        for a in range(1, q):
+            w = 1
+            while a // w % p == 0:
+                w *= p
+            rows.append([v + w if v // w % p != p - 1 else v + w - p * w for v in rows[a - w]])
+        return rows
+
+    @cached_property
+    def _mul(self) -> list[list[int]]:
+        """Multiplication table, one log-table row per element."""
+        exp, logs = self.exp, self.log[1:]
+        return [[0] * self.q] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
+
+    @cached_property
+    def _neg(self) -> list[int]:
+        """-a = (p-1)*a, so negation is a row of the multiplication table."""
+        return self._mul[self.p - 1]
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
@@ -221,36 +216,13 @@ class Field:
         return range(1, self.q)
 
     def add(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        if not a:
-            return b
-        if not b:
-            return a
-        la = self.log[a]
-        return self.exp[la + self._zech[self.log[b] - la]]
+        return self._add[a][b]
 
     def neg(self, a: int) -> int:
-        if self.m == 1:
-            return (-a) % self.p
-        if self.p == 2 or not a:
-            return a
-        return self.exp[self.log[a] + self._half]
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a - b) % self.p
-        if self.p == 2:
-            return a ^ b
-        if not b:
-            return a
-        lnb = self.log[b] + self._half  # log of -b
-        if not a:
-            return self.exp[lnb]
-        la = self.log[a]
-        return self.exp[la + self._zech[lnb - la]]
+        return self._add[a][self._neg[b]]
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -279,30 +251,20 @@ class Field:
 
     def dot(self, xs: Sequence[int], ys: Sequence[int]) -> int:
         """Inner product; hot path for syndromes and matrix products."""
-        if self.m == 1:
-            return sum(map(int.__mul__, xs, ys)) % self.p
-        if self.p == 2:
-            exp = self.exp
-            log = self.log
-            acc = 0
-            for x, y in zip(xs, ys):
-                if x and y:
-                    acc ^= exp[log[x] + log[y]]
-            return acc
-        # Zech addition of each term g^lt to acc = g^la; a sum that cancels
-        # reads 0 from the exp padding. lt - la may be negative, and the
-        # doubled zech table wraps that index to the same residue.
-        exp, log, zech = self.exp, self.log, self._zech
+        add, mul = self._add, self._mul
         acc = 0
         for x, y in zip(xs, ys):
-            if x and y:
-                lt = log[x] + log[y]
-                if acc:
-                    la = log[acc]
-                    acc = exp[la + zech[lt - la]]
-                else:
-                    acc = exp[lt]
+            acc = add[acc][mul[x][y]]
         return acc
+
+    def submul(self, ys: Sequence[int], a: int, xs: Sequence[int]) -> list[int]:
+        """ys - a*xs as a new list: the hot step of row reduction."""
+        add, mr = self._add, self._mul[self._neg[a]]
+        return [add[y][mr[x]] for y, x in zip(ys, xs)]
+
+    def scale(self, a: int, xs: Sequence[int]) -> list[int]:
+        """a*xs as a new list."""
+        return list(map(self._mul[a].__getitem__, xs))
 
     def _affine_det_mod(self, p0, p1, p2, p3) -> int:
         # subtracting the first column leaves the 3x3 determinant of the
@@ -323,37 +285,6 @@ class Field:
             sub(mul(a, sub(mul(e, i), mul(f, h))), mul(b, sub(mul(d, i), mul(f, g)))),
             mul(c, sub(mul(d, h), mul(e, g))),
         )
-
-    def _submul_mod(self, ys: Sequence[int], a: int, xs: Sequence[int]) -> list[int]:
-        p = self.p
-        return [(y - a * x) % p for y, x in zip(ys, xs)]
-
-    def _submul_xor(self, ys: Sequence[int], a: int, xs: Sequence[int]) -> list[int]:
-        if not a:
-            return list(ys)
-        exp, log = self.exp, self.log
-        la = log[a]
-        return [y ^ exp[la + log[x]] if x else y for y, x in zip(ys, xs)]
-
-    def _submul_zech(self, ys: Sequence[int], a: int, xs: Sequence[int]) -> list[int]:
-        if not a:
-            return list(ys)
-        exp, log, zech = self.exp, self.log, self._zech
-        ln = (log[a] + self._half) % self._qm1  # log of -a
-        return [
-            (exp[(ly := log[y]) + zech[ln + log[x] - ly]] if y else exp[ln + log[x]])
-            if x
-            else y
-            for y, x in zip(ys, xs)
-        ]
-
-    def scale(self, a: int, xs: Sequence[int]) -> list[int]:
-        """a*xs as a new list; one log-table pass in every field kind."""
-        if not a:
-            return [0] * len(xs)
-        exp, log = self.exp, self.log
-        la = log[a]
-        return [exp[la + log[x]] if x else 0 for x in xs]
 
     def spec_dict(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus), "q": self.q}

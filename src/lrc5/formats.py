@@ -76,6 +76,18 @@ def word_to_text(symbols: list[int | None]) -> str:
     return ",".join(ERASURE_MARK if s is None else str(s) for s in symbols) + "\n"
 
 
+#: longest token an error message echoes in full
+ECHO_MAX = 40
+
+
+def _echo(text: str, show=repr) -> str:
+    """show(text), with text cut to ECHO_MAX characters so one ERR line
+    stays short."""
+    if len(text) <= ECHO_MAX:
+        return show(text)
+    return f"{show(text[:ECHO_MAX])}... ({len(text)} characters)"
+
+
 def parse_word(text: str, q: int, path: str = "word") -> list[int | None]:
     """Codeword file: one line of comma-separated indices, '?' for erased."""
     body = text.strip()
@@ -90,9 +102,9 @@ def parse_word(text: str, q: int, path: str = "word") -> list[int | None]:
         try:
             v = int(tok)
         except ValueError:
-            raise FormatError(f"{path}: token {tok!r} is not an integer or '?'")
+            raise FormatError(f"{path}: token {_echo(tok)} is not an integer or '?'")
         if not 0 <= v < q:
-            raise FormatError(f"{path}: symbol {v} outside [0, {q})")
+            raise FormatError(f"{path}: symbol {_echo(str(v), str)} outside [0, {q})")
         out.append(v)
     return out
 

@@ -67,6 +67,23 @@ def test_params_output(capsys):
     assert "optimality_equivalence=holds" in lines
 
 
+@pytest.mark.parametrize("q,n,k", [("4096", 16769025, 11179347), ("65521", 4292870400, 2861913597)])
+def test_params_computes_arithmetic_only(capsys, monkeypatch, q, n, k):
+    """params builds no grid, basis or field table, so it answers at once at
+    any q up to 2^16; building the code at q = 4096 needs gigabytes."""
+    def no_build(*args):
+        raise AssertionError("params built part of the code")
+
+    monkeypatch.setattr("lrc5.construct.build_domain", no_build)
+    monkeypatch.setattr("lrc5.construct.build_monomial_basis", no_build)
+    built = []
+    monkeypatch.setattr(Field, "_add", property(lambda f: built.append(f)))
+    monkeypatch.setattr(Field, "_mul", property(lambda f: built.append(f)))
+    rc, out, err = run(capsys, "params", "--q", q, "--r", "2")
+    assert rc == 0 and err == "" and built == []
+    assert f"r=2 n={n} k={k} d_target=5" in out.splitlines()
+
+
 def test_params_reports_equivalence_side_condition(capsys):
     rc, out, _ = run(capsys, "params", "--q", "5", "--r", "3")
     assert rc == 0

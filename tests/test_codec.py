@@ -473,3 +473,27 @@ def test_erasure_decode_agrees_with_dense_oracle_on_edge_counts(code75):
     assert message == "10 erasures exceed the redundancy n-k = 9"
     kind, _ = assert_decoders_agree(code75, list(w)[:-1])
     assert kind is LengthMismatchError
+
+
+def test_a_word_that_passes_every_local_check_is_refused_by_the_dense_rows(
+    code75, monkeypatch
+):
+    """Nothing left to solve: hybrid_decode checks the local and dense
+    syndromes itself, without erasure_decode. A weight-2 error inside one
+    cell that its local parity cannot see is below the distance, so a dense
+    row refuses it, with erasure_decode's error and message."""
+    f = code75.field
+    w = random_codeword(code75, SplitMix64(37))
+    local = code75.domain.local_parity
+    received = erased(w, [8])
+    received[0] = f.add(received[0], local[1])
+    received[1] = f.sub(received[1], local[0])
+    assert verdict(erasure_decode, code75, received)[0] is UndecodableError
+
+    def no_solve(code, word):
+        raise AssertionError("erasure_decode called with nothing left to solve")
+
+    monkeypatch.setattr("lrc5.codec.erasure_decode", no_solve)
+    refusal = (UndecodableError, "kept symbols are not consistent with any codeword")
+    assert verdict(hybrid_decode, code75, received) == refusal
+    assert hybrid_decode(code75, erased(w, [8])).codeword == w

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from lrc5.construct import (
@@ -289,6 +291,24 @@ def test_code_build_and_caching(code75):
     assert code75.parity_check_matrix is code75.parity_check_matrix
     fresh = Code.build(Field(7), 5)
     assert fresh.generator_matrix == code75.generator_matrix
+
+
+def test_encode_builds_no_scaled_blocks():
+    """Code.encode reads only the x^i rows, about n entries. Building the
+    q-1 scaled blocks of every exponent it meets would hold about
+    (q-1)^3 entries: a 2.0 MB peak at GF(64) r=6, against the 0.5 MB
+    bound here, field tables included."""
+    code = Code.build(Field(2, 6), 6)
+    msg = [i % 64 for i in range(code.k)]
+    tracemalloc.start()
+    try:
+        word = code.encode(msg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+    assert "_x_blocks" not in vars(code.domain)
+    assert len(word) == code.n and any(word)
 
 
 def test_build_matrices_standalone(f5):

@@ -58,7 +58,7 @@ def test_extension_field_arithmetic_matches_polynomial_model(p, m):
             assert f.inv(a) == oracle.inv_idx(a)
 
 
-@pytest.mark.parametrize("p,m", [(13, 1), (2, 4), (3, 2), (3, 3)])
+@pytest.mark.parametrize("p,m", [(2, 1), (13, 1), (2, 4), (3, 2), (3, 3)])
 def test_submul_and_scale_match_scalar_ops(p, m):
     f = Field(p, m)
     q = f.q
@@ -150,6 +150,22 @@ def test_field_rejects_non_prime_characteristic():
         Field(-300, 2)
 
 
+@pytest.mark.parametrize("p,m", [(65521, 1), (2, 12), (3, 7)])
+def test_a_field_builds_its_tables_on_first_use(p, m):
+    """Up to 2^16, construction, mul, inv and pow hold log/antilog and no
+    q x q table."""
+    f = Field(p, m)
+    g = f.generator
+    assert f.mul(g, f.inv(g)) == 1 == f.pow(g, f.q - 1)
+    assert not {"_add", "_mul", "_neg"} & set(vars(f))
+
+
+def test_the_first_add_builds_the_addition_table_alone():
+    f = Field(13)
+    assert f.add(0, 2) == 2
+    assert {"_add", "_mul", "_neg"} & set(vars(f)) == {"_add"}
+
+
 def test_field_rejects_orders_beyond_cap():
     with pytest.raises(TooLargeError):
         Field(65537)
@@ -189,8 +205,12 @@ def test_dot_product(f7):
     assert f7.dot([], []) == 0
 
 
-@pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (5, 2), (7, 2)])
+@pytest.mark.parametrize(
+    "p,m", [(2, 1), (3, 1), (13, 1), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)]
+)
 def test_odd_extension_dot_matches_scalar_fold(p, m):
+    """dot is one table loop in every field kind, so it is checked in each:
+    prime, characteristic 2 and odd-characteristic extensions."""
     f = Field(p, m)
     q = f.q
 

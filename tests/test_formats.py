@@ -71,6 +71,20 @@ def test_word_rejects_bad_tokens():
         parse_word("", 7)
 
 
+def test_format_errors_echo_at_most_a_fixed_length_of_a_token():
+    with pytest.raises(FormatError, match=r"^word: token 'zz' is not an integer or '\?'$"):
+        parse_word("1,zz,3", 7)
+    with pytest.raises(FormatError, match=r"^word: symbol 9 outside \[0, 7\)$"):
+        parse_word("1,9", 7)
+    # a space-separated message is one token of every symbol
+    token, symbol = " ".join(["63"] * 3_399), "9" * 4_000
+    for text, echo in ((token, f"token {token[:40]!r}"), (symbol, f"symbol {symbol[:40]}")):
+        with pytest.raises(FormatError) as err:
+            parse_word(text, 64)
+        assert f"{echo}... ({len(text)} characters)" in str(err.value)
+        assert len(str(err.value)) < 120
+
+
 def test_message_must_be_complete_and_sized():
     assert parse_message("1,2,3", 7, 3) == [1, 2, 3]
     with pytest.raises(FormatError):
