@@ -11,7 +11,8 @@ a q x q addition table, a q x q multiplication table and the negation row
 -a = (p-1)*a. add, sub and neg are single lookups; submul (ys - a*xs, the
 step of row reduction), scale (a*xs) and dot are one loop of lookups each.
 The tables are built on first use, so a Field that only names a code, or
-builds its grid from log/antilog, never holds q^2 entries.
+builds its grid from log/antilog, never holds q^2 entries; above
+MAX_TABLE_ORDER they are refused with TooLargeError.
 
 The field kind is decided only by the bootstrap arithmetic that finds the
 modulus and generator, and by affine_det, the certificate that verify's
@@ -32,6 +33,9 @@ from functools import cached_property
 from .errors import NotADivisorError, NotPrimeError, TooLargeError
 
 MAX_ORDER = 1 << 16
+#: largest order whose q x q tables are built: 16.8M entries each; a
+#: command at that order already needs (q-1)^2 = 16.7M grid points
+MAX_TABLE_ORDER = 1 << 12
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -134,9 +138,7 @@ class Field:
         self.modulus = (0, 1) if m == 1 else _smallest_irreducible(p, m)
         self._qm1 = self.q - 1
         self.generator = self._find_generator()
-        exp = [1]
-        for _ in range(self.q - 2):
-            exp.append(self._raw_mul(exp[-1], self.generator))
+        exp = self._powers()
         self.log = [0] * self.q
         for i, e in enumerate(exp):
             self.log[e] = i
@@ -176,12 +178,63 @@ class Field:
                 return a
         raise AssertionError("no primitive element found")  # unreachable
 
+    def _powers(self) -> list[int]:
+        """g^0, ..., g^(q-2) for the generator g.
+
+        For m > 1, multiplication by g is GF(p)-linear, so with lo the low
+        h = ceil(m/2) digits of an element and hi the rest, g*(lo + p^h hi)
+        is the digit-wise sum of g*lo and g*(p^h hi), two lookups in tables
+        over half-indices. The sum runs on whole ints with each digit in its
+        own s-bit slot, 2^(s-1) > p: a slot then holds at most 2p-2, adding
+        2^(s-1) - p to it sets its top bit exactly when it reached p, and p
+        is subtracted from those slots.
+        """
+        p, m, g = self.p, self.m, self.generator
+        if m == 1:  # plain mod p; a half-index table would hold all q elements
+            powers = [1]
+            for _ in range(p - 2):
+                powers.append(powers[-1] * g % p)
+            return powers
+        s, h = p.bit_length() + 1, (m + 1) // 2
+        half, shift = p**h, s * h
+        # spreads[c]: the h-digit index c with its digits in s-bit slots
+        spreads = [0]
+        for c in range(1, half):
+            spreads.append(spreads[c // p] << s | c % p)
+        highs = spreads[: p ** (m - h)]
+
+        def spread(v):
+            return spreads[v % half] | spreads[v // half] << shift
+
+        low = {spreads[c]: spread(self._raw_mul(c, g)) for c in range(half)}
+        high = {sp: spread(self._raw_mul(c * half, g)) for c, sp in enumerate(highs)}
+        ones = spread((self.q - 1) // (p - 1))  # every digit 1
+        bias, top = ((1 << (s - 1)) - p) * ones, (1 << (s - 1)) * ones
+        mask = (1 << shift) - 1
+        x, powers = 1, [1]
+        for _ in range(self.q - 2):
+            t = low[x & mask] + high[x >> shift]
+            x = t - p * (((t + bias) & top) >> (s - 1))
+            powers.append(x)
+        lo_index = {sp: c for c, sp in enumerate(spreads)}
+        hi_index = {sp: c * half for c, sp in enumerate(highs)}
+        return [lo_index[x & mask] + hi_index[x >> shift] for x in powers]
+
+    def _table_order(self) -> int:
+        """q, once it is known to be at most MAX_TABLE_ORDER."""
+        if self.q > MAX_TABLE_ORDER:
+            raise TooLargeError(
+                f"{self!r} is above GF({MAX_TABLE_ORDER}), the largest order "
+                "that builds q x q addition and multiplication tables"
+            )
+        return self.q
+
     @cached_property
     def _add(self) -> list[list[int]]:
         """Addition table. Sums are digit-wise mod p, so row a is row a - w
         with digit k raised by 1 mod p, for w = p^k and k the lowest nonzero
         digit of a."""
-        p, q = self.p, self.q
+        p, q = self.p, self._table_order()
         rows = [list(range(q))]
         for a in range(1, q):
             w = 1
@@ -194,7 +247,7 @@ class Field:
     def _mul(self) -> list[list[int]]:
         """Multiplication table, one log-table row per element."""
         exp, logs = self.exp, self.log[1:]
-        return [[0] * self.q] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
+        return [[0] * self._table_order()] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
 
     @cached_property
     def _neg(self) -> list[int]:

@@ -121,12 +121,12 @@ def run_simulation(code: Code, config: SimulationConfig) -> SimulationResult:
     recovered_trials = 0
     hist: dict[int, int] = {}
     for _ in range(config.trials):
-        msg = [rng.randbelow(q) for _ in range(k)]
+        msg = rng.below(q, k)
         cw = code.encode(msg)
         if config.model == "fixed":
             pattern = rng.sample_sorted(n, config.t)
         else:
-            pattern = [i for i in range(n) if rng.next_u64() < threshold]
+            pattern = [i for i, u in enumerate(rng.below(1 << 64, n)) if u < threshold]
         erased_total += len(pattern)
         pattern_set = set(pattern)
         for cell in code.domain.cells:

@@ -14,12 +14,15 @@ scans stop with BudgetExceededError once they would pass it, and sampled
 scans refuse more trials than that. exhaustive_cost is the exact count of a
 complete exhaustive scan; mode "auto" runs exhaustive exactly when it fits.
 
-Sampled rank-lemma scans first try a certificate: rows (0, 1, 2, 4) of a
+Sampled rank-lemma scans first try two certificates: rows (0, 1, 2, 4) of a
 4-subset's moment columns form a 4x4 minor whose determinant is the affine
-determinant Field.affine_det of the points (ab, a^2 b, a b^2), and a nonzero
-minor proves rank 4. It is nonzero for about 85 to 89% of subsets. Only the
-rest are reduced, so the sampled subsets, trials, witnesses and bins are
-those of the reductions alone, and the budget still counts trials.
+determinant Field.affine_det of the points (ab, a^2 b, a b^2), rows
+(0, 4, 5, 6) one whose determinant is that of (a b^2, a b^3, a b^4), and
+either minor nonzero proves rank 4. On 20,000 seeded subsets the first is
+nonzero for 85% (GF(5)) to 96% (GF(27)) of them, and with the second only
+3.7% (GF(5)) to 0.16% (GF(27)) are left, 0.6% at GF(13). Only those are
+reduced, so the sampled subsets, trials, witnesses and bins are those of
+the reductions alone, and the budget still counts trials.
 
 Every check returns a VerificationReport. A failing report always carries a
 witness concrete enough to replay by hand (a column subset, a point subset,
@@ -28,6 +31,7 @@ or a repaired-vs-expected symbol).
 
 import time
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 from math import comb
 
@@ -224,10 +228,10 @@ def _scan_sampled(field, columns, size, trials, seed, on_subset=None, certify=No
     certify(subset) may return True only for a subset that is certainly
     independent; every other subset is decided by reduction.
     """
-    rng = SplitMix64(seed)
+    sample = SplitMix64(seed).sample_sorted
     n = len(columns)
     for t in range(trials):
-        subset = rng.sample_sorted(n, size)
+        subset = sample(n, size)
         if certify is None or not certify(subset):
             basis = []
             for idx in subset:
@@ -399,6 +403,22 @@ def _moment_columns(field: Field) -> tuple[list[tuple[int, int]], list, list[int
     return points, columns, betas
 
 
+def _lemma_certificate(field: Field, columns: list) -> Callable[[list[int]], bool]:
+    """certify(subset): whether the rows (0, 1, 2, 4) or the rows
+    (0, 4, 5, 6) of the subset's four moment columns form a nonzero 4x4
+    minor, which proves rank 4."""
+    first = [(c[1], c[2], c[4]) for c in columns]
+    second = [(c[4], c[5], c[6]) for c in columns]
+    det = field.affine_det
+
+    def certify(subset):
+        i, j, k, l = subset
+        return (det(first[i], first[j], first[k], first[l]) != 0
+                or det(second[i], second[j], second[k], second[l]) != 0)
+
+    return certify
+
+
 def verify_constraint_matrix(
     field: Field,
     mode: str = "exhaustive",
@@ -417,14 +437,7 @@ def verify_constraint_matrix(
     """
     t0 = time.perf_counter()
     points, columns, betas = _moment_columns(field)
-    # rows (0, 1, 2, 4) of four columns: a nonzero minor proves rank 4
-    affine = [(c[1], c[2], c[4]) for c in columns]
-    det = field.affine_det
-
-    def certify(subset):
-        i, j, k, l = subset
-        return det(affine[i], affine[j], affine[k], affine[l]) != 0
-
+    certify = _lemma_certificate(field, columns)
     mode, checked, failure, bins = _scan(field, columns, 4, mode, trials, seed, betas, certify)
     witness = None
     if failure is not None:
@@ -459,7 +472,7 @@ def verify_locality(code: Code, trials: int = 25, seed: int = 0) -> Verification
     if witness is None:
         rng = SplitMix64(seed)
         for _ in range(trials):
-            msg = [rng.randbelow(field.q) for _ in range(code.k)]
+            msg = rng.below(field.q, code.k)
             cw = code.encode(msg)
             for pos in range(code.n):
                 received: list[int | None] = list(cw)

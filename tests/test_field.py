@@ -166,6 +166,31 @@ def test_the_first_add_builds_the_addition_table_alone():
     assert {"_add", "_mul", "_neg"} & set(vars(f)) == {"_add"}
 
 
+@pytest.mark.parametrize(
+    "p,m", [(2, 1), (13, 1), (2, 2), (3, 2), (2, 12), (3, 7), (5, 4), (7, 3), (17, 2), (2, 9), (3, 5)]
+)
+def test_exp_and_log_equal_the_generator_chain(p, m):
+    """The half-index power chain gives the powers the bootstrap product
+    gives, one _raw_mul per power."""
+    f = Field(p, m)
+    chain = [1]
+    for _ in range(f.q - 2):
+        chain.append(f._raw_mul(chain[-1], f.generator))
+    assert f.exp == chain + chain
+    assert [f.log[e] for e in chain] == list(range(f.q - 1))
+
+
+@pytest.mark.parametrize("p,m", [(65521, 1), (2, 13), (3, 8)])
+def test_tables_above_the_table_order_are_refused_at_once(p, m):
+    f = Field(p, m)
+    for call in (lambda: f.add(0, 1), lambda: f.sub(1, 0), lambda: f.neg(1),
+                 lambda: f.dot([1], [1]), lambda: f.submul([1], 1, [1]), lambda: f.scale(1, [1])):
+        with pytest.raises(TooLargeError, match="4096"):
+            call()
+    assert not {"_add", "_mul", "_neg"} & set(vars(f))
+    assert f.mul(2, f.inv(2)) == 1
+
+
 def test_field_rejects_orders_beyond_cap():
     with pytest.raises(TooLargeError):
         Field(65537)

@@ -27,6 +27,7 @@ from lrc5.rng import SplitMix64
 from lrc5.verify import (
     SUBSET_BUDGET,
     VerificationReport,
+    _lemma_certificate,
     _moment_columns,
     _scan,
     _scan_exhaustive,
@@ -324,29 +325,46 @@ FIELDS = {5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2), 13: (13, 1),
           16: (2, 4), 17: (17, 1), 27: (3, 3)}
 
 
-def _minor_drop_agrees(f, affine, quad):
-    """affine_det vanishes exactly when the rows (0, 1, 2, 4) minor of the
-    quadruple's moment columns has rank below 4."""
-    minor = [[1, *affine[i]] for i in quad]
-    return (f.affine_det(*(affine[i] for i in quad)) == 0) == (rank(f, minor) < 4)
+def _minors_agree(f, columns, certify, quad):
+    """affine_det vanishes exactly when the rows (0, 1, 2, 4), or the rows
+    (0, 4, 5, 6), minor of the quadruple's moment columns has rank below 4,
+    and a quadruple the certificate passes has rank 4."""
+    cols = [columns[i] for i in quad]
+    for rows in ((1, 2, 4), (4, 5, 6)):
+        pts = [tuple(c[r] for r in rows) for c in cols]
+        if (f.affine_det(*pts) == 0) != (rank(f, [[1, *pt] for pt in pts]) < 4):
+            return False
+    return not certify(list(quad)) or rank(f, cols) == 4
 
 
 @pytest.mark.parametrize("q", [5, 7])
 def test_lemma_minor_vanishes_exactly_when_it_drops_rank_on_every_quadruple(q):
     f = Field(q)
     _, columns, _ = _moment_columns(f)
-    affine = [(c[1], c[2], c[4]) for c in columns]
-    assert all(_minor_drop_agrees(f, affine, quad) for quad in combinations(range(len(columns)), 4))
+    certify = _lemma_certificate(f, columns)
+    assert all(_minors_agree(f, columns, certify, quad)
+               for quad in combinations(range(len(columns)), 4))
 
 
 @pytest.mark.parametrize("q", [8, 9, 16, 27])
 def test_lemma_minor_vanishes_exactly_when_it_drops_rank_on_seeded_quadruples(q):
     f = Field(*FIELDS[q])
     _, columns, _ = _moment_columns(f)
-    affine = [(c[1], c[2], c[4]) for c in columns]
+    certify = _lemma_certificate(f, columns)
     rng = SplitMix64(q)
-    assert all(_minor_drop_agrees(f, affine, rng.sample_sorted(len(columns), 4))
+    assert all(_minors_agree(f, columns, certify, rng.sample_sorted(len(columns), 4))
                for _ in range(5_000))
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_the_second_minor_certifies_subsets_the_first_leaves(q):
+    f = Field(q)
+    _, columns, _ = _moment_columns(f)
+    certify = _lemma_certificate(f, columns)
+    first = [(c[1], c[2], c[4]) for c in columns]
+    left = [quad for quad in combinations(range(len(columns)), 4)
+            if f.affine_det(*(first[i] for i in quad)) == 0]
+    assert left and any(certify(list(quad)) for quad in left)
 
 
 def reduce_only_lemma_scan(f, trials, seed):
