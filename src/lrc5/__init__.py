@@ -9,9 +9,9 @@ instead of assuming the design target.
 from .codec import (
     ERASED,
     HybridResult,
+    correct_error,
     encode,
     erasure_decode,
-    error_correct_bd,
     hybrid_decode,
     local_repair,
 )
@@ -41,9 +41,9 @@ __all__ = [
     "Monomial",
     "VerificationReport",
     "__version__",
+    "correct_error",
     "encode",
     "erasure_decode",
-    "error_correct_bd",
     "find_min_weight_codeword",
     "hybrid_decode",
     "local_repair",

@@ -2,7 +2,8 @@
 
 Received words are plain lists whose entries are either element indices or
 None for an erased symbol (written "?" in files). Positions are 0-based
-throughout the library; the CLI presents them 1-based.
+throughout the library; the CLI presents them 1-based. Every decoder applies
+the dual to a word through one routine, syndromes.
 """
 
 from dataclasses import dataclass
@@ -13,16 +14,13 @@ from .errors import (
     LengthMismatchError,
     LocalRepairImpossibleError,
     NotErasedError,
-    TooLargeError,
     TooManyErasuresError,
     UndecodableError,
 )
 from .field import Field
-from .linalg import InconsistentSystemError, solve, transpose
+from .linalg import InconsistentSystemError, solve
 
 ERASED = None
-
-BD_MAX_LENGTH = 256
 
 
 def erasure_positions(received: list[int | None]) -> list[int]:
@@ -77,6 +75,17 @@ def _check_length(code: Code, received: list[int | None]) -> None:
         raise LengthMismatchError(f"word length {len(received)} != n = {code.n}")
 
 
+def syndromes(code: Code, word: list[int]) -> tuple[list[int], list[int]]:
+    """The dual applied to a complete word: the local syndrome of each cell,
+    in cell order, and the syndromes of the three dense extra_dual rows."""
+    domain = code.domain
+    dot, local, size = code.field.dot, domain.local_parity, domain.cell_size
+    return (
+        [dot(local, word[start:start + size]) for start in range(0, code.n, size)],
+        [dot(dense, word) for dense in domain.extra_dual],
+    )
+
+
 _INCONSISTENT = "kept symbols are not consistent with any codeword"
 
 
@@ -99,14 +108,12 @@ def erasure_decode(code: Code, received: list[int | None]) -> list[int]:
             f"{len(erased)} erasures exceed the redundancy n-k = {redundancy}"
         )
     field, domain = code.field, code.domain
-    dot, neg = field.dot, field.neg
-    local, size = domain.local_parity, domain.cell_size
-    y0 = [0 if s is None else s for s in received]
+    neg, local, size = field.neg, domain.local_parity, domain.cell_size
+    local_syn, dense_syn = syndromes(code, [0 if s is None else s for s in received])
     in_cell: dict[int, list[int]] = {}
     for col, pos in enumerate(erased):
         in_cell.setdefault(pos // size, []).append(col)
-    syndromes = [dot(local, y0[start:start + size]) for start in range(0, code.n, size)]
-    stray = any(syn for ci, syn in enumerate(syndromes) if ci not in in_cell)
+    stray = any(syn for ci, syn in enumerate(local_syn) if ci not in in_cell)
     rows: list[list[int]] = []
     rhs: list[int] = []
     for ci, cols in in_cell.items():
@@ -114,10 +121,10 @@ def erasure_decode(code: Code, received: list[int | None]) -> list[int]:
         for col in cols:
             row[col] = local[erased[col] - ci * size]
         rows.append(row)
-        rhs.append(neg(syndromes[ci]))
-    for dense in domain.extra_dual:
+        rhs.append(neg(local_syn[ci]))
+    for dense, syn in zip(domain.extra_dual, dense_syn):
         rows.append([dense[e] for e in erased])
-        rhs.append(neg(dot(dense, y0)))
+        rhs.append(neg(syn))
     try:
         if stray:
             raise InconsistentSystemError("a cell without erasures fails its local parity")
@@ -159,16 +166,6 @@ class HybridResult:
     symbols_read: int
 
 
-def _check_codeword(code: Code, word: list[int]) -> None:
-    """Refuse a complete word that a local or dense dual row does not annihilate."""
-    domain = code.domain
-    dot, local, size = code.field.dot, domain.local_parity, domain.cell_size
-    if any(dot(local, word[s:s + size]) for s in range(0, code.n, size)) or any(
-        dot(dense, word) for dense in domain.extra_dual
-    ):
-        raise UndecodableError(_INCONSISTENT)
-
-
 def hybrid_decode(code: Code, received: list[int | None]) -> HybridResult:
     """Local repair to a fixed point, then one global erasure solve.
 
@@ -184,7 +181,9 @@ def hybrid_decode(code: Code, received: list[int | None]) -> HybridResult:
         reads += code.n - len(remaining)
         work = erasure_decode(code, work)
     else:
-        _check_codeword(code, work)
+        local_syn, dense_syn = syndromes(code, work)
+        if any(local_syn) or any(dense_syn):
+            raise UndecodableError(_INCONSISTENT)
     return HybridResult(
         codeword=work,
         locally_repaired=local_fixed,
@@ -193,62 +192,35 @@ def hybrid_decode(code: Code, received: list[int | None]) -> HybridResult:
     )
 
 
-def error_correct_bd(
-    field: Field, h_rows: list[list[int]], received: list[int], t_max: int = 1
-) -> list[int]:
-    """Bounded-distance correction of up to t_max symbol errors.
+def correct_error(code: Code, received: list[int]) -> list[int]:
+    """Correct at most one symbol error, read off the structure of the dual.
 
-    Exhaustive syndrome search, deterministic lowest-pattern-first order.
-    The match is unique only when 2 * t_max is below the code's minimum
-    distance; otherwise the lowest matching pattern wins and may differ from
-    the transmitted word. The default t_max = 1 is the largest unique radius
-    at distance 4; t_max = 2 must be asked for. Any returned word has a zero
-    syndrome.
+    The dense row of the removed monomial 1 is all ones, so an error of value
+    e is dense syndrome 0. Its cell is the one cell with a nonzero local
+    syndrome s, and s/e is the local parity's entry h^o at the error's offset
+    o; the entries (1, h, ..., h^r) are distinct because h has order r+1. The
+    other dense syndromes must equal e times their row's entry there. At
+    distance 4 the radius-1 balls are disjoint, so a returned word is the one
+    codeword within distance 1 of the received word; any other word is
+    refused.
     """
     if any(s is None for s in received):
         raise ValueError("erasures are not allowed here; use erasure_decode")
-    n = len(h_rows[0])
-    if len(received) != n:
-        raise LengthMismatchError(f"word length {len(received)} != n = {n}")
-    if n > BD_MAX_LENGTH:
-        raise TooLargeError(f"syndrome search is limited to n <= {BD_MAX_LENGTH}")
-    if not 0 <= t_max <= 2:
-        raise ValueError("t_max must be 0, 1, or 2")
-    syn = [field.dot(row, received) for row in h_rows]
-    if not any(syn):
+    _check_length(code, received)
+    local_syn, dense_syn = syndromes(code, received)
+    if not any(local_syn) and not any(dense_syn):
         return list(received)
-    if t_max == 0:
-        raise UndecodableError("nonzero syndrome with t_max = 0")
-    m = len(h_rows)
-    cols = transpose(h_rows)
-    mul, sub, div = field.mul, field.sub, field.div
-    # weight 1: e * col_i = syndrome
-    for i, col in enumerate(cols):
-        jnz = next((j for j in range(m) if col[j]), None)
-        if jnz is None or syn[jnz] == 0:
-            continue
-        e = div(syn[jnz], col[jnz])
-        if all(mul(e, col[j]) == syn[j] for j in range(m)):
+    field, domain = code.field, code.domain
+    local, e = domain.local_parity, dense_syn[0]
+    cells = [ci for ci, syn in enumerate(local_syn) if syn]
+    ratio = field.div(local_syn[cells[0]], e) if e and len(cells) == 1 else None
+    if ratio in local:
+        pos = cells[0] * domain.cell_size + local.index(ratio)
+        if all(
+            syn == field.mul(e, dense[pos])
+            for syn, dense in zip(dense_syn, domain.extra_dual)
+        ):
             out = list(received)
-            out[i] = sub(out[i], e)
+            out[pos] = field.sub(out[pos], e)
             return out
-    if t_max == 1:
-        raise UndecodableError("no error pattern of weight <= 1 matches the syndrome")
-    # weight 2 by meet-in-the-middle over single-column syndromes
-    singles: dict[tuple[int, ...], tuple[int, int]] = {}
-    for i, col in enumerate(cols):
-        if not any(col):
-            continue
-        for e in range(1, field.q):
-            singles.setdefault(tuple(mul(e, c) for c in col), (i, e))
-    for i, col in enumerate(cols):
-        for e in range(1, field.q):
-            resid = tuple(sub(s, mul(e, c)) for s, c in zip(syn, col))
-            hit = singles.get(resid)
-            if hit is not None and hit[0] != i:
-                j, f = hit
-                out = list(received)
-                out[i] = sub(out[i], e)
-                out[j] = sub(out[j], f)
-                return out
-    raise UndecodableError("no error pattern of weight <= 2 matches the syndrome")
+    raise UndecodableError("no error pattern of weight <= 1 matches the syndrome")

@@ -257,14 +257,6 @@ class Field:
     def __repr__(self) -> str:
         return f"GF({self.q})"
 
-    def check(self, a: int) -> int:
-        if not 0 <= a < self.q:
-            raise ValueError(f"{a} is not an element index of {self!r}")
-        return a
-
-    def elements(self) -> range:
-        return range(self.q)
-
     def units(self) -> range:
         return range(1, self.q)
 

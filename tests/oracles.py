@@ -2,9 +2,11 @@
 
 Everything here is deliberately written from scratch with plain integer
 arithmetic: no imports from lrc5 except in the tests that compare the two
-sides, and lrc5.errors, whose classes oracle_erasure_decode raises so that a
-test can compare verdicts. Extension fields get a tuple-coefficient
-polynomial model instead of the package's index tables.
+sides, and lrc5.errors, whose classes oracle_erasure_decode and
+oracle_error_correct raise so that a test can compare verdicts. Extension
+fields get a tuple-coefficient polynomial model instead of the package's
+index tables. The one exception is oracle_error_correct, the dense syndrome
+search that codec.correct_error replaced: it runs on the Field it is given.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from itertools import combinations
 from lrc5.errors import (
     AmbiguousErasuresError,
     LengthMismatchError,
+    TooLargeError,
     TooManyErasuresError,
     UndecodableError,
 )
@@ -45,7 +48,7 @@ def prime_power(n: int) -> tuple[int, int] | None:
             return p, m
         if p * p > n:
             break
-    return None
+    return (n, 1) if is_prime(n) else None
 
 
 # --- plain mod-p linear algebra -------------------------------------------
@@ -389,6 +392,70 @@ def oracle_erasure_decode(field, h_rows: list[list[int]], received: list) -> lis
     for row, pos in zip(aug, erased):
         out[pos] = row[width]
     return out
+
+
+BD_MAX_LENGTH = 256
+
+
+def oracle_error_correct(
+    field, h_rows: list[list[int]], received: list[int], t_max: int = 1
+) -> list[int]:
+    """Bounded-distance correction of up to t_max symbol errors.
+
+    Exhaustive syndrome search, deterministic lowest-pattern-first order.
+    The match is unique only when 2 * t_max is below the code's minimum
+    distance; otherwise the lowest matching pattern wins and may differ from
+    the transmitted word. The default t_max = 1 is the largest unique radius
+    at distance 4; t_max = 2 must be asked for. Any returned word has a zero
+    syndrome.
+    """
+    if any(s is None for s in received):
+        raise ValueError("erasures are not allowed here; use erasure_decode")
+    n = len(h_rows[0])
+    if len(received) != n:
+        raise LengthMismatchError(f"word length {len(received)} != n = {n}")
+    if n > BD_MAX_LENGTH:
+        raise TooLargeError(f"syndrome search is limited to n <= {BD_MAX_LENGTH}")
+    if not 0 <= t_max <= 2:
+        raise ValueError("t_max must be 0, 1, or 2")
+    syn = [field.dot(row, received) for row in h_rows]
+    if not any(syn):
+        return list(received)
+    if t_max == 0:
+        raise UndecodableError("nonzero syndrome with t_max = 0")
+    m = len(h_rows)
+    cols = [list(c) for c in zip(*h_rows)]
+    mul, sub, div = field.mul, field.sub, field.div
+    # weight 1: e * col_i = syndrome
+    for i, col in enumerate(cols):
+        jnz = next((j for j in range(m) if col[j]), None)
+        if jnz is None or syn[jnz] == 0:
+            continue
+        e = div(syn[jnz], col[jnz])
+        if all(mul(e, col[j]) == syn[j] for j in range(m)):
+            out = list(received)
+            out[i] = sub(out[i], e)
+            return out
+    if t_max == 1:
+        raise UndecodableError("no error pattern of weight <= 1 matches the syndrome")
+    # weight 2 by meet-in-the-middle over single-column syndromes
+    singles: dict[tuple[int, ...], tuple[int, int]] = {}
+    for i, col in enumerate(cols):
+        if not any(col):
+            continue
+        for e in range(1, field.q):
+            singles.setdefault(tuple(mul(e, c) for c in col), (i, e))
+    for i, col in enumerate(cols):
+        for e in range(1, field.q):
+            resid = tuple(sub(s, mul(e, c)) for s, c in zip(syn, col))
+            hit = singles.get(resid)
+            if hit is not None and hit[0] != i:
+                j, f = hit
+                out = list(received)
+                out[i] = sub(out[i], e)
+                out[j] = sub(out[j], f)
+                return out
+    raise UndecodableError("no error pattern of weight <= 2 matches the syndrome")
 
 
 def oracle_supports_codeword(g_rows: list[list[int]], q: int, support: list[int]) -> bool:

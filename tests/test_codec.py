@@ -4,13 +4,12 @@ from itertools import combinations
 import pytest
 
 from lrc5.codec import (
-    BD_MAX_LENGTH,
     ERASED,
     HybridResult,
+    correct_error,
     encode,
     erasure_decode,
     erasure_positions,
-    error_correct_bd,
     hybrid_decode,
     local_repair,
 )
@@ -27,7 +26,12 @@ from lrc5.errors import (
 from lrc5.field import Field
 from lrc5.rng import SplitMix64
 
-from .oracles import mat_vec_mod, oracle_erasure_decode, oracle_weight4_supports
+from .oracles import (
+    mat_vec_mod,
+    oracle_erasure_decode,
+    oracle_error_correct,
+    oracle_weight4_supports,
+)
 
 # first dependent 4-column subset of the (7,5) parity check, 0-based
 BAD_SUPPORT_7_5 = [0, 1, 33, 35]
@@ -193,12 +197,12 @@ def test_erasure_decode_length_check(code75):
 def test_bd_zero_syndrome_returns_word(code75):
     rng = SplitMix64(41)
     w = random_codeword(code75, rng)
-    assert error_correct_bd(code75.field, code75.parity_check_matrix, w) == w
+    assert correct_error(code75, w) == w
 
 
 def test_bd_corrects_any_single_error(code75):
     # radius-1 balls are disjoint because the minimum distance is 4 > 2
-    f, h = code75.field, code75.parity_check_matrix
+    f = code75.field
     rng = SplitMix64(52)
     for _ in range(100):
         w = random_codeword(code75, rng)
@@ -206,14 +210,14 @@ def test_bd_corrects_any_single_error(code75):
         err = 1 + rng.randbelow(6)
         received = list(w)
         received[pos] = f.add(received[pos], err)
-        assert error_correct_bd(f, h, received, t_max=1) == w
-        assert error_correct_bd(f, h, received, t_max=2) == w
+        assert correct_error(code75, received) == w
 
 
 def test_bd_two_error_census_frozen(code75):
-    """With minimum distance 4, two errors sit on the decoding boundary:
-    the search still always lands on a zero-syndrome word, but 36 of 1000
-    seeded trials return a codeword other than the transmitted one."""
+    """With minimum distance 4, two errors sit on the decoding boundary: the
+    oracle's weight-2 search still always lands on a zero-syndrome word, but
+    36 of 1000 seeded trials return a codeword other than the transmitted
+    one."""
     f, h = code75.field, code75.parity_check_matrix
     rng = SplitMix64(77)
     ok = wrong = undecodable = 0
@@ -230,7 +234,7 @@ def test_bd_two_error_census_frozen(code75):
         received[p1] = f.add(received[p1], e1)
         received[p2] = f.add(received[p2], e2)
         try:
-            decoded = error_correct_bd(f, h, received, t_max=2)
+            decoded = oracle_error_correct(f, h, received, t_max=2)
         except UndecodableError:
             undecodable += 1
             continue
@@ -243,8 +247,9 @@ def test_bd_two_error_census_frozen(code75):
 
 
 def test_bd_default_refuses_a_miscorrected_two_error_word(code75):
-    """The census's first wrong decode (t_max=2) is refused by the default
-    t_max=1, since 2 errors lie outside the unique radius at d = 4."""
+    """The census's first wrong decode (t_max=2) is refused by the oracle's
+    default t_max=1, and by correct_error, since 2 errors lie outside the
+    unique radius at d = 4."""
     f, h = code75.field, code75.parity_check_matrix
     rng = SplitMix64(77)
     while True:
@@ -257,31 +262,31 @@ def test_bd_default_refuses_a_miscorrected_two_error_word(code75):
         received = list(w)
         received[p1] = f.add(received[p1], 1 + rng.randbelow(6))
         received[p2] = f.add(received[p2], 1 + rng.randbelow(6))
-        if error_correct_bd(f, h, received, t_max=2) != w:
+        if oracle_error_correct(f, h, received, t_max=2) != w:
             break
     with pytest.raises(UndecodableError):
-        error_correct_bd(f, h, received)
+        oracle_error_correct(f, h, received)
+    with pytest.raises(UndecodableError):
+        correct_error(code75, received)
 
 
 def test_bd_input_validation(code75):
-    f, h = code75.field, code75.parity_check_matrix
     with pytest.raises(ValueError):
-        error_correct_bd(f, h, [None] + [0] * 35)
-    with pytest.raises(LengthMismatchError):
-        error_correct_bd(f, h, [0] * 35)
-    with pytest.raises(ValueError):
-        error_correct_bd(f, h, [0] * 36, t_max=3)
-    word = [0] * 36
-    word[0] = 1
-    with pytest.raises(UndecodableError):
-        error_correct_bd(f, h, word, t_max=0)
+        correct_error(code75, [None] + [0] * 35)
+    with pytest.raises(LengthMismatchError) as exc:
+        correct_error(code75, [0] * 35)
+    assert str(exc.value) == "word length 35 != n = 36"
 
 
-def test_bd_rejects_oversized_codes(f7):
-    n = BD_MAX_LENGTH + 1
-    with pytest.raises(Exception) as exc:
-        error_correct_bd(f7, [[0] * n], [0] * n)
-    assert "limited" in str(exc.value)
+def test_correct_error_has_no_length_cap():
+    """The dense search was capped at n <= 256; (29,6) has n = 784."""
+    code = Code.build(Field(29), 6)
+    rng = SplitMix64(29)
+    w = code.encode(rng.below(29, code.k))
+    for pos in (0, 391, 783):
+        received = list(w)
+        received[pos] = code.field.add(received[pos], 1 + rng.randbelow(28))
+        assert correct_error(code, received) == w
 
 
 def test_hybrid_frozen_mixed_case(code75):
@@ -497,3 +502,50 @@ def test_a_word_that_passes_every_local_check_is_refused_by_the_dense_rows(
     refusal = (UndecodableError, "kept symbols are not consistent with any codeword")
     assert verdict(hybrid_decode, code75, received) == refusal
     assert hybrid_decode(code75, erased(w, [8])).codeword == w
+
+
+# --- correct_error against the dense syndrome search ------------------------
+
+
+def errored(word, field, errors):
+    out = list(word)
+    for pos, e in errors:
+        out[pos] = field.add(out[pos], e)
+    return out
+
+
+def assert_correctors_agree(code, received):
+    """correct_error against the dense syndrome search of the oracle at
+    t_max=1; returns the shared verdict."""
+    ours = verdict(correct_error, code, received)
+    h = code.parity_check_matrix
+    assert ours == verdict(oracle_error_correct, code.field, h, received, 1)
+    return ours
+
+
+def test_correct_error_agrees_with_the_oracle_on_every_one_and_two_error_word(code75):
+    f = code75.field
+    w = random_codeword(code75, SplitMix64(45))
+    values = range(1, 7)
+    for pos in range(36):
+        for e in values:
+            assert assert_correctors_agree(code75, errored(w, f, [(pos, e)])) == w
+    refusal = (UndecodableError, "no error pattern of weight <= 1 matches the syndrome")
+    for p1, p2 in combinations(range(36), 2):
+        for e1 in values:
+            for e2 in values:
+                received = errored(w, f, [(p1, e1), (p2, e2)])
+                assert assert_correctors_agree(code75, received) == refusal
+
+
+@pytest.mark.parametrize("q,r", [(5, 3), (8, 6), (9, 3), (13, 5), (16, 4)])
+def test_correct_error_agrees_with_the_oracle_on_seeded_words(q, r):
+    code = built(q, r)
+    rng = SplitMix64(q * 1000 + r)
+    outcomes = set()
+    for t in (0, 1, 1, 2, 2, 3) * 10:
+        w = random_codeword(code, rng)
+        errors = [(pos, 1 + rng.randbelow(q - 1)) for pos in rng.sample_sorted(code.n, t)]
+        got = assert_correctors_agree(code, errored(w, code.field, errors))
+        outcomes.add((t, got == w or got[0]))
+    assert {(0, True), (1, True), (2, UndecodableError)} <= outcomes

@@ -26,6 +26,7 @@ from .oracles import (
     oracle_monomials,
     oracle_parity_check,
     oracle_points,
+    prime_power,
     rank_mod,
 )
 
@@ -218,6 +219,26 @@ def test_local_parity_vector_is_normalized_and_unique(code75):
     v = local_parity_vector(code75.domain)
     assert v == code75.local_parity(2)
     assert v[0] == 1
+
+
+ADMISSIBLE_UP_TO_32 = [
+    (q, r)
+    for q in range(4, 33)
+    if prime_power(q)
+    for r in range(2, q - 1)
+    if (q - 1) % (r + 1) == 0
+]
+
+
+@pytest.mark.parametrize("q,r", ADMISSIBLE_UP_TO_32)
+def test_the_dual_structure_single_error_correction_reads(q, r):
+    """codec.correct_error takes a single error's value from the all-ones
+    dense row of the removed monomial 1, and its offset from the local
+    parity (1, h, ..., h^r), whose entries are distinct because h has order
+    r+1."""
+    domain = Code.build(Field(*prime_power(q)), r).domain
+    assert domain.extra_dual[0] == [1] * (q - 1) ** 2
+    assert len(set(domain.local_parity)) == r + 1
 
 
 # prime fields, characteristic 2 and odd-characteristic extensions
