@@ -18,13 +18,12 @@ stdout only.
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 from .codec import erasure_decode, hybrid_decode, local_repair
 # encode is unused here but stays bound: the benchmark's tracing rebinds it
 from .codec import encode
-from .construct import Code, validate_params
+from .construct import Code, build_within_budget, validate_params
 from .errors import LrcError, TooLargeError, ValidationError
 from .field import MAX_ORDER, Field, _prime_factors
 from .formats import (
@@ -42,10 +41,9 @@ from .simulate import SimulationConfig, run_simulation
 from .verify import (
     SUBSET_BUDGET,
     VerificationReport,
+    bounds_reports,
     exhaustive_cost,
     find_min_weight_codeword,
-    length_regime_report,
-    optimality_equivalence_holds,
     singleton_like_bound,
     verify_constraint_matrix,
     verify_distance_at_least,
@@ -91,19 +89,17 @@ def _field_of_order(q: int) -> Field:
 def cmd_params(args) -> int:
     field = _field_of_order(args.q)
     p = validate_params(field, args.r)
-    bound = singleton_like_bound(p.n, p.k, p.r)
+    bound, equivalence, regime = (report.details for report in bounds_reports(p))
+    status = equivalence["status"]
+    if status == "inapplicable":
+        status += " (d-2 congruent to r mod r+1)"
     print(f"q={field.q} p={field.p} m={field.m} modulus={list(field.modulus)}")
     print(f"r={p.r} n={p.n} k={p.k} d_target={p.d_target}")
-    print(f"singleton_like_bound={bound}")
+    print(f"singleton_like_bound={bound['value']}")
     print(f"optimal_regime={'yes' if p.optimal_regime else 'no'}")
-    if p.equiv_applicable:
-        holds = optimality_equivalence_holds(p, p.d_target)
-        print(f"optimality_equivalence={'holds' if holds else 'FAILS'}")
-    else:
-        print("optimality_equivalence=inapplicable (d-2 congruent to r mod r+1)")
-    reg = length_regime_report(p).details
-    blocks = reg["block_count_inequality"]
-    cosets = reg["coset_count_condition"]
+    print(f"optimality_equivalence={'FAILS' if status == 'fails' else status}")
+    blocks = regime["block_count_inequality"]
+    cosets = regime["coset_count_condition"]
     print(
         f"length_regime_blocks: lhs={blocks['lhs']} rhs={blocks['rhs']} "
         f"holds={'yes' if blocks['holds'] else 'no'}"
@@ -116,11 +112,9 @@ def cmd_params(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    field = _field_of_order(args.q)
-    code = Code.build(field, args.r)
-    paths = write_artifacts(code, args.out)
-    for name in ("manifest", "generator", "parity", "basis"):
-        print(f"wrote {paths[name]}")
+    code = build_within_budget(_field_of_order(args.q), args.r)
+    for path in write_artifacts(code, args.out).values():
+        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -209,41 +203,7 @@ def _run_suites(args, code: Code) -> list[VerificationReport]:
         elif suite == "locality":
             reports.append(verify_locality(code, trials=25, seed=args.seed))
         elif suite == "bounds":
-            bound = singleton_like_bound(p.n, p.k, p.r)
-            reports.append(
-                VerificationReport(
-                    claim="singleton-like-bound",
-                    mode="exhaustive",
-                    trials=0,
-                    result=True,
-                    witness=None,
-                    seed=None,
-                    millis=0.0,
-                    details={"value": bound, "d_target": p.d_target,
-                             "meets_bound": bound == p.d_target},
-                )
-            )
-            t0 = time.perf_counter()
-            try:
-                holds = optimality_equivalence_holds(p, p.d_target)
-                witness = None if holds else {"n_minus_k": p.n - p.k}
-                details = {"status": "holds" if holds else "fails"}
-            except LrcError as e:
-                holds, witness = True, None
-                details = {"status": "inapplicable", "reason": str(e)}
-            reports.append(
-                VerificationReport(
-                    claim="optimality-equivalence",
-                    mode="exhaustive",
-                    trials=0,
-                    result=holds,
-                    witness=witness,
-                    seed=None,
-                    millis=(time.perf_counter() - t0) * 1000,
-                    details=details,
-                )
-            )
-            reports.append(length_regime_report(p))
+            reports.extend(bounds_reports(p))
     return reports
 
 

@@ -37,7 +37,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import DegenerateCodeError, DivisibilityViolationError, LengthMismatchError
+from .errors import (
+    DegenerateCodeError,
+    DivisibilityViolationError,
+    LengthMismatchError,
+    TooLargeError,
+)
 from .field import Field, subgroup_of_order
 # nullspace is unused here but stays bound: the benchmark's tracing rebinds it
 from .linalg import nullspace, rref
@@ -50,13 +55,7 @@ class Monomial(NamedTuple):
 
 @dataclass(frozen=True)
 class CodeParams:
-    """Validated parameters of one code instance.
-
-    equiv_applicable records whether the reshaped optimality identity
-    (n - k) = n/(r+1) + (d-2) - floor((d-2)/(r+1)) is equivalent to meeting
-    the Singleton-like bound; the side condition fails when d-2 is congruent
-    to r mod r+1, which for d = 5 happens exactly at r in {1, 3}.
-    """
+    """Validated parameters of one code instance."""
 
     field: Field
     r: int
@@ -64,7 +63,6 @@ class CodeParams:
     k: int
     d_target: int
     optimal_regime: bool
-    equiv_applicable: bool
 
 
 def validate_params(field: Field, r: int) -> CodeParams:
@@ -91,7 +89,6 @@ def validate_params(field: Field, r: int) -> CodeParams:
         k=k,
         d_target=5,
         optimal_regime=r > 3,
-        equiv_applicable=(5 - 2) % (r + 1) != r,
     )
 
 
@@ -266,36 +263,6 @@ def build_parity_check(
     return reduced
 
 
-def interpolation_poly(field: Field, point: tuple[int, int]) -> list[list[int]]:
-    """Coefficient table of the indicator polynomial of one grid point.
-
-    Entry [i][j] is the coefficient of x^i y^j, namely alpha^-i * beta^-j.
-    The polynomial evaluates to 1 at (alpha, beta) and 0 elsewhere on V.
-    """
-    alpha, beta = point
-    if alpha == 0 or beta == 0:
-        raise ValueError("grid points have nonzero coordinates")
-    qm1 = field.q - 1
-    la, lb = field.log[alpha], field.log[beta]
-    exp = field.exp
-    return [
-        [exp[(-i * la - j * lb) % qm1] for j in range(qm1)] for i in range(qm1)
-    ]
-
-
-def evaluate_table(field: Field, table: list[list[int]], point: tuple[int, int]) -> int:
-    """Evaluate a coefficient table at one point, Horner in both variables."""
-    alpha, beta = point
-    add, mul = field.add, field.mul
-    total = 0
-    for row in reversed(table):
-        acc = 0
-        for c in reversed(row):
-            acc = add(mul(acc, beta), c)
-        total = add(mul(total, alpha), acc)
-    return total
-
-
 def evaluate_on_domain(
     field: Field, domain: EvaluationDomain, table: list[list[int]]
 ) -> list[int]:
@@ -397,3 +364,20 @@ class Code:
         if len(message) != self.k:
             raise LengthMismatchError(f"message length {len(message)} != k = {self.k}")
         return self.domain.evaluate(zip(self.basis, message))
+
+
+#: most entries k*n of G that gen or a load may build: GF(64) r=6 has
+#: 13,490,631, GF(81) r=3 has 30,700,800
+MAX_GENERATOR_ENTRIES = 1 << 24
+
+
+def build_within_budget(field: Field, r: int) -> Code:
+    """Code.build(field, r), refused with TooLargeError before anything is
+    built when G would have more than MAX_GENERATOR_ENTRIES entries."""
+    params = validate_params(field, r)
+    if params.k * params.n > MAX_GENERATOR_ENTRIES:
+        raise TooLargeError(
+            f"G of q = {field.q}, r = {r} has k*n = {params.k * params.n:,} entries, "
+            f"above the budget of {MAX_GENERATOR_ENTRIES:,}"
+        )
+    return Code.build(field, r)

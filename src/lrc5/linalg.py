@@ -18,15 +18,6 @@ def transpose(rows: list[list[int]]) -> list[list[int]]:
     return [list(col) for col in zip(*rows)]
 
 
-def matmul(field: Field, a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    bcols = list(zip(*b))
-    return [[field.dot(row, col) for col in bcols] for row in a]
-
-
-def mat_vec(field: Field, a: list[list[int]], x: list[int]) -> list[int]:
-    return [field.dot(row, x) for row in a]
-
-
 def reduce_row(field: Field, basis: list, row) -> tuple | None:
     """Reduce row against an echelon basis of (pivot, row) pairs, each row
     with pivot entry 1 and zero at the pivots of the rows before it.

@@ -41,7 +41,7 @@ from .codec import encode
 from .construct import Code, CodeParams
 from .errors import BudgetExceededError, ConditionViolatedError, NotDistinctError
 from .field import Field
-from .linalg import nullspace, rank, reduce_row, transpose
+from .linalg import nullspace, reduce_row, transpose
 from .rng import SplitMix64
 
 #: most rank checks one verify call may make: reductions in an exhaustive
@@ -392,10 +392,6 @@ def constraint_matrix(field: Field, points: list[tuple[int, int]]) -> list[list[
     return [list(row) for row in zip(*cols)]
 
 
-def constraint_matrix_rank(field: Field, points: list[tuple[int, int]]) -> int:
-    return rank(field, constraint_matrix(field, points))
-
-
 def _moment_columns(field: Field) -> tuple[list[tuple[int, int]], list, list[int]]:
     points = [(a, b) for a in field.units() for b in field.units()]
     columns = [_moment_column(field, a, b) for a, b in points]
@@ -527,6 +523,42 @@ def optimality_equivalence_holds(params: CodeParams, d: int = 5) -> bool:
     lhs = params.n - params.k
     rhs = params.n // (r + 1) + (d - 2) - (d - 2) // (r + 1)
     return lhs == rhs
+
+
+def bounds_reports(params: CodeParams) -> list[VerificationReport]:
+    """The singleton-like-bound, optimality-equivalence and length-regime
+    reports, computed from the parameters alone."""
+    bound = singleton_like_bound(params.n, params.k, params.r)
+    singleton = VerificationReport(
+        claim="singleton-like-bound",
+        mode="exhaustive",
+        trials=0,
+        result=True,
+        witness=None,
+        seed=None,
+        millis=0.0,
+        details={"value": bound, "d_target": params.d_target,
+                 "meets_bound": bound == params.d_target},
+    )
+    t0 = time.perf_counter()
+    try:
+        holds = optimality_equivalence_holds(params, params.d_target)
+        witness = None if holds else {"n_minus_k": params.n - params.k}
+        details = {"status": "holds" if holds else "fails"}
+    except ConditionViolatedError as e:
+        holds, witness = True, None
+        details = {"status": "inapplicable", "reason": str(e)}
+    equivalence = VerificationReport(
+        claim="optimality-equivalence",
+        mode="exhaustive",
+        trials=0,
+        result=holds,
+        witness=witness,
+        seed=None,
+        millis=(time.perf_counter() - t0) * 1000,
+        details=details,
+    )
+    return [singleton, equivalence, length_regime_report(params)]
 
 
 def length_regime_report(params: CodeParams) -> VerificationReport:

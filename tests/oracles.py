@@ -5,8 +5,9 @@ arithmetic: no imports from lrc5 except in the tests that compare the two
 sides, and lrc5.errors, whose classes oracle_erasure_decode and
 oracle_error_correct raise so that a test can compare verdicts. Extension
 fields get a tuple-coefficient polynomial model instead of the package's
-index tables. The one exception is oracle_error_correct, the dense syndrome
-search that codec.correct_error replaced: it runs on the Field it is given.
+index tables. The exceptions run on the Field they are given:
+oracle_error_correct, the dense syndrome search that codec.correct_error
+replaced, and the last section's references, which only tests call.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from lrc5.errors import (
     TooManyErasuresError,
     UndecodableError,
 )
+from lrc5.field import Field
+from lrc5.linalg import rank
+from lrc5.verify import constraint_matrix
 
 
 def is_prime(n: int) -> bool:
@@ -541,3 +545,53 @@ def oracle_lemma_family(q: int) -> list[tuple[tuple[int, int], ...]]:
         for a1, a2 in combinations(range(1, q), 2)
     ]
     return _two_pairs(keyed)
+
+
+# --- references on lrc5's Field ----------------------------------------------
+#
+# Matrix products, the constraint-matrix rank through linalg.rank, and the
+# per-point Horner evaluation and indicator polynomials of one grid point,
+# which the grid transform and interpolate are checked against.
+
+
+def matmul(field: Field, a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    bcols = list(zip(*b))
+    return [[field.dot(row, col) for col in bcols] for row in a]
+
+
+def mat_vec(field: Field, a: list[list[int]], x: list[int]) -> list[int]:
+    return [field.dot(row, x) for row in a]
+
+
+def constraint_matrix_rank(field: Field, points: list[tuple[int, int]]) -> int:
+    return rank(field, constraint_matrix(field, points))
+
+
+def interpolation_poly(field: Field, point: tuple[int, int]) -> list[list[int]]:
+    """Coefficient table of the indicator polynomial of one grid point.
+
+    Entry [i][j] is the coefficient of x^i y^j, namely alpha^-i * beta^-j.
+    The polynomial evaluates to 1 at (alpha, beta) and 0 elsewhere on V.
+    """
+    alpha, beta = point
+    if alpha == 0 or beta == 0:
+        raise ValueError("grid points have nonzero coordinates")
+    qm1 = field.q - 1
+    la, lb = field.log[alpha], field.log[beta]
+    exp = field.exp
+    return [
+        [exp[(-i * la - j * lb) % qm1] for j in range(qm1)] for i in range(qm1)
+    ]
+
+
+def evaluate_table(field: Field, table: list[list[int]], point: tuple[int, int]) -> int:
+    """Evaluate a coefficient table at one point, Horner in both variables."""
+    alpha, beta = point
+    add, mul = field.add, field.mul
+    total = 0
+    for row in reversed(table):
+        acc = 0
+        for c in reversed(row):
+            acc = add(mul(acc, beta), c)
+        total = add(mul(total, alpha), acc)
+    return total

@@ -22,8 +22,6 @@ from lrc5.construct import (
     Code,
     evaluate_on_domain,
     interpolate,
-    interpolation_poly,
-    evaluate_table,
     validate_params,
 )
 from lrc5.errors import (
@@ -35,7 +33,6 @@ from lrc5.errors import (
 from lrc5.field import Field
 from lrc5.rng import SplitMix64
 from lrc5.verify import (
-    constraint_matrix_rank,
     find_min_weight_codeword,
     length_regime_report,
     optimality_equivalence_holds,
@@ -45,6 +42,9 @@ from lrc5.verify import (
 )
 
 from .oracles import (
+    constraint_matrix_rank,
+    evaluate_table,
+    interpolation_poly,
     mat_vec_mod,
     oracle_erasure_decode,
     oracle_generator_matrix,

@@ -595,6 +595,70 @@ def test_load_refuses_non_canonical_matrix(tmp_path, capsys, tamper, name):
     assert not (tmp_path / "w.txt").exists()
 
 
+def rewrite_manifest(d, edit):
+    """Apply edit to the manifest of d and write it back as gen formats it."""
+    mpath = d / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    edit(manifest)
+    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def claim_distance_7(d):
+    rewrite_manifest(d, lambda doc: doc["code"].update(d_claimed=7))
+
+
+def flip_optimal_regime(d):
+    rewrite_manifest(d, lambda doc: doc["code"].update(optimal_regime=False))
+
+
+def redump_manifest_compactly(d):
+    edit_manifest(d, lambda doc: None)
+
+
+def add_blank_line_to_basis(d):
+    bpath = d / "basis.txt"
+    bpath.write_text(bpath.read_text() + "\n")
+
+
+@pytest.mark.parametrize(
+    "tamper,name",
+    [(claim_distance_7, "manifest.json"), (flip_optimal_regime, "manifest.json"),
+     (redump_manifest_compactly, "manifest.json"), (add_blank_line_to_basis, "basis.txt")],
+    ids=["d-claimed", "optimal-regime", "compact-manifest", "basis-blank-line"],
+)
+def test_load_refuses_a_file_gen_would_not_write(tmp_path, capsys, tamper, name):
+    """Each of these directories used to load: the loader checked the
+    manifest field by field, never read d_claimed or optimal_regime, and
+    skipped blank basis lines."""
+    d = gen_code(tmp_path, capsys)
+    argv = encode_argv(d, tmp_path)
+    tamper(d)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"ERR Format: {name}:") and err.count("\n") == 1
+    assert not (tmp_path / "w.txt").exists()
+
+
+def test_gen_and_load_refuse_a_generator_above_the_budget(tmp_path, capsys, monkeypatch):
+    """GF(128) r=126 has k*n = 258,047,871 entries in G: gen and a load
+    refuse it from k and n alone, building no domain and writing no file."""
+    d = gen_code(tmp_path, capsys)
+    edit_manifest(d, lambda doc: (doc["field"].update(p=2, m=7), doc["code"].update(r=126)))
+
+    def no_build(*args):
+        raise AssertionError("built the domain")
+
+    monkeypatch.setattr("lrc5.construct.build_domain", no_build)
+    out_dir = tmp_path / "big"
+    for argv in (["gen", "--q", "128", "--r", "126", "--out", str(out_dir)],
+                 encode_argv(d, tmp_path)):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "", argv
+        assert err.startswith("ERR TooLarge:") and err.count("\n") == 1
+        assert "258,047,871" in err
+    assert not out_dir.exists() and not (tmp_path / "w.txt").exists()
+
+
 def swap_in_removed_monomial(basis_text):
     lines = basis_text.splitlines()
     assert "0 0" not in lines  # the constant monomial is one the code removes

@@ -3,6 +3,7 @@ import tracemalloc
 import pytest
 
 from lrc5.construct import (
+    MAX_GENERATOR_ENTRIES,
     Code,
     EvaluationDomain,
     Monomial,
@@ -12,20 +13,25 @@ from lrc5.construct import (
     build_parity_check,
     extra_dual_rows,
     local_parity_vector,
+    build_within_budget,
     removed_monomials,
     validate_params,
 )
-from lrc5.errors import DegenerateCodeError, DivisibilityViolationError
+from lrc5.errors import DegenerateCodeError, DivisibilityViolationError, TooLargeError
 from lrc5.field import Field
-from lrc5.linalg import mat_vec, matmul, nullspace, rank, rref
+from lrc5.linalg import nullspace, rank, rref
 from lrc5.rng import SplitMix64
 
 from .oracles import (
     oracle_generator_matrix,
+    mat_vec,
     mat_vec_gf,
+    matmul,
+    oracle_lemma_family,
     oracle_monomials,
     oracle_parity_check,
     oracle_points,
+    oracle_weight4_supports,
     prime_power,
     rank_mod,
 )
@@ -68,7 +74,6 @@ def test_parameter_formulas(q, r):
 def test_optimality_flags(q, r):
     params = validate_params(field_for(q), r)
     assert params.optimal_regime is (r > 3)
-    assert params.equiv_applicable is ((5 - 2) % (r + 1) != r)
 
 
 def test_divisibility_is_enforced():
@@ -239,6 +244,40 @@ def test_the_dual_structure_single_error_correction_reads(q, r):
     domain = Code.build(Field(*prime_power(q)), r).domain
     assert domain.extra_dual[0] == [1] * (q - 1) ** 2
     assert len(set(domain.local_parity)) == r + 1
+
+
+def weight4_count_times_8(q, r):
+    """8 * A_4(q, r) by the conjectured closed form."""
+    n = (q - 1) ** 2
+    return n * r * (r - 2) if r % 2 == 0 else n * (q + r * r - 4 * r)
+
+
+def test_weight4_and_lemma_family_sizes_fit_the_closed_forms():
+    """A_4 = n r (r-2) / 8 for even r and n (q + r^2 - 4r) / 8 for odd r,
+    so A_4 = 0 at r = 2; the rank-lemma family at q has A_4(q, q-2)
+    members. A conjecture, pinned at all 43 admissible (q, r) with q <= 31
+    (the oracles' extension-field model certifies degree m <= 4, so not
+    GF(32))."""
+    instances = [(q, r) for q, r in ADMISSIBLE_UP_TO_32 if q < 32]
+    assert len(instances) == 43
+    for q, r in instances:
+        assert 8 * len(oracle_weight4_supports(q, r)) == weight4_count_times_8(q, r), (q, r)
+    for q in sorted({q for q, _ in instances}):
+        assert 8 * len(oracle_lemma_family(q)) == weight4_count_times_8(q, q - 2), q
+
+
+def test_generator_budget_keeps_gf64_and_refuses_gf81(monkeypatch):
+    """The refusal comes from k*n alone, before the domain is built."""
+    gf64 = validate_params(Field(2, 6), 6)
+    assert gf64.k * gf64.n == 13_490_631 <= MAX_GENERATOR_ENTRIES
+
+    def no_build(*args):
+        raise AssertionError("built the domain")
+
+    monkeypatch.setattr("lrc5.construct.build_domain", no_build)
+    for field, r in ((Field(3, 4), 3), (Field(2, 7), 126), (Field(257), 3)):
+        with pytest.raises(TooLargeError, match="above the budget of 16,777,216"):
+            build_within_budget(field, r)
 
 
 # prime fields, characteristic 2 and odd-characteristic extensions

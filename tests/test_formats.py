@@ -3,17 +3,14 @@ import os
 
 import pytest
 
-from lrc5.construct import Monomial
 from lrc5.errors import FormatError
 from lrc5.formats import (
     FORMAT_VERSION,
     POINT_ORDER,
-    basis_to_text,
     dumps_json,
     load_artifacts,
     manifest_dict,
     matrix_to_csv,
-    parse_basis,
     parse_message,
     parse_word,
     word_to_text,
@@ -42,17 +39,6 @@ def test_matrix_csv_roundtrip():
     assert text == "0,1,6\n3,4,5\n"
     assert [[int(x) for x in line.split(",")] for line in text.splitlines()] == rows
     assert matrix_to_csv([[2, 0], [0, 12]]) == "2,0\n0,12\n"
-
-
-def test_basis_roundtrip():
-    basis = [Monomial(0, 1), Monomial(2, 3)]
-    text = basis_to_text(basis)
-    assert parse_basis(text) == basis
-
-
-def test_basis_rejects_malformed_lines():
-    with pytest.raises(FormatError):
-        parse_basis("1 2\n3\n")
 
 
 def test_word_roundtrip_and_erasures():

@@ -3,8 +3,6 @@ import pytest
 from lrc5.field import Field
 from lrc5.linalg import (
     InconsistentSystemError,
-    mat_vec,
-    matmul,
     nullspace,
     rank,
     rref,
@@ -13,7 +11,7 @@ from lrc5.linalg import (
 )
 from lrc5.rng import SplitMix64
 
-from .oracles import mat_vec_gf, mat_vec_mod, rank_gf, rank_mod
+from .oracles import mat_vec, mat_vec_gf, mat_vec_mod, matmul, rank_gf, rank_mod
 
 
 def random_matrix(rng, rows, cols, q):

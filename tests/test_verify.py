@@ -32,7 +32,6 @@ from lrc5.verify import (
     _scan,
     _scan_exhaustive,
     constraint_matrix,
-    constraint_matrix_rank,
     exhaustive_cost,
     find_min_weight_codeword,
     length_regime_report,
@@ -43,7 +42,7 @@ from lrc5.verify import (
     verify_locality,
 )
 
-from .oracles import oracle_lemma_matrix, rank_mod
+from .oracles import constraint_matrix_rank, oracle_lemma_matrix, rank_mod
 
 
 def plain(report: VerificationReport) -> dict:
