@@ -20,8 +20,9 @@ forms from character-sum duality on V; no nullspace of G is computed.
 
 Every monomial evaluation on the grid is one transform on EvaluationDomain.
 Position t*(q-1) + u holds (x_u, g^t), so grid row t of x^i y^j is the
-block g^(j*t) * (x_u^i)_u. monomial_row joins q-1 such blocks, built once
-per i, into a row of G or one of the three dense extra_dual_rows. evaluate
+block g^(j*t) * (x_u^i)_u. x_blocks builds the q-1 blocks of one i, once;
+monomial_row joins q-1 of them into a row of G or one of the three dense
+extra_dual_rows, and formats joins their texts into generator.csv. evaluate
 is a (q-1) x (q-1) two-dimensional transform on the rows (x_u^i)_u alone,
 about k + (q-1)*|I| vector operations of length q-1 for |I| distinct
 exponents i, against k of length n for m*G; Code.encode and
@@ -154,11 +155,21 @@ class EvaluationDomain:
 
     @cached_property
     def _x_blocks(self) -> dict[int, list[tuple[int, ...]]]:
-        """Exponent i -> the q-1 blocks g^e * (x_u^i)_u, e in [0, q-2], that
-        monomial_row joins, each built on first use. Blocks are tuples:
-        shared, so immutable, and of ints only, so the garbage collector
-        stops scanning them once they survive a collection."""
+        """x_blocks by exponent, each entry built on first use."""
         return {}
+
+    def x_blocks(self, i: int) -> list[tuple[int, ...]]:
+        """The q-1 blocks g^e * (x_u^i)_u, e in [0, q-2], exponent i taken
+        mod q-1: grid row t of x^i y^j is block j*t mod q-1. Built once per
+        exponent and kept. Blocks are tuples: shared, so immutable, and of
+        ints only, so the garbage collector stops scanning them once they
+        survive a collection."""
+        qm1 = self.field.q - 1
+        i %= qm1
+        if (blocks := self._x_blocks.get(i)) is None:
+            scale, xi = self.field.scale, self.x_powers[i]
+            blocks = self._x_blocks[i] = [tuple(scale(ge, xi)) for ge in self.field.exp[:qm1]]
+        return blocks
 
     def monomial_row(self, i: int, j: int) -> list[int]:
         """The evaluations of x^i y^j over the grid, exponents taken mod q-1.
@@ -166,11 +177,7 @@ class EvaluationDomain:
         Grid row t is the block g^(j*t) * (x_u^i)_u, so the row joins q-1
         shared blocks rather than computing n products.
         """
-        qm1 = self.field.q - 1
-        i %= qm1
-        if (blocks := self._x_blocks.get(i)) is None:
-            scale, xi = self.field.scale, self.x_powers[i]
-            blocks = self._x_blocks[i] = [tuple(scale(ge, xi)) for ge in self.field.exp[:qm1]]
+        qm1, blocks = self.field.q - 1, self.x_blocks(i)
         row: list[int] = []
         for t in range(qm1):
             row += blocks[j * t % qm1]
@@ -366,8 +373,8 @@ class Code:
         return self.domain.evaluate(zip(self.basis, message))
 
 
-#: most entries k*n of G that gen or a load may build: GF(64) r=6 has
-#: 13,490,631, GF(81) r=3 has 30,700,800
+#: most entries k*n of G that gen or a load may render as generator.csv:
+#: GF(64) r=6 has 13,490,631, GF(81) r=3 has 30,700,800
 MAX_GENERATOR_ENTRIES = 1 << 24
 
 

@@ -11,6 +11,11 @@ only p, m and r from the manifest, builds the code they name, and refuses
 the directory unless every file equals its table text byte for byte. So a
 loaded code is the built code: no stored basis or matrix is parsed, and no
 manifest field is checked on its own.
+
+generator.csv is joined from the texts of the domain's x_blocks, each
+converted once, so neither gen nor a load builds the rows of G: a row is
+q-1 block texts, and at most (q-1)^3 symbols are converted to text instead
+of the k*n of G. parity.csv is matrix_to_csv of H.
 """
 
 import json
@@ -47,6 +52,20 @@ def matrix_to_csv(rows: list[list[int]]) -> str:
     return "\n".join(",".join([names[x] for x in row]) for row in rows) + "\n"
 
 
+def generator_to_csv(code: Code) -> str:
+    """matrix_to_csv(code.generator_matrix), without building G: row (i, j)
+    is the texts of x_blocks(i) at j*t mod q-1, t in [0, q-2], joined."""
+    qm1, domain = code.field.q - 1, code.domain
+    names = [str(x) for x in range(code.field.q)]
+    texts: dict[int, list[str]] = {}
+    lines = []
+    for i, j in code.basis:
+        if (blocks := texts.get(i)) is None:
+            blocks = texts[i] = [",".join([names[x] for x in b]) for b in domain.x_blocks(i)]
+        lines.append(",".join([blocks[j * t % qm1] for t in range(qm1)]))
+    return "\n".join(lines) + "\n"
+
+
 def basis_to_text(basis: list[Monomial]) -> str:
     return "\n".join(f"{i} {j}" for i, j in basis) + "\n"
 
@@ -79,8 +98,11 @@ def parse_word(text: str, q: int, path: str = "word") -> list[int | None]:
             out.append(None)
             continue
         try:
+            # int() alone also reads signs, underscores and other scripts' digits
+            if not (tok.isascii() and tok.isdigit()):
+                raise ValueError
             v = int(tok)
-        except ValueError:
+        except ValueError:  # also past int's digit limit
             raise FormatError(f"{path}: token {_echo(tok)} is not an integer or '?'")
         if not 0 <= v < q:
             raise FormatError(f"{path}: symbol {_echo(str(v), str)} outside [0, {q})")
@@ -133,7 +155,7 @@ def _manifest_text(code: Code) -> str:
 #: the order gen writes and prints them
 ARTIFACTS = {
     MANIFEST_NAME: _manifest_text,
-    FILES["generator"]: lambda code: matrix_to_csv(code.generator_matrix),
+    FILES["generator"]: generator_to_csv,
     FILES["parity"]: lambda code: matrix_to_csv(code.parity_check_matrix),
     FILES["basis"]: lambda code: basis_to_text(code.basis),
 }
@@ -160,8 +182,9 @@ def load_artifacts(dirpath: str | Path) -> Code:
     """
     dirpath = Path(dirpath)
     mpath = dirpath / MANIFEST_NAME
+    manifest_bytes = mpath.read_bytes()
     try:
-        manifest = json.loads(mpath.read_bytes())
+        manifest = json.loads(manifest_bytes)
     except ValueError as e:  # also an integer past int's digit limit
         raise FormatError(f"{mpath}: invalid JSON ({e})") from None
     try:
@@ -175,8 +198,11 @@ def load_artifacts(dirpath: str | Path) -> Code:
         raise FormatError(f"{mpath}: bad field spec ({e})") from None
     code = build_within_budget(field, r)
     # the matrices last, so a foreign manifest or basis is refused before
-    # G and H are built
+    # their texts are rendered and H is built
     for name in sorted(ARTIFACTS, key=lambda name: name.endswith(".csv")):
-        if (dirpath / name).read_bytes() != ARTIFACTS[name](code).encode():
+        # rendered before the file is read, so the text is freed by then
+        expected = ARTIFACTS[name](code).encode()
+        data = manifest_bytes if name == MANIFEST_NAME else (dirpath / name).read_bytes()
+        if data != expected:
             raise FormatError(f"{name}: not what gen writes for q = {field.q}, r = {r}")
     return code

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import shlex
 from pathlib import Path
 
@@ -799,6 +801,55 @@ def test_word_file_format_errors_exit_2(tmp_path, capsys):
     bad.write_text("9,9,9\n")
     rc, _, err = run(capsys, "decode", "--code", str(d), "--word", str(bad))
     assert rc == 2 and err.startswith("ERR Format:")
+
+
+@pytest.mark.parametrize("token,value", [("1_2", 12), ("+3", 3), ("-0", 0), ("\u0661\u0662", 12)])
+def test_word_and_message_files_refuse_non_canonical_symbols(tmp_path, capsys, token, value):
+    """Each token spells a symbol of GF(13) to int(); a file that holds it in
+    place of that symbol is refused, not read as the symbol."""
+    d = gen_code(tmp_path, capsys, q="13", r="5")
+    argv = encode_argv(d, tmp_path)
+    msg = Path(argv[4])
+    msg.write_text(f"{token}," + msg.read_text(encoding="utf-8")[2:], encoding="utf-8")
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == f"ERR Format: {msg}: token {token!r} is not an integer or '?'\n"
+    assert not (tmp_path / "w.txt").exists()
+    tokens = [str(s) for s in Code.build(Field(13), 5).encode([1] * 117)]
+    tokens[tokens.index(str(value))] = token  # still a codeword to int()
+    path = tmp_path / "word.txt"
+    path.write_text(",".join(tokens) + "\n", encoding="utf-8")
+    for cmd in (["repair", "--position", "1"], ["decode"]):
+        rc, out, err = run(capsys, cmd[0], "--code", str(d), "--word", str(path), *cmd[1:])
+        assert (rc, out) == (2, "")
+        assert err == f"ERR Format: {path}: token {token!r} is not an integer or '?'\n"
+
+
+#: sha256 over each gen file's name, a NUL, its bytes and a NUL, in the order
+#: manifest.json, generator.csv, parity.csv, basis.txt: the directories gen
+#: wrote when each symbol of G was printed from its built rows
+GEN_DIRECTORY_PINS = {
+    (7, 5): "20abaf78253bc816ac6ffb3800e0a5277d90d38c7a3d615b62a747622d4c01a8",
+    (8, 6): "df61110ce861debae3a0b2fab81cb0e59cba3c901f08664b0b2e23ea8e5c2123",
+    (9, 3): "079beeecf3ea9a633f1bc8c0027010d6f6b8d2a38bde67257c88502ca60be85d",
+    (13, 5): "78d9940d0d7d62bed8cf36bdf2f74d51e681b7228224f8247c96c9ef60e5f6af",
+    (16, 4): "c20aceb3ff94ce9786538a5299b85930a2b4999d5f74b2b33ed9bb00ca765bb0",
+    (29, 6): "2bed417bc02cb31c9fffb92004ecbe48c38fe4fbe5fa75aac0aa58625b799dd2",
+}
+
+
+@pytest.mark.parametrize("q,r", sorted(GEN_DIRECTORY_PINS))
+def test_gen_directories_keep_their_bytes(tmp_path, capsys, q, r):
+    d = tmp_path / "code"
+    rc, out, err = run(capsys, "gen", "--q", str(q), "--r", str(r), "--out", str(d))
+    names = ["manifest.json", "generator.csv", "parity.csv", "basis.txt"]
+    assert (rc, err) == (0, "")
+    assert out == "".join(f"wrote {d / name}\n" for name in names)
+    digest = hashlib.sha256()
+    for name in names:
+        digest.update(name.encode() + b"\0" + (d / name).read_bytes() + b"\0")
+    assert digest.hexdigest() == GEN_DIRECTORY_PINS[q, r]
+    assert sorted(os.listdir(d)) == sorted(names)
 
 
 def readme_cli_lines():

@@ -3,11 +3,13 @@ import os
 
 import pytest
 
+from lrc5 import Code, Field
 from lrc5.errors import FormatError
 from lrc5.formats import (
     FORMAT_VERSION,
     POINT_ORDER,
     dumps_json,
+    generator_to_csv,
     load_artifacts,
     manifest_dict,
     matrix_to_csv,
@@ -17,6 +19,9 @@ from lrc5.formats import (
     write_artifacts,
     write_text_atomic,
 )
+
+from .oracles import prime_power
+from .test_construct import ADMISSIBLE_UP_TO_32
 
 
 def test_dumps_json_is_sorted_and_newline_terminated():
@@ -55,6 +60,19 @@ def test_word_rejects_bad_tokens():
         parse_word("1,zz,3", 7)
     with pytest.raises(FormatError):
         parse_word("", 7)
+
+
+@pytest.mark.parametrize("token", ["1_2", "+3", "-0", "\u0661\u0662", "\uff13", "0x1", " 1 2 "])
+def test_word_refuses_tokens_that_are_not_ascii_decimal(token):
+    """int() would read these as 12, 3, 0, 12, 3 and, for the last two,
+    fail; only ASCII digits spell a symbol."""
+    with pytest.raises(FormatError, match=r"^word: token .* is not an integer or '\?'$"):
+        parse_word(f"1,{token},2", 13)
+
+
+def test_word_keeps_surrounding_whitespace_and_leading_zeros():
+    assert parse_word(" 007 ,\t?, 0012\n", 13) == [7, None, 12]
+    assert parse_message("00,01", 13, 2) == [0, 1]
 
 
 def test_format_errors_echo_at_most_a_fixed_length_of_a_token():
@@ -106,6 +124,38 @@ def test_artifact_roundtrip(tmp_path, code75):
     assert loaded.generator_matrix == code75.generator_matrix
     assert loaded.parity_check_matrix == code75.parity_check_matrix
     assert loaded.n == 36 and loaded.k == 27
+
+
+def test_generator_text_is_matrix_csv_of_g_at_every_small_instance():
+    """The block-joined text equals matrix_to_csv of the built G at all 44
+    admissible (q, r) with q <= 32, without building G itself."""
+    assert len(ADMISSIBLE_UP_TO_32) == 44
+    for q, r in ADMISSIBLE_UP_TO_32:
+        code = Code.build(Field(*prime_power(q)), r)
+        text = generator_to_csv(code)
+        assert "generator_matrix" not in vars(code)
+        assert text == matrix_to_csv(code.generator_matrix), (q, r)
+
+
+def test_load_leaves_the_generator_matrix_unbuilt(tmp_path, code75):
+    write_artifacts(code75, tmp_path)
+    loaded = load_artifacts(tmp_path)
+    assert "generator_matrix" not in vars(loaded)
+    assert loaded.generator_matrix == code75.generator_matrix
+
+
+def test_load_reads_the_manifest_once(tmp_path, code75, monkeypatch):
+    write_artifacts(code75, tmp_path)
+    reads = []
+    read_bytes = type(tmp_path).read_bytes
+
+    def counted(path):
+        reads.append(path.name)
+        return read_bytes(path)
+
+    monkeypatch.setattr(type(tmp_path), "read_bytes", counted)
+    load_artifacts(tmp_path)
+    assert sorted(reads) == ["basis.txt", "generator.csv", "manifest.json", "parity.csv"]
 
 
 def test_artifacts_are_byte_deterministic(tmp_path, code75):

@@ -45,8 +45,9 @@ def test_construct_boundaries_record_spans():
 
 
 def test_hybrid_decode_of_loaded_code_builds_no_matrix(tmp_path, capsys):
-    """Loading builds G and H once each, to compare them with the stored
-    files; decoding then constructs neither."""
+    """Loading builds H once, to compare it with parity.csv, and never G:
+    generator.csv is compared with text joined from the domain's blocks.
+    Decoding then constructs neither."""
     d = tmp_path / "code"
     assert cli.main(["gen", "--q", "7", "--r", "5", "--out", str(d)]) == 0
     code = Code.build(Field(7), 5)
@@ -63,10 +64,10 @@ def test_hybrid_decode_of_loaded_code_builds_no_matrix(tmp_path, capsys):
     names = [span[0] for span in tracer.spans]
     assert names.count("formats.load_artifacts") == 1
     assert names.count("codec.erasure_decode") == 1
-    for built in ("construct.generator", "construct.parity"):
-        assert names.count(built) == 1
-        parent = tracer.spans[tracer.spans[names.index(built)][3]]
-        assert parent[0] == "formats.load_artifacts"
+    assert names.count("construct.generator") == 0
+    assert names.count("construct.parity") == 1
+    parent = tracer.spans[tracer.spans[names.index("construct.parity")][3]]
+    assert parent[0] == "formats.load_artifacts"
 
 
 def test_field_op_counter_sees_repair_and_decode():
