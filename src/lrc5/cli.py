@@ -17,6 +17,7 @@ stdout only.
 """
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -72,6 +73,16 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
+
+
+def _integer(text: str) -> int:
+    """The type of every integer flag: ASCII -?[0-9]+ only, where int()
+    alone also reads signs, underscores, spaces and other scripts' digits."""
+    digits = text.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        with contextlib.suppress(ValueError):  # past int's digit limit
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _field_of_order(q: int) -> Field:
@@ -147,18 +158,11 @@ def cmd_repair(args) -> int:
 
 def cmd_decode(args) -> int:
     code = load_artifacts(args.code)
-    field = code.field
-    word = parse_word(Path(args.word).read_text(encoding="utf-8"), field.q, args.word)
+    word = parse_word(Path(args.word).read_text(encoding="utf-8"), code.field.q, args.word)
     if len(word) != code.n:
         raise ValidationError(f"word has {len(word)} symbols, expected n = {code.n}")
-    if args.policy == "global":
-        decoded = erasure_decode(code, word)
-        stats = None
-    else:
-        res = hybrid_decode(code, word)
-        decoded = res.codeword
-        stats = res
-    text = word_to_text(decoded)
+    stats = None if args.policy == "global" else hybrid_decode(code, word)
+    text = word_to_text(erasure_decode(code, word) if stats is None else stats.codeword)
     if args.out is not None:
         write_text_atomic(args.out, text)
         print(f"wrote {args.out}")
@@ -176,30 +180,23 @@ def cmd_decode(args) -> int:
 def _run_suites(args, code: Code) -> list[VerificationReport]:
     field, p = code.field, code.params
     suites = SUITES if args.suite == "all" else (args.suite,)
+    scan = {"mode": args.mode, "trials": args.trials, "seed": args.seed}
     reports: list[VerificationReport] = []
     for suite in suites:
         if suite == "distance":
-            h_rows = code.parity_check_matrix
-            d5 = verify_distance_at_least(
-                field, h_rows, 5, mode=args.mode, trials=args.trials, seed=args.seed
-            )
+            dual = code.domain.dual_rows
+            d5 = verify_distance_at_least(field, dual, 5, **scan)
             reports.append(d5)
             cost = sum(exhaustive_cost(p.n, w) for w in range(1, 6))
             if d5.mode == "exhaustive" and cost <= SUBSET_BUDGET:
-                mw = find_min_weight_codeword(field, h_rows, 5)
+                mw = find_min_weight_codeword(field, dual, 5)
                 if mw.witness is not None:
+                    weight = mw.details["distance"] = mw.witness["weight"]
                     bound = singleton_like_bound(p.n, p.k, p.r)
-                    mw.details["distance"] = mw.witness["weight"]
-                    mw.details["meets_singleton_like_bound"] = (
-                        mw.witness["weight"] == bound
-                    )
+                    mw.details["meets_singleton_like_bound"] = weight == bound
                 reports.append(mw)
         elif suite == "lemma":
-            reports.append(
-                verify_constraint_matrix(
-                    field, mode=args.mode, trials=args.trials, seed=args.seed
-                )
-            )
+            reports.append(verify_constraint_matrix(field, **scan))
         elif suite == "locality":
             reports.append(verify_locality(code, trials=25, seed=args.seed))
         elif suite == "bounds":
@@ -292,18 +289,18 @@ def build_parser() -> _Parser:
 
     # options of verify and simulate, the only commands that draw random numbers
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0, help="PRNG seed")
+    seeded.add_argument("--seed", type=_integer, default=0, help="PRNG seed")
     seeded.add_argument("--out", default=".", help="output directory")
 
     sp = subs.add_parser("params", help="validate parameters and print code facts")
-    sp.add_argument("--q", type=int, required=True, help="field order (prime power)")
-    sp.add_argument("--r", type=int, required=True, help="locality")
+    sp.add_argument("--q", type=_integer, required=True, help="field order (prime power)")
+    sp.add_argument("--r", type=_integer, required=True, help="locality")
     sp.set_defaults(func=cmd_params)
 
     sg = subs.add_parser("gen", help="construct a code and write its artifacts")
     sg.add_argument("--out", default=".", help="output directory")
-    sg.add_argument("--q", type=int, required=True, help="field order (prime power)")
-    sg.add_argument("--r", type=int, required=True, help="locality")
+    sg.add_argument("--q", type=_integer, required=True, help="field order (prime power)")
+    sg.add_argument("--r", type=_integer, required=True, help="locality")
     sg.set_defaults(func=cmd_gen)
 
     se = subs.add_parser("encode", help="encode a message file")
@@ -315,7 +312,7 @@ def build_parser() -> _Parser:
     sr = subs.add_parser("repair", help="repair one erased position locally")
     sr.add_argument("--code", required=True, help="artifact directory from gen")
     sr.add_argument("--word", required=True, help="codeword file with '?' erasures")
-    sr.add_argument("--position", type=int, required=True, help="1-based position")
+    sr.add_argument("--position", type=_integer, required=True, help="1-based position")
     sr.set_defaults(func=cmd_repair)
 
     sd = subs.add_parser("decode", help="fill erasures in a word")
@@ -326,26 +323,26 @@ def build_parser() -> _Parser:
     sd.set_defaults(func=cmd_decode)
 
     sv = subs.add_parser("verify", parents=[seeded], help="run verification suites")
-    sv.add_argument("--q", type=int, help="field order (prime power)")
-    sv.add_argument("--r", type=int, help="locality")
+    sv.add_argument("--q", type=_integer, help="field order (prime power)")
+    sv.add_argument("--r", type=_integer, help="locality")
     sv.add_argument("--load", help="verify the code of a gen directory; its files "
                     "must be exactly what gen writes")
     sv.add_argument("--suite", choices=SUITES + ("all",), default="all")
     sv.add_argument("--mode", choices=("auto", "exhaustive", "sampled"), default="auto",
                     help=f"auto: exhaustive when a complete scan fits the "
                          f"{SUBSET_BUDGET:,}-reduction budget, else sampled")
-    sv.add_argument("--trials", type=int, default=100_000,
+    sv.add_argument("--trials", type=_integer, default=100_000,
                     help="subset count for sampled mode")
     sv.set_defaults(func=cmd_verify)
 
     ss = subs.add_parser("simulate", parents=[seeded],
                          help="Monte Carlo erasure and repair simulation")
-    ss.add_argument("--q", type=int, required=True, help="field order (prime power)")
-    ss.add_argument("--r", type=int, required=True, help="locality")
+    ss.add_argument("--q", type=_integer, required=True, help="field order (prime power)")
+    ss.add_argument("--r", type=_integer, required=True, help="locality")
     ss.add_argument("--model", choices=("fixed", "bernoulli"), required=True)
-    ss.add_argument("--t", type=int, help="erasures per trial (fixed model)")
+    ss.add_argument("--t", type=_integer, help="erasures per trial (fixed model)")
     ss.add_argument("--rho", type=float, help="per-symbol erasure probability")
-    ss.add_argument("--trials", type=int, default=1000)
+    ss.add_argument("--trials", type=_integer, default=1000)
     ss.add_argument("--policy", choices=("local-only", "hybrid"), default="hybrid")
     ss.set_defaults(func=cmd_simulate)
 

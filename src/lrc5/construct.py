@@ -15,8 +15,10 @@ h = g^((q-1)/(r+1)) generates the subgroup R of order r+1. Every recovery
 set, a coset (g^c R) x {g^t}, therefore occupies a contiguous block of r+1
 positions, and each such cell satisfies one local parity equation.
 
-The parity-check matrix and the local parity (1, h, ..., h^r) are closed
-forms from character-sum duality on V; no nullspace of G is computed.
+The local parity (1, h, ..., h^r) and the dual are closed forms from
+character-sum duality on V; no nullspace of G is computed. dual_rows holds
+one local row per cell and the three extra_dual_rows, reduced at every cell
+start: verify scans their columns, and H is their RREF in closed form.
 
 Every monomial evaluation on the grid is one transform on EvaluationDomain.
 Position t*(q-1) + u holds (x_u, g^t), so grid row t of x^i y^j is the
@@ -27,10 +29,7 @@ is a (q-1) x (q-1) two-dimensional transform on the rows (x_u^i)_u alone,
 about k + (q-1)*|I| vector operations of length q-1 for |I| distinct
 exponents i, against k of length n for m*G; Code.encode and
 evaluate_on_domain run it, and interpolate is its inverse, from the
-character sums on V. The dual is spanned by one local row per cell and the
-three extra_dual_rows, so an erasure decode checks the local parity of each
-cell without erasures and solves only (cells with erasures + 3) equations
-in the erased symbols, after O(n) work for the syndromes.
+character sums on V.
 """
 
 from collections.abc import Iterable
@@ -141,6 +140,25 @@ class EvaluationDomain:
         return extra_dual_rows(self)
 
     @cached_property
+    def dual_rows(self) -> list[list[int]]:
+        """A basis of the dual, built once per domain: the local parity on
+        each cell and zero elsewhere, in cell order, then the extra_dual rows
+        reduced against those to zero at every cell start.
+
+        On V the sum of x^a y^b is 0 unless a = b = 0 mod q-1, so the
+        evaluations of x^(-i) y^(-j), for the n-k pairs (i, j) in [0, q-2]^2
+        outside the basis, are independent and span the dual. Those with
+        i = r mod r+1 span the local rows; the other three are extra_dual.
+        """
+        field, n, local = self.field, len(self.points), self.local_parity
+        starts = range(0, n, len(local))
+        rows = [[0] * s + local + [0] * (n - s - len(local)) for s in starts]
+        for row in self.extra_dual:
+            at_starts = [x for s in starts for x in field.scale(row[s], local)]
+            rows.append(field.submul(row, 1, at_starts))
+        return rows
+
+    @cached_property
     def y_powers(self) -> list[list[int]]:
         """Row j is y_t^j over the grid rows' y-values y_t = g^t, j in [0, q-2]."""
         qm1, exp = self.field.q - 1, self.field.exp
@@ -237,37 +255,20 @@ def extra_dual_rows(domain: EvaluationDomain) -> list[list[int]]:
 def build_parity_check(
     basis: list[Monomial], domain: EvaluationDomain
 ) -> list[list[int]]:
-    """Canonical parity-check matrix: the RREF of the dual's sparse generators.
-
-    On V the sum of x^a y^b is 0 unless a = b = 0 mod q-1, so the
-    evaluations of x^(-i) y^(-j), for the n-k pairs (i, j) in [0, q-2]^2
-    outside the basis, are independent and span the dual. Those with
-    i = r mod r+1 restrict to each cell as multiples of the local parity, so
-    together they span the local rows: the local parity on one cell and
-    zero elsewhere. The three others are extra_dual_rows. The RREF of a row
-    space is unique, so this equals the RREF of any other dual basis.
-
-    The dense rows are first reduced against the local rows in closed form:
-    an entry at cell offset s loses its cell-start entry times h^s, which
-    leaves zeros at every local pivot, so rref inserts them almost for free.
-    """
-    field = domain.field
-    exp, log = field.exp, field.log
-    n, local = len(domain.points), domain.local_parity
-    size, llocal = len(local), [log[v] for v in local]
-    rows = [
-        [0] * start + local + [0] * (n - start - size)
-        for start in range(0, n, size)
-    ]
-    for row in domain.extra_dual:
-        # dense rows have no zero entry, so every cell start has a log
-        at_starts = [
-            exp[log[row[start]] + ls] for start in range(0, n, size) for ls in llocal
-        ]
-        rows.append(field.submul(row, 1, at_starts))
-    reduced, pivots = rref(field, rows)
-    assert len(pivots) == n - len(basis)
-    return reduced
+    """Canonical parity-check matrix: the RREF of domain.dual_rows, so of
+    any basis of the dual. Its local rows have pivot 1 at their cell start,
+    where its dense rows are zero, so only the dense rows go through rref;
+    each is then cleared from the local row whose cell holds its pivot.
+    Local rows left as they are stay shared with dual_rows."""
+    field, size, dual = domain.field, domain.cell_size, domain.dual_rows
+    rows = dict(zip(range(0, len(domain.points), size), dual[:len(domain.cells)]))
+    dense, pivots = rref(field, dual[len(domain.cells):])
+    for piv, row in zip(pivots, dense):
+        start = piv - piv % size
+        rows[start] = field.submul(rows[start], rows[start][piv], row)
+        rows[piv] = row
+    assert len(rows) == len(domain.points) - len(basis)
+    return [rows[piv] for piv in sorted(rows)]
 
 
 def evaluate_on_domain(

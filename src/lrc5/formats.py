@@ -15,11 +15,14 @@ manifest field is checked on its own.
 generator.csv is joined from the texts of the domain's x_blocks, each
 converted once, so neither gen nor a load builds the rows of G: a row is
 q-1 block texts, and at most (q-1)^3 symbols are converted to text instead
-of the k*n of G. parity.csv is matrix_to_csv of H.
+of the k*n of G. A load compares it with the file row by row, so it holds
+about one row of its text at a time. parity.csv is matrix_to_csv of H.
 """
 
+import io
 import json
 import os
+from collections.abc import Iterator
 from pathlib import Path
 
 from .construct import Code, Monomial, build_within_budget
@@ -28,6 +31,8 @@ from .field import Field
 
 FORMAT_VERSION = 1
 ERASURE_MARK = "?"
+#: string.whitespace: the only spaces a word may hold around a symbol
+ASCII_SPACE = " \t\n\r\x0b\x0c"
 POINT_ORDER = "row-coset-power"
 
 MANIFEST_NAME = "manifest.json"
@@ -52,18 +57,17 @@ def matrix_to_csv(rows: list[list[int]]) -> str:
     return "\n".join(",".join([names[x] for x in row]) for row in rows) + "\n"
 
 
-def generator_to_csv(code: Code) -> str:
-    """matrix_to_csv(code.generator_matrix), without building G: row (i, j)
-    is the texts of x_blocks(i) at j*t mod q-1, t in [0, q-2], joined."""
+def generator_lines(code: Code) -> Iterator[str]:
+    """The lines of matrix_to_csv(code.generator_matrix), each with its LF,
+    without building G: row (i, j) is the texts of x_blocks(i) at
+    j*t mod q-1, t in [0, q-2], joined."""
     qm1, domain = code.field.q - 1, code.domain
     names = [str(x) for x in range(code.field.q)]
     texts: dict[int, list[str]] = {}
-    lines = []
     for i, j in code.basis:
         if (blocks := texts.get(i)) is None:
             blocks = texts[i] = [",".join([names[x] for x in b]) for b in domain.x_blocks(i)]
-        lines.append(",".join([blocks[j * t % qm1] for t in range(qm1)]))
-    return "\n".join(lines) + "\n"
+        yield ",".join([blocks[j * t % qm1] for t in range(qm1)]) + "\n"
 
 
 def basis_to_text(basis: list[Monomial]) -> str:
@@ -88,12 +92,12 @@ def _echo(text: str, show=repr) -> str:
 
 def parse_word(text: str, q: int, path: str = "word") -> list[int | None]:
     """Codeword file: one line of comma-separated indices, '?' for erased."""
-    body = text.strip()
+    body = text.strip(ASCII_SPACE)
     if not body:
         raise FormatError(f"{path}: empty")
     out: list[int | None] = []
     for tok in body.split(","):
-        tok = tok.strip()
+        tok = tok.strip(ASCII_SPACE)
         if tok == ERASURE_MARK:
             out.append(None)
             continue
@@ -151,13 +155,13 @@ def _manifest_text(code: Code) -> str:
     return _MANIFEST_TEXTS[key]
 
 
-#: a gen directory: each file name with the text gen writes for a code, in
-#: the order gen writes and prints them
+#: a gen directory: each file name with the text gen writes for a code, as
+#: pieces to join, in the order gen writes and prints them
 ARTIFACTS = {
-    MANIFEST_NAME: _manifest_text,
-    FILES["generator"]: generator_to_csv,
-    FILES["parity"]: lambda code: matrix_to_csv(code.parity_check_matrix),
-    FILES["basis"]: lambda code: basis_to_text(code.basis),
+    MANIFEST_NAME: lambda code: [_manifest_text(code)],
+    FILES["generator"]: generator_lines,
+    FILES["parity"]: lambda code: [matrix_to_csv(code.parity_check_matrix)],
+    FILES["basis"]: lambda code: [basis_to_text(code.basis)],
 }
 
 
@@ -167,9 +171,19 @@ def write_artifacts(code: Code, outdir: str | Path) -> dict[str, Path]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = {name: outdir / name for name in ARTIFACTS}
-    for name, text in ARTIFACTS.items():
-        write_text_atomic(paths[name], text(code))
+    for name, pieces in ARTIFACTS.items():
+        write_text_atomic(paths[name], "".join(pieces(code)))
     return paths
+
+
+def _holds_exactly(fh, pieces) -> bool:
+    """Whether the binary file fh holds the UTF-8 of the pieces joined and
+    nothing more, reading one piece's length at a time."""
+    for piece in pieces:
+        data = piece.encode()
+        if fh.read(len(data)) != data:
+            return False
+    return not fh.read(1)
 
 
 def load_artifacts(dirpath: str | Path) -> Code:
@@ -200,9 +214,8 @@ def load_artifacts(dirpath: str | Path) -> Code:
     # the matrices last, so a foreign manifest or basis is refused before
     # their texts are rendered and H is built
     for name in sorted(ARTIFACTS, key=lambda name: name.endswith(".csv")):
-        # rendered before the file is read, so the text is freed by then
-        expected = ARTIFACTS[name](code).encode()
-        data = manifest_bytes if name == MANIFEST_NAME else (dirpath / name).read_bytes()
-        if data != expected:
-            raise FormatError(f"{name}: not what gen writes for q = {field.q}, r = {r}")
+        is_manifest = name == MANIFEST_NAME
+        with io.BytesIO(manifest_bytes) if is_manifest else (dirpath / name).open("rb") as fh:
+            if not _holds_exactly(fh, ARTIFACTS[name](code)):
+                raise FormatError(f"{name}: not what gen writes for q = {field.q}, r = {r}")
     return code

@@ -283,8 +283,10 @@ def verify_distance_at_least(
     trials: int = 100_000,
     seed: int = 0,
 ) -> VerificationReport:
-    """Certify d >= w by checking (w-1)-subsets of parity columns for
+    """Certify d >= w by checking (w-1)-subsets of the columns of h_rows for
     independence: exhaustively in lexicographic order, or on seeded samples.
+    h_rows may be any basis of the dual, such as H or domain.dual_rows: row
+    operations keep every linear dependence among columns.
 
     The scan stops at the first dependent subset, so on a failing report
     trials counts only the subsets checked up to and including the witness,
@@ -320,11 +322,13 @@ def find_min_weight_codeword(
 ) -> VerificationReport:
     """Exhaustive search for a minimum-weight codeword of weight <= w_cap.
 
-    Scans w-subsets of parity columns for w = 1..w_cap; the first dependent
-    subset found (smallest w, then lexicographic) supports a codeword of
-    exactly that weight, recovered from the one-dimensional nullspace of the
-    subset columns. A report with witness None certifies d > w_cap. Each
-    weight's scan is bounded by SUBSET_BUDGET like any exhaustive scan.
+    Scans w-subsets of the columns of h_rows, any basis of the dual, for
+    w = 1..w_cap; the first dependent subset found (smallest w, then
+    lexicographic) supports a codeword of exactly that weight, recovered
+    from the one-dimensional nullspace of the subset columns, which every
+    basis of the dual gives alike. A report with witness None certifies
+    d > w_cap. Each weight's scan is bounded by SUBSET_BUDGET like any
+    exhaustive scan.
     """
     t0 = time.perf_counter()
     n = len(h_rows[0])

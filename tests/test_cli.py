@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lrc5 import Code, Field
+from lrc5 import Code, Field, cli
 from lrc5 import field as field_module
 from lrc5.cli import main
 from lrc5.codec import encode
@@ -454,6 +454,74 @@ def test_unread_flags_are_usage_errors(tmp_path, capsys, command, flag):
     assert out == "" and list(tmp_path.iterdir()) == []
 
 
+INTEGER_FLAGS = [
+    ("params", "--q"), ("params", "--r"), ("gen", "--q"), ("gen", "--r"),
+    ("repair", "--position"), ("verify", "--q"), ("verify", "--r"), ("verify", "--seed"),
+    ("verify", "--trials"), ("simulate", "--q"), ("simulate", "--r"),
+    ("simulate", "--seed"), ("simulate", "--t"), ("simulate", "--trials"),
+]
+
+
+def with_flag(tmp_path, command, flag, value):
+    """VALID_ARGV of command, with flag set to value."""
+    argv = [a.replace("@", str(tmp_path)) for a in VALID_ARGV[command]]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+        return argv
+    return argv + [flag, value]
+
+
+@pytest.mark.parametrize("command,flag", INTEGER_FLAGS)
+@pytest.mark.parametrize("value", ["\u0667", "\uff17", "+7", "0_7", " 7", "7 ", "abc"])
+def test_integer_flags_take_ascii_decimal_only(tmp_path, capsys, command, flag, value):
+    """Every integer flag reads ASCII -?[0-9]+ only, as word files read
+    ASCII digits: int() alone reads every value here but abc as 7. Each is
+    refused with the usage error of abc."""
+    rc, out, err = run(capsys, command, *with_flag(tmp_path, command, flag, value))
+    assert (rc, out) == (1, "")
+    assert err == f"ERR Usage: argument {flag}: invalid int value: {value!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_integer_flags_keep_leading_zeros_signs_and_the_digit_limit(tmp_path, capsys):
+    rc, out, err = run(capsys, "params", "--q", "007", "--r", "05")
+    assert rc == 0 and err == "" and "r=5 n=36 k=27" in out
+    rc, out, err = run(capsys, *["simulate"] + with_flag(tmp_path, "simulate", "--t", "-1"))
+    assert (rc, out) == (2, "")
+    assert err == "ERR Validation: fixed model needs an erasure count t in [0, 36]\n"
+    past_limit = "7" * 5_000
+    rc, out, err = run(capsys, "params", "--q", past_limit, "--r", "5")
+    assert (rc, out) == (1, "")
+    assert err == f"ERR Usage: argument --q: invalid int value: {past_limit!r}\n"
+
+
+@pytest.mark.parametrize("q,r", [("5", "3"), ("7", "5")])
+def test_verify_distance_scans_the_sparse_dual_without_building_h(
+    tmp_path, capsys, monkeypatch, q, r
+):
+    """The distance suite writes the reports that scanning H gives, from
+    domain.dual_rows alone: row operations keep every column dependence."""
+    h = Code.build(Field(int(q)), int(r)).parity_check_matrix
+
+    def on_h(scan):
+        return lambda field, rows, *args, **kwargs: scan(field, h, *args, **kwargs)
+
+    argv = ["verify", "--q", q, "--r", r, "--suite", "distance", "--out"]
+    with monkeypatch.context() as m:
+        for name in ("verify_distance_at_least", "find_min_weight_codeword"):
+            m.setattr(cli, name, on_h(getattr(cli, name)))
+        rc_h, _, err_h = run(capsys, *argv, str(tmp_path / "h"))
+
+    def no_h(code):
+        raise AssertionError("built H")
+
+    monkeypatch.setattr(Code, "parity_check_matrix", property(no_h))
+    rc, _, err = run(capsys, *argv, str(tmp_path / "dual"))
+    assert (rc, err) == (rc_h, err_h) == (3, "ERR VerificationFailed: distance>=5\n")
+    for name in ("report.json", "report.txt"):
+        assert (tmp_path / "dual" / name).read_bytes() == (tmp_path / "h" / name).read_bytes()
+
+
 def test_verify_load_conflicts_with_build_flags(tmp_path, capsys):
     d = gen_code(tmp_path, capsys)
     for flag in ("--q", "--r"):
@@ -774,7 +842,8 @@ def test_simulate_refuses_trials_above_the_budget(tmp_path, capsys, monkeypatch)
     def no_trials(*args):
         raise AssertionError("a trial ran")
 
-    monkeypatch.setattr("lrc5.simulate.encode", no_trials)
+    # every run draws from SplitMix64 before its first trial
+    monkeypatch.setattr("lrc5.simulate.SplitMix64", no_trials)
     out_dir = tmp_path / "sim"
     rc, out, err = run(capsys, "simulate", "--q", "7", "--r", "5", "--model", "fixed",
                        "--t", "1", "--trials", "10000001", "--out", str(out_dir))

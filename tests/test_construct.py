@@ -2,6 +2,7 @@ import tracemalloc
 
 import pytest
 
+from lrc5 import construct
 from lrc5.construct import (
     MAX_GENERATOR_ENTRIES,
     Code,
@@ -295,6 +296,27 @@ def test_parity_check_equals_rref_of_generic_nullspace(q, r):
 def test_parity_check_equals_rref_of_dense_dual_rows(q, r):
     """H from the local and extra rows is the RREF of all n-k dense rows."""
     assert Code.build(field_for(q), r).parity_check_matrix == oracle_parity_check(q, r)
+
+
+def test_parity_check_is_the_rref_of_the_dual_rows_at_every_small_instance(monkeypatch):
+    """The closed form equals the generic RREF of all n-k rows of
+    domain.dual_rows at all 44 admissible (q, r) with q <= 32, and only the
+    3 dense rows go through construct's rref."""
+    sizes = []
+
+    def counted(field, rows):
+        sizes.append(len(rows))
+        return rref(field, rows)
+
+    for q, r in ADMISSIBLE_UP_TO_32:
+        code = Code.build(Field(*prime_power(q)), r)
+        reference, pivots = rref(code.field, code.domain.dual_rows)
+        assert len(pivots) == code.n - code.k, (q, r)
+        sizes.clear()
+        with monkeypatch.context() as m:
+            m.setattr(construct, "rref", counted)
+            assert code.parity_check_matrix == reference, (q, r)
+        assert sizes == [3], (q, r)
 
 
 @pytest.mark.parametrize("q,r", CLOSED_FORM_INSTANCES)

@@ -1,5 +1,6 @@
 import json
 import os
+import string
 
 import pytest
 
@@ -9,7 +10,7 @@ from lrc5.formats import (
     FORMAT_VERSION,
     POINT_ORDER,
     dumps_json,
-    generator_to_csv,
+    generator_lines,
     load_artifacts,
     manifest_dict,
     matrix_to_csv,
@@ -68,6 +69,19 @@ def test_word_refuses_tokens_that_are_not_ascii_decimal(token):
     fail; only ASCII digits spell a symbol."""
     with pytest.raises(FormatError, match=r"^word: token .* is not an integer or '\?'$"):
         parse_word(f"1,{token},2", 13)
+
+
+@pytest.mark.parametrize("text", ["\u00a07,3", "7,3\u3000", "7,\x1c3", "7\x85,3", "7,\u20283"])
+def test_word_strips_only_ascii_whitespace(text):
+    """str.strip() would also strip these (a no-break space, an
+    ideographic space, a file separator, a next-line mark and a line
+    separator); a symbol and the spaces around it are ASCII."""
+    with pytest.raises(FormatError, match=r"^word: token .* is not an integer or '\?'$"):
+        parse_word(text, 13)
+
+
+def test_word_strips_every_ascii_whitespace():
+    assert parse_word(f"{string.whitespace}7,{string.whitespace}3{string.whitespace}", 13) == [7, 3]
 
 
 def test_word_keeps_surrounding_whitespace_and_leading_zeros():
@@ -132,7 +146,7 @@ def test_generator_text_is_matrix_csv_of_g_at_every_small_instance():
     assert len(ADMISSIBLE_UP_TO_32) == 44
     for q, r in ADMISSIBLE_UP_TO_32:
         code = Code.build(Field(*prime_power(q)), r)
-        text = generator_to_csv(code)
+        text = "".join(generator_lines(code))
         assert "generator_matrix" not in vars(code)
         assert text == matrix_to_csv(code.generator_matrix), (q, r)
 
@@ -145,17 +159,18 @@ def test_load_leaves_the_generator_matrix_unbuilt(tmp_path, code75):
 
 
 def test_load_reads_the_manifest_once(tmp_path, code75, monkeypatch):
+    """Each file of the directory is opened once, the manifest included."""
     write_artifacts(code75, tmp_path)
-    reads = []
-    read_bytes = type(tmp_path).read_bytes
+    opens = []
+    path_open = type(tmp_path).open
 
-    def counted(path):
-        reads.append(path.name)
-        return read_bytes(path)
+    def counted(path, *args, **kwargs):
+        opens.append(path.name)
+        return path_open(path, *args, **kwargs)
 
-    monkeypatch.setattr(type(tmp_path), "read_bytes", counted)
+    monkeypatch.setattr(type(tmp_path), "open", counted)
     load_artifacts(tmp_path)
-    assert sorted(reads) == ["basis.txt", "generator.csv", "manifest.json", "parity.csv"]
+    assert sorted(opens) == ["basis.txt", "generator.csv", "manifest.json", "parity.csv"]
 
 
 def test_artifacts_are_byte_deterministic(tmp_path, code75):

@@ -178,7 +178,8 @@ def test_trials_above_the_budget_are_refused_before_any_trial(code75, monkeypatc
     def no_trials(*args):
         raise AssertionError("a trial ran")
 
-    monkeypatch.setattr("lrc5.simulate.encode", no_trials)
+    # every run draws from SplitMix64 before its first trial
+    monkeypatch.setattr("lrc5.simulate.SplitMix64", no_trials)
     with pytest.raises(BudgetExceededError):
         run_simulation(code75, SimulationConfig(model="fixed", t=1, trials=10**9, seed=0,
                                                 policy="hybrid"))
