@@ -25,8 +25,8 @@ from .codec import erasure_decode, hybrid_decode, local_repair
 # encode is unused here but stays bound: the benchmark's tracing rebinds it
 from .codec import encode
 from .construct import Code, build_within_budget, validate_params
-from .errors import LrcError, TooLargeError, ValidationError
-from .field import MAX_ORDER, Field, _prime_factors
+from .errors import LrcError, ValidationError
+from .field import field_of_order
 from .formats import (
     FORMAT_VERSION,
     dumps_json,
@@ -85,20 +85,8 @@ def _integer(text: str) -> int:
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
-def _field_of_order(q: int) -> Field:
-    if q > MAX_ORDER:  # before factoring, which trial-divides up to sqrt(q)
-        raise TooLargeError(f"field order {q} exceeds 2^16")
-    factors = _prime_factors(q)
-    if len(factors) != 1:
-        raise ValidationError(f"q = {q} is not a prime power")
-    p, m = factors[0], 1
-    while p**m < q:
-        m += 1
-    return Field(p, m)
-
-
 def cmd_params(args) -> int:
-    field = _field_of_order(args.q)
+    field = field_of_order(args.q)
     p = validate_params(field, args.r)
     bound, equivalence, regime = (report.details for report in bounds_reports(p))
     status = equivalence["status"]
@@ -123,7 +111,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    code = build_within_budget(_field_of_order(args.q), args.r)
+    code = build_within_budget(field_of_order(args.q), args.r)
     for path in write_artifacts(code, args.out).values():
         print(f"wrote {path}")
     return EXIT_OK
@@ -216,7 +204,7 @@ def cmd_verify(args) -> int:
             raise ValidationError("--r is required without --load")
         if args.q is None:
             raise ValidationError("--q is required without --load")
-        code = Code.build(_field_of_order(args.q), args.r)
+        code = Code.build(field_of_order(args.q), args.r)
     reports = _run_suites(args, code)
     all_pass = all(r.result for r in reports)
     doc = {
@@ -228,7 +216,7 @@ def cmd_verify(args) -> int:
         "mode_requested": args.mode,
         "seed": args.seed,
         "all_pass": all_pass,
-        "reports": [r.to_json_dict(include_timing=False) for r in reports],
+        "reports": [r.to_json_dict() for r in reports],
     }
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -251,7 +239,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    field = _field_of_order(args.q)
+    field = field_of_order(args.q)
     code = Code.build(field, args.r)
     config = SimulationConfig(
         model=args.model,

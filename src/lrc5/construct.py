@@ -271,18 +271,14 @@ def build_parity_check(
     return [rows[piv] for piv in sorted(rows)]
 
 
-def evaluate_on_domain(
-    field: Field, domain: EvaluationDomain, table: list[list[int]]
-) -> list[int]:
-    """Grid evaluations of a coefficient table of any shape (field is domain.field)."""
+def evaluate_on_domain(domain: EvaluationDomain, table: list[list[int]]) -> list[int]:
+    """Grid evaluations of a coefficient table of any shape."""
     return domain.evaluate(
         ((i, j), c) for i, row in enumerate(table) for j, c in enumerate(row)
     )
 
 
-def interpolate(
-    field: Field, domain: EvaluationDomain, values: list[int]
-) -> list[list[int]]:
+def interpolate(domain: EvaluationDomain, values: list[int]) -> list[list[int]]:
     """The unique (q-1) x (q-1) coefficient table whose grid evaluations
     equal values; the inverse of evaluate_on_domain.
 
@@ -290,6 +286,7 @@ def interpolate(
     otherwise, so c_ij = sum_t y_t^(-j) sum_u v_tu x_u^(-i), with v_tu the
     value at grid row t, column u.
     """
+    field = domain.field
     qm1 = field.q - 1
     if len(values) != len(domain.points):
         raise ValueError("one value per domain point required")

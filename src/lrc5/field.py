@@ -14,23 +14,26 @@ The tables are built on first use, so a Field that only names a code, or
 builds its grid from log/antilog, never holds q^2 entries; above
 MAX_TABLE_ORDER they are refused with TooLargeError.
 
-The field kind is decided only by the bootstrap arithmetic that finds the
-modulus and generator, and by affine_det, the certificate that verify's
-sampled lemma scan runs on: one integer expression reduced mod p at prime
-q, the field's own sub, mul and add otherwise.
+affine_det, the certificate that verify's sampled lemma scan runs on, reads
+the same three tables. The bootstrap that finds the modulus and generator
+runs on base-p digits at every m; only the generator's power chain takes a
+shortcut at prime q, where it is plain multiplication mod p.
 
 A field is named by (p, m) alone. Its reducing modulus is the first monic
 irreducible polynomial of degree m in index order (non-leading coefficients
 read as a base-p integer, constant term least significant), and its
 generator is the smallest primitive element, so both are re-derived from
 (p, m) and a serialized field is checked by comparing it with spec_dict().
-For m = 1 the modulus is the placeholder x and arithmetic is plain mod p.
+For m = 1 that polynomial is x, so an index is its own residue mod p.
+
+field_of_order(q) names the field of order q, refusing q above 2^16 and q
+that is not a prime power.
 """
 
 from collections.abc import Sequence
 from functools import cached_property
 
-from .errors import NotADivisorError, NotPrimeError, TooLargeError
+from .errors import NotADivisorError, NotPrimeError, TooLargeError, ValidationError
 
 MAX_ORDER = 1 << 16
 #: largest order whose q x q tables are built: 16.8M entries each; a
@@ -115,14 +118,10 @@ class Field:
             index of multiplicative order q-1.
         exp, log: antilog and log tables of the generator; exp is doubled,
             so exp[log[a] + log[b]] needs no reduction mod q-1.
-        affine_det: affine_det(p0, p1, p2, p3) returns the determinant of
-            the 4x4 matrix whose columns are (1, p_k) for four points of
-            F^3. It is chosen at construction: one integer expression and a
-            single reduction mod p (m = 1), or the field's sub, mul and add.
 
-    add, sub, neg, submul, scale and dot read the q x q addition and
-    multiplication tables, which are built on first use; mul, inv, div and
-    pow read exp and log only.
+    add, sub, neg, submul, scale, dot and affine_det read the q x q addition
+    and multiplication tables, which are built on first use; mul, inv, div
+    and pow read exp and log only.
     """
 
     def __init__(self, p: int, m: int = 1):
@@ -135,7 +134,7 @@ class Field:
         if p < 2 or _prime_factors(p) != [p]:
             raise NotPrimeError(f"characteristic {p} is not prime")
         self.p, self.m, self.q = p, m, p**m
-        self.modulus = (0, 1) if m == 1 else _smallest_irreducible(p, m)
+        self.modulus = _smallest_irreducible(p, m)
         self._qm1 = self.q - 1
         self.generator = self._find_generator()
         exp = self._powers()
@@ -143,13 +142,10 @@ class Field:
         for i, e in enumerate(exp):
             self.log[e] = i
         self.exp = exp + exp
-        self.affine_det = self._affine_det_mod if m == 1 else self._affine_det_field
 
     # Bootstrap arithmetic on polynomial indices, used only to build tables.
     def _raw_mul(self, a: int, b: int) -> int:
         p, m = self.p, self.m
-        if m == 1:
-            return (a * b) % p
         da = _digits(a, p, m)
         db = _digits(b, p, m)
         prod = [0] * (2 * m - 1)
@@ -311,28 +307,37 @@ class Field:
         """a*xs as a new list."""
         return list(map(self._mul[a].__getitem__, xs))
 
-    def _affine_det_mod(self, p0, p1, p2, p3) -> int:
-        # subtracting the first column leaves the 3x3 determinant of the
-        # differences p_k - p0, taken over the integers and reduced once
-        x0, y0, z0 = p0
-        a, b, c = p1[0] - x0, p1[1] - y0, p1[2] - z0
-        d, e, f = p2[0] - x0, p2[1] - y0, p2[2] - z0
-        g, h, i = p3[0] - x0, p3[1] - y0, p3[2] - z0
-        return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % self.p
-
-    def _affine_det_field(self, p0, p1, p2, p3) -> int:
-        sub, mul, add = self.sub, self.mul, self.add
-        x0, y0, z0 = p0
-        a, b, c = sub(p1[0], x0), sub(p1[1], y0), sub(p1[2], z0)
-        d, e, f = sub(p2[0], x0), sub(p2[1], y0), sub(p2[2], z0)
-        g, h, i = sub(p3[0], x0), sub(p3[1], y0), sub(p3[2], z0)
-        return add(
-            sub(mul(a, sub(mul(e, i), mul(f, h))), mul(b, sub(mul(d, i), mul(f, g)))),
-            mul(c, sub(mul(d, h), mul(e, g))),
-        )
+    def affine_det(self, p0, p1, p2, p3) -> int:
+        """Determinant of the 4x4 matrix whose columns are (1, p_k) for four
+        points p_k of F^3: subtracting the first column leaves the 3x3
+        determinant of the differences p_k - p0, expanded along its first
+        row."""
+        add, mul, neg = self._add, self._mul, self._neg
+        x0, y0, z0 = neg[p0[0]], neg[p0[1]], neg[p0[2]]
+        a, b, c = add[p1[0]][x0], add[p1[1]][y0], add[p1[2]][z0]
+        d, e, f = add[p2[0]][x0], add[p2[1]][y0], add[p2[2]][z0]
+        g, h, i = add[p3[0]][x0], add[p3[1]][y0], add[p3[2]][z0]
+        md, me, mf = mul[d], mul[e], mul[f]
+        ca = add[me[i]][neg[mf[h]]]  # ei - fh
+        cb = add[mf[g]][neg[md[i]]]  # fg - di
+        cc = add[md[h]][neg[me[g]]]  # dh - eg
+        return add[add[mul[a][ca]][mul[b][cb]]][mul[c][cc]]
 
     def spec_dict(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus), "q": self.q}
+
+
+def field_of_order(q: int) -> Field:
+    """GF(q), for q a prime power up to 2^16."""
+    if q > MAX_ORDER:  # before factoring, which trial-divides up to sqrt(q)
+        raise TooLargeError(f"field order {q} exceeds 2^16")
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        raise ValidationError(f"q = {q} is not a prime power")
+    p, m = factors[0], 1
+    while p**m < q:
+        m += 1
+    return Field(p, m)
 
 
 def subgroup_of_order(field: Field, t: int) -> list[int]:

@@ -63,9 +63,6 @@ class SplitMix64:
         self._pos = pos + len(chunk)
         return chunk
 
-    def next_u64(self) -> int:
-        return self._take(1)[0]
-
     def below(self, n: int, count: int) -> list[int]:
         """count uniform draws from [0, n), as count randbelow(n) calls
         would make them; below(2^64, count) returns raw words."""

@@ -282,8 +282,8 @@ def test_criterion_4_interpolation_identity():
                 [rng.randbelow(field.q) for _ in range(field.q - 1)]
                 for _ in range(field.q - 1)
             ]
-            values = evaluate_on_domain(field, dom, table)
-            if interpolate(field, dom, values) != table:
+            values = evaluate_on_domain(dom, table)
+            if interpolate(dom, values) != table:
                 problems.append(f"q={q} roundtrip broke at table {trial}")
                 break
         for p in dom.points:

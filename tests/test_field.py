@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lrc5.errors import NotADivisorError, NotPrimeError, TooLargeError
-from lrc5.field import Field, subgroup_of_order
+from lrc5.errors import NotADivisorError, NotPrimeError, TooLargeError, ValidationError
+from lrc5.field import Field, field_of_order, subgroup_of_order
 from lrc5.rng import SplitMix64
 
 from .oracles import PolyField, mult_order, smallest_generator
@@ -210,6 +210,22 @@ def test_extension_degree_checked_before_factoring(monkeypatch, p, m):
         Field(p, m)
 
 
+def test_field_of_order_names_gf_q_and_refuses_the_rest(monkeypatch):
+    f = field_of_order(49)
+    assert (f.p, f.m, f.q) == (7, 2, 49)
+    assert f.spec_dict() == Field(7, 2).spec_dict()
+    for q in (6, 1):
+        with pytest.raises(ValidationError, match=f"q = {q} is not a prime power"):
+            field_of_order(q)
+
+    def no_factoring(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr("lrc5.field._prime_factors", no_factoring)
+    with pytest.raises(TooLargeError, match="65537 exceeds 2"):
+        field_of_order(65537)
+
+
 def test_division_by_zero(f7):
     with pytest.raises(ZeroDivisionError):
         f7.inv(0)
@@ -267,10 +283,15 @@ def _leibniz(rows, mul, add, sub):
     return total
 
 
-@pytest.mark.parametrize("p,m", [(5, 1), (7, 1), (13, 1), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
+@pytest.mark.parametrize(
+    "p,m",
+    [(5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1), (29, 1), (31, 1),
+     (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2)],
+)
 def test_affine_det_is_the_leibniz_determinant(p, m):
-    """Over the integers reduced mod p at prime q, otherwise in the field's
-    own arithmetic; repeated points from a small pool make zeros common."""
+    """One table formula at every order the CLI tests use, against Leibniz
+    over the integers reduced mod p at prime q, otherwise in the field's
+    mul, add and sub; repeated points from a small pool make zeros common."""
     f = Field(p, m)
     rng = SplitMix64(f.q)
     pool = [tuple(rng.randbelow(f.q) for _ in range(3)) for _ in range(12)]

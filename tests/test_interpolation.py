@@ -69,21 +69,21 @@ def test_interpolate_inverts_evaluation(q):
     rng = SplitMix64(100 + q)
     for _ in range(30):
         table = random_table(rng, field.q)
-        values = evaluate_on_domain(field, code.domain, table)
-        assert interpolate(field, code.domain, values) == table
+        values = evaluate_on_domain(code.domain, table)
+        assert interpolate(code.domain, values) == table
 
 
-def test_evaluate_interpolate_other_direction(f7, code75):
+def test_evaluate_interpolate_other_direction(code75):
     rng = SplitMix64(9)
     for _ in range(20):
         values = [rng.randbelow(7) for _ in range(36)]
-        table = interpolate(f7, code75.domain, values)
-        assert evaluate_on_domain(f7, code75.domain, table) == values
+        table = interpolate(code75.domain, values)
+        assert evaluate_on_domain(code75.domain, table) == values
 
 
-def test_interpolate_requires_full_value_vector(f7, code75):
+def test_interpolate_requires_full_value_vector(code75):
     with pytest.raises(ValueError):
-        interpolate(f7, code75.domain, [0] * 35)
+        interpolate(code75.domain, [0] * 35)
 
 
 def test_evaluation_is_linear(f7, code75):
@@ -94,9 +94,9 @@ def test_evaluation_is_linear(f7, code75):
     combo = [
         [f7.add(f7.mul(c, x), y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)
     ]
-    ea = evaluate_on_domain(f7, code75.domain, a)
-    eb = evaluate_on_domain(f7, code75.domain, b)
-    ec = evaluate_on_domain(f7, code75.domain, combo)
+    ea = evaluate_on_domain(code75.domain, a)
+    eb = evaluate_on_domain(code75.domain, b)
+    ec = evaluate_on_domain(code75.domain, combo)
     assert ec == [f7.add(f7.mul(c, x), y) for x, y in zip(ea, eb)]
 
 
@@ -106,7 +106,7 @@ def test_codeword_interpolates_inside_basis(code75):
     for code in (code75, code_for(9), code_for(16)):
         qm1 = code.field.q - 1
         for m, row in zip(code.basis, code.generator_matrix):
-            table = interpolate(code.field, code.domain, row)
+            table = interpolate(code.domain, row)
             for i in range(qm1):
                 for j in range(qm1):
                     expected = 1 if (i, j) == (m.i, m.j) else 0
@@ -123,5 +123,5 @@ def test_evaluate_on_domain_matches_horner(q):
     shapes = [(q - 1, q - 1), (q, q + 2), (2, 3), (q + 1, 1), (0, 0)]
     for rows, cols in shapes:
         table = [[rng.randbelow(q) for _ in range(cols)] for _ in range(rows)]
-        values = evaluate_on_domain(field, code.domain, table)
+        values = evaluate_on_domain(code.domain, table)
         assert values == [evaluate_table(field, table, pt) for pt in points]

@@ -46,7 +46,7 @@ from .oracles import constraint_matrix_rank, oracle_lemma_matrix, rank_mod
 
 
 def plain(report: VerificationReport) -> dict:
-    d = report.to_json_dict(include_timing=False)
+    d = report.to_json_dict()
     d.pop("millis", None)
     return d
 
@@ -508,12 +508,11 @@ def test_report_text_line_format(code75):
     assert ok.text_line() == "pass  distance>=4  mode=exhaustive trials=7140"
 
 
-def test_report_json_timing_toggle(code53):
+def test_report_json_holds_no_timing(code53):
+    """millis is measured but written as null, so reports are byte-identical."""
     rep = verify_distance_at_least(code53.field, code53.parity_check_matrix, 4)
-    with_timing = rep.to_json_dict(include_timing=True)
-    without = rep.to_json_dict(include_timing=False)
-    assert isinstance(with_timing["millis"], float)
-    assert without["millis"] is None
+    assert isinstance(rep.millis, float)
+    assert rep.to_json_dict()["millis"] is None
 
 
 def vandermonde_columns(n):
@@ -543,18 +542,18 @@ def test_exhaustive_cost_is_the_budget_edge_of_a_complete_scan(n, size, monkeypa
         _scan_exhaustive(f, columns, size)
 
 
-def test_binned_scan_budget_counts_leaf_callbacks(f5, monkeypatch):
-    """Every 3-subset of the q=5 lemma columns is independent; binning
+def test_binned_scan_budget_counts_leaf_callbacks(monkeypatch):
+    """Every 4-subset of 16 Vandermonde columns is independent; binning
     them costs one on_leaf call per subset on top of the reductions."""
-    _, columns, betas = _moment_columns(f5)
-    cost = exhaustive_cost(16, 3) + 560
+    f, columns, betas = Field(31), vandermonde_columns(16), [i % 3 for i in range(16)]
+    cost = exhaustive_cost(16, 4) + 1_820
     monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", cost)
-    mode, checked, failure, bins = _scan(f5, columns, 3, "exhaustive", 1, 0, betas)
-    assert (mode, checked, failure) == ("exhaustive", 560, None)
-    assert sum(bins.values()) == 560
+    mode, checked, failure, bins = _scan(f, columns, 4, "exhaustive", 1, 0, betas)
+    assert (mode, checked, failure) == ("exhaustive", 1_820, None)
+    assert sum(bins.values()) == 1_820
     monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", cost - 1)
     with pytest.raises(BudgetExceededError):
-        _scan(f5, columns, 3, "exhaustive", 1, 0, betas)
+        _scan(f, columns, 4, "exhaustive", 1, 0, betas)
 
 
 def test_auto_mode_is_exhaustive_exactly_when_a_complete_scan_fits(f5, monkeypatch):
