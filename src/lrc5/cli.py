@@ -38,16 +38,13 @@ from .formats import (
     write_text_atomic,
 )
 from .rng import RNG_NAME
-from .simulate import SimulationConfig, run_simulation
+from .simulate import MODELS, POLICIES, SimulationConfig, run_simulation
 from .verify import (
     SUBSET_BUDGET,
     VerificationReport,
     bounds_reports,
-    exhaustive_cost,
-    find_min_weight_codeword,
-    singleton_like_bound,
+    distance_reports,
     verify_constraint_matrix,
-    verify_distance_at_least,
     verify_locality,
 )
 
@@ -83,6 +80,16 @@ def _integer(text: str) -> int:
         with contextlib.suppress(ValueError):  # past int's digit limit
             return int(text)
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _real(text: str) -> float:
+    """The type of --rho: what float() reads, less the spellings _integer
+    refuses too: other scripts' digits, underscores, surrounding whitespace
+    and a leading +."""
+    if text.isascii() and "_" not in text and text == text.strip() and text[:1] != "+":
+        with contextlib.suppress(ValueError):
+            return float(text)
+    raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
 
 
 def cmd_params(args) -> int:
@@ -166,30 +173,15 @@ def cmd_decode(args) -> int:
 
 
 def _run_suites(args, code: Code) -> list[VerificationReport]:
-    field, p = code.field, code.params
+    scan = (args.mode, args.trials, args.seed)
+    run = {
+        "distance": lambda: distance_reports(code, *scan),
+        "lemma": lambda: [verify_constraint_matrix(code.field, *scan)],
+        "locality": lambda: [verify_locality(code, trials=25, seed=args.seed)],
+        "bounds": lambda: bounds_reports(code.params),
+    }
     suites = SUITES if args.suite == "all" else (args.suite,)
-    scan = {"mode": args.mode, "trials": args.trials, "seed": args.seed}
-    reports: list[VerificationReport] = []
-    for suite in suites:
-        if suite == "distance":
-            dual = code.domain.dual_rows
-            d5 = verify_distance_at_least(field, dual, 5, **scan)
-            reports.append(d5)
-            cost = sum(exhaustive_cost(p.n, w) for w in range(1, 6))
-            if d5.mode == "exhaustive" and cost <= SUBSET_BUDGET:
-                mw = find_min_weight_codeword(field, dual, 5)
-                if mw.witness is not None:
-                    weight = mw.details["distance"] = mw.witness["weight"]
-                    bound = singleton_like_bound(p.n, p.k, p.r)
-                    mw.details["meets_singleton_like_bound"] = weight == bound
-                reports.append(mw)
-        elif suite == "lemma":
-            reports.append(verify_constraint_matrix(field, **scan))
-        elif suite == "locality":
-            reports.append(verify_locality(code, trials=25, seed=args.seed))
-        elif suite == "bounds":
-            reports.extend(bounds_reports(p))
-    return reports
+    return [report for suite in suites for report in run[suite]()]
 
 
 def cmd_verify(args) -> int:
@@ -327,11 +319,11 @@ def build_parser() -> _Parser:
                          help="Monte Carlo erasure and repair simulation")
     ss.add_argument("--q", type=_integer, required=True, help="field order (prime power)")
     ss.add_argument("--r", type=_integer, required=True, help="locality")
-    ss.add_argument("--model", choices=("fixed", "bernoulli"), required=True)
+    ss.add_argument("--model", choices=MODELS, required=True)
     ss.add_argument("--t", type=_integer, help="erasures per trial (fixed model)")
-    ss.add_argument("--rho", type=float, help="per-symbol erasure probability")
+    ss.add_argument("--rho", type=_real, help="per-symbol erasure probability")
     ss.add_argument("--trials", type=_integer, default=1000)
-    ss.add_argument("--policy", choices=("local-only", "hybrid"), default="hybrid")
+    ss.add_argument("--policy", choices=POLICIES, default="hybrid")
     ss.set_defaults(func=cmd_simulate)
 
     return parser

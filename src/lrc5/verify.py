@@ -25,15 +25,22 @@ nonzero for 85% (GF(5)) to 96% (GF(27)) of them, and with the second only
 reduced, so the sampled subsets, trials, witnesses and bins are those of
 the reductions alone, and the budget still counts trials.
 
-Every check returns a VerificationReport. A failing report always carries a
+Every check returns a VerificationReport, and _report is the one place one
+is made, so every check follows the same rules: millis is the wall time
+from the start of the check, a seed is kept only on a sampled run, and a
+claim passes exactly when it has no witness, except min-weight-search,
+which passes with the codeword it found. A failing report always carries a
 witness concrete enough to replay by hand (a column subset, a point subset,
-or a repaired-vs-expected symbol).
+or a repaired-vs-expected symbol). distance_reports is the whole distance
+suite of the CLI: the d>=5 scan of the sparse dual and, when that ran
+exhaustively and weights 1 to 5 fit SUBSET_BUDGET, the minimum-weight
+search with the distance it found.
 """
 
 import time
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from math import comb
 
 from .codec import local_repair
@@ -78,18 +85,7 @@ class VerificationReport:
     details: dict = dc_field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "claim": self.claim,
-            "mode": self.mode,
-            "trials": self.trials,
-            "result": self.result,
-            "witness": self.witness,
-            "seed": self.seed,
-            "millis": None,
-        }
-        if self.details:
-            out["details"] = self.details
-        return out
+        return asdict(self) | {"millis": None}
 
     def text_line(self) -> str:
         status = "pass" if self.result else "FAIL"
@@ -99,6 +95,21 @@ class VerificationReport:
         if self.witness is not None:
             out += f" witness={self.witness}"
         return out
+
+
+def _report(t0, claim, mode, trials, witness=None, seed=None, **details):
+    """The report of a check started at t0, under the rules of the module
+    docstring."""
+    return VerificationReport(
+        claim=claim,
+        mode=mode,
+        trials=trials,
+        result=witness is None or claim == "min-weight-search",
+        witness=witness,
+        seed=seed if mode == "sampled" else None,
+        millis=(time.perf_counter() - t0) * 1000,
+        details=details,
+    )
 
 
 def _scan_exhaustive(field, columns, size, on_leaf=None):
@@ -293,21 +304,10 @@ def verify_distance_at_least(
     if not 1 <= w <= len(h_rows) + 1:
         raise ValueError(f"w must lie in [1, n-k+1] = [1, {len(h_rows) + 1}]")
     size = w - 1
-    claim = f"distance>={w}"
     mode, checked, failure, _ = _scan(field, transpose(h_rows), size, mode, trials, seed)
-    witness = None
-    if failure is not None:
-        witness = {"columns": [c + 1 for c in failure]}
-    return VerificationReport(
-        claim=claim,
-        mode=mode,
-        trials=checked,
-        result=failure is None,
-        witness=witness,
-        seed=seed if mode == "sampled" else None,
-        millis=(time.perf_counter() - t0) * 1000,
-        details={"subset_size": size, "columns": n},
-    )
+    witness = None if failure is None else {"columns": [c + 1 for c in failure]}
+    return _report(t0, f"distance>={w}", mode, checked, witness, seed,
+                   subset_size=size, columns=n)
 
 
 def find_min_weight_codeword(
@@ -349,16 +349,24 @@ def find_min_weight_codeword(
             break
     else:
         details["conclusion"] = f"no codeword of weight <= {w_cap}"
-    return VerificationReport(
-        claim="min-weight-search",
-        mode="exhaustive",
-        trials=checked_total,
-        result=True,
-        witness=witness,
-        seed=None,
-        millis=(time.perf_counter() - t0) * 1000,
-        details=details,
-    )
+    return _report(t0, "min-weight-search", "exhaustive", checked_total, witness, **details)
+
+
+def distance_reports(code: Code, mode: str, trials: int, seed: int) -> list[VerificationReport]:
+    """The distance suite: the d>=5 scan over the sparse dual, then, when
+    that scan ran exhaustively and a complete search of weights 1..5 fits
+    SUBSET_BUDGET, the minimum-weight search, whose report also names the
+    distance it found and whether that meets the Singleton-like bound."""
+    field, dual, p = code.field, code.domain.dual_rows, code.params
+    d5 = verify_distance_at_least(field, dual, 5, mode, trials, seed)
+    cost = sum(exhaustive_cost(p.n, w) for w in range(1, 6))
+    if d5.mode != "exhaustive" or cost > SUBSET_BUDGET:
+        return [d5]
+    mw = find_min_weight_codeword(field, dual, 5)
+    if mw.witness is not None:
+        weight = mw.details["distance"] = mw.witness["weight"]
+        mw.details["meets_singleton_like_bound"] = weight == singleton_like_bound(p.n, p.k, p.r)
+    return [d5, mw]
 
 
 def _moment_column(field: Field, a: int, b: int) -> tuple[int, ...]:
@@ -434,19 +442,9 @@ def verify_constraint_matrix(
     points, columns, betas = _moment_columns(field)
     certify = _lemma_certificate(field, columns)
     mode, checked, failure, bins = _scan(field, columns, 4, mode, trials, seed, betas, certify)
-    witness = None
-    if failure is not None:
-        witness = {"points": [list(points[i]) for i in failure]}
-    return VerificationReport(
-        claim="constraint-matrix-rank",
-        mode=mode,
-        trials=checked,
-        result=failure is None,
-        witness=witness,
-        seed=seed if mode == "sampled" else None,
-        millis=(time.perf_counter() - t0) * 1000,
-        details={"case_counts": {k: bins[k] for k in sorted(bins)}},
-    )
+    witness = None if failure is None else {"points": [list(points[i]) for i in failure]}
+    return _report(t0, "constraint-matrix-rank", mode, checked, witness, seed,
+                   case_counts={k: bins[k] for k in sorted(bins)})
 
 
 def verify_locality(code: Code, trials: int = 25, seed: int = 0) -> VerificationReport:
@@ -482,20 +480,8 @@ def verify_locality(code: Code, trials: int = 25, seed: int = 0) -> Verification
                     break
             if witness is not None:
                 break
-    return VerificationReport(
-        claim="locality",
-        mode="sampled",
-        trials=trials,
-        result=witness is None,
-        witness=witness,
-        seed=seed,
-        millis=(time.perf_counter() - t0) * 1000,
-        details={
-            "positions": code.n,
-            "cells": len(code.domain.cells),
-            "reads_per_repair": code.r,
-        },
-    )
+    return _report(t0, "locality", "sampled", trials, witness, seed,
+                   positions=code.n, cells=len(code.domain.cells), reads_per_repair=code.r)
 
 
 def singleton_like_bound(n: int, k: int, r: int) -> int:
@@ -527,36 +513,18 @@ def optimality_equivalence_holds(params: CodeParams, d: int = 5) -> bool:
 def bounds_reports(params: CodeParams) -> list[VerificationReport]:
     """The singleton-like-bound, optimality-equivalence and length-regime
     reports, computed from the parameters alone."""
+    t0 = time.perf_counter()
     bound = singleton_like_bound(params.n, params.k, params.r)
-    singleton = VerificationReport(
-        claim="singleton-like-bound",
-        mode="exhaustive",
-        trials=0,
-        result=True,
-        witness=None,
-        seed=None,
-        millis=0.0,
-        details={"value": bound, "d_target": params.d_target,
-                 "meets_bound": bound == params.d_target},
-    )
+    singleton = _report(t0, "singleton-like-bound", "exhaustive", 0, value=bound,
+                        d_target=params.d_target, meets_bound=bound == params.d_target)
     t0 = time.perf_counter()
     try:
         holds = optimality_equivalence_holds(params, params.d_target)
         witness = None if holds else {"n_minus_k": params.n - params.k}
         details = {"status": "holds" if holds else "fails"}
     except ConditionViolatedError as e:
-        holds, witness = True, None
-        details = {"status": "inapplicable", "reason": str(e)}
-    equivalence = VerificationReport(
-        claim="optimality-equivalence",
-        mode="exhaustive",
-        trials=0,
-        result=holds,
-        witness=witness,
-        seed=None,
-        millis=(time.perf_counter() - t0) * 1000,
-        details=details,
-    )
+        witness, details = None, {"status": "inapplicable", "reason": str(e)}
+    equivalence = _report(t0, "optimality-equivalence", "exhaustive", 0, witness, **details)
     return [singleton, equivalence, length_regime_report(params)]
 
 
@@ -574,21 +542,8 @@ def length_regime_report(params: CodeParams) -> VerificationReport:
     floor3 = 3 // (r + 1)
     rhs = (3 - floor3) * (3 * r + 2) + floor3 + 1
     cosets = -(-(q - 1) // (r + 1))
-    details = {
-        "block_count_inequality": {"lhs": blocks, "rhs": rhs, "holds": blocks >= rhs},
-        "coset_count_condition": {
-            "value": cosets,
-            "threshold": 3,
-            "holds": cosets > 3,
-        },
-    }
-    return VerificationReport(
-        claim="length-regime",
-        mode="exhaustive",
-        trials=0,
-        result=True,
-        witness=None,
-        seed=None,
-        millis=(time.perf_counter() - t0) * 1000,
-        details=details,
+    return _report(
+        t0, "length-regime", "exhaustive", 0,
+        block_count_inequality={"lhs": blocks, "rhs": rhs, "holds": blocks >= rhs},
+        coset_count_condition={"value": cosets, "threshold": 3, "holds": cosets > 3},
     )

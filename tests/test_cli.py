@@ -2,11 +2,13 @@ import hashlib
 import json
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from lrc5 import Code, Field, cli
+from lrc5 import Code, Field, cli, verify
 from lrc5 import field as field_module
 from lrc5.cli import main
 from lrc5.codec import encode
@@ -495,6 +497,104 @@ def test_integer_flags_keep_leading_zeros_signs_and_the_digit_limit(tmp_path, ca
     assert err == f"ERR Usage: argument --q: invalid int value: {past_limit!r}\n"
 
 
+BERNOULLI = ["simulate", "--q", "7", "--r", "5", "--model", "bernoulli", "--trials", "5"]
+
+
+@pytest.mark.parametrize("value", ["0.0_5", " 0.05", "0.05 ", "+0.05", "\u0660.\u0660\u0665"])
+def test_rho_refuses_the_spellings_integer_flags_refuse(tmp_path, capsys, value):
+    """--rho refuses other scripts' digits, underscores, surrounding
+    whitespace and a leading +, which float() alone reads as 0.05, with the
+    usage error that 0x1p-4 gets."""
+    rc, out, err = run(capsys, *BERNOULLI, "--rho", value, "--out", str(tmp_path / "s"))
+    assert (rc, out) == (1, "")
+    assert err == f"ERR Usage: argument --rho: invalid float value: {value!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value,code", [
+    ("0.05", 0), ("5e-2", 0), ("1", 0), ("0", 0), ("-0.05", 2), ("nan", 2), ("1.5", 2), ("0x1p-4", 1),
+])
+def test_rho_reads_every_other_spelling_as_float_does(tmp_path, capsys, value, code):
+    rc, out, err = run(capsys, *BERNOULLI, "--rho", value, "--out", str(tmp_path / "s"))
+    assert rc == code
+    expected = {
+        0: "",
+        1: f"ERR Usage: argument --rho: invalid float value: {value!r}\n",
+        2: "ERR Validation: bernoulli model needs a probability rho in [0, 1]\n",
+    }
+    assert err == expected[code]
+
+
+def test_python_m_lrc5_runs_the_cli(tmp_path, capsys):
+    """The package's entry point is cli.main: same stdout, same exit codes."""
+    src = Path(__file__).resolve().parent.parent / "src"
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", "lrc5", *argv], capture_output=True,
+                              text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)})
+
+    proc = python_m("params", "--q", "7", "--r", "5")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (0, proc.stdout, "") == run(capsys, "params", "--q", "7", "--r", "5")
+    proc = python_m("verify", "--q")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("ERR Usage:") and proc.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def cli_reports(tmp_path, capsys, monkeypatch, argv):
+    """The in-memory reports of one verify run, and the ones its
+    report.json holds."""
+    seen = []
+    run_suites = cli._run_suites
+    monkeypatch.setattr(cli, "_run_suites", lambda args, code: seen.extend(run_suites(args, code)) or seen)
+    run(capsys, "verify", *argv, "--out", str(tmp_path))
+    return seen, json.loads((tmp_path / "report.json").read_text())["reports"]
+
+
+def dual_of(code):
+    return code.field, code.domain.dual_rows
+
+
+REPORT_SOURCES = {
+    "cli-all-q5-r3": ["--q", "5", "--r", "3", "--suite", "all"],
+    "cli-distance-sampled-q29-r6": ["--q", "29", "--r", "6", "--suite", "distance",
+                                    "--mode", "sampled", "--trials", "2000"],
+    "distance-exhaustive": lambda c: [verify.verify_distance_at_least(*dual_of(c), 5)],
+    "distance-sampled": lambda c: [verify.verify_distance_at_least(*dual_of(c), 5, "sampled", 300, 7)],
+    "min-weight-below-d": lambda c: [verify.find_min_weight_codeword(*dual_of(c), 3)],
+    "min-weight-at-d": lambda c: [verify.find_min_weight_codeword(*dual_of(c), 5)],
+    "distance-suite": lambda c: verify.distance_reports(c, "auto", 100, 3),
+    "lemma-exhaustive": lambda c: [verify.verify_constraint_matrix(c.field)],
+    "lemma-sampled": lambda c: [verify.verify_constraint_matrix(c.field, "sampled", 500, 4)],
+    "locality": lambda c: [verify.verify_locality(c, 3, 5)],
+    "bounds": lambda c: verify.bounds_reports(c.params),
+    "length-regime": lambda c: [verify.length_regime_report(c.params)],
+}
+
+
+@pytest.mark.parametrize("source", sorted(REPORT_SOURCES))
+def test_every_report_follows_the_report_rules(tmp_path, capsys, monkeypatch, source):
+    """A seed is kept exactly on a sampled run, a claim passes exactly when
+    it has no witness (min-weight-search passes with what it found), and
+    millis is measured but written as null."""
+    make = REPORT_SOURCES[source]
+    if callable(make):
+        reports = make(Code.build(Field(5), 3))
+        written = [report.to_json_dict() for report in reports]
+    else:
+        reports, written = cli_reports(tmp_path, capsys, monkeypatch, make)
+    assert reports
+    for report, doc in zip(reports, written, strict=True):
+        assert (report.seed is not None) == (report.mode == "sampled")
+        if report.claim == "min-weight-search":
+            assert report.result
+        else:
+            assert report.result == (report.witness is None)
+        assert isinstance(report.millis, float) and report.millis >= 0
+        assert doc == report.to_json_dict() and doc["millis"] is None
+
+
 @pytest.mark.parametrize("q,r", [("5", "3"), ("7", "5")])
 def test_verify_distance_scans_the_sparse_dual_without_building_h(
     tmp_path, capsys, monkeypatch, q, r
@@ -509,7 +609,7 @@ def test_verify_distance_scans_the_sparse_dual_without_building_h(
     argv = ["verify", "--q", q, "--r", r, "--suite", "distance", "--out"]
     with monkeypatch.context() as m:
         for name in ("verify_distance_at_least", "find_min_weight_codeword"):
-            m.setattr(cli, name, on_h(getattr(cli, name)))
+            m.setattr(verify, name, on_h(getattr(verify, name)))
         rc_h, _, err_h = run(capsys, *argv, str(tmp_path / "h"))
 
     def no_h(code):
