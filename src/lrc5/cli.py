@@ -13,11 +13,13 @@ Exit codes:
 Every error path prints exactly one machine-parsable stderr line of the
 form ``ERR <code>: <detail>``. Persisted reports never contain timings, so
 reruns with the same flags and seed are byte-identical; live timings go to
-stdout only.
+stdout only. Documents and directories are written through formats; main
+builds the parser on its first call and reuses it.
 """
 
 import argparse
 import contextlib
+import functools
 import sys
 from pathlib import Path
 
@@ -28,7 +30,7 @@ from .construct import Code, build_within_budget, validate_params
 from .errors import LrcError, ValidationError
 from .field import field_of_order
 from .formats import (
-    FORMAT_VERSION,
+    document_head,
     dumps_json,
     load_artifacts,
     parse_message,
@@ -36,6 +38,7 @@ from .formats import (
     word_to_text,
     write_artifacts,
     write_text_atomic,
+    write_texts,
 )
 from .rng import RNG_NAME
 from .simulate import MODELS, POLICIES, SimulationConfig, run_simulation
@@ -85,10 +88,10 @@ def _integer(text: str) -> int:
 def _real(text: str) -> float:
     """The type of --rho: what float() reads, less the spellings _integer
     refuses too: other scripts' digits, underscores, surrounding whitespace
-    and a leading +."""
+    and a leading +. A negative zero reads as 0.0, so -0 and 0 write one file."""
     if text.isascii() and "_" not in text and text == text.strip() and text[:1] != "+":
         with contextlib.suppress(ValueError):
-            return float(text)
+            return float(text) + 0.0
     raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
 
 
@@ -135,11 +138,16 @@ def cmd_encode(args) -> int:
     return EXIT_OK
 
 
-def cmd_repair(args) -> int:
-    code = load_artifacts(args.code)
-    word = parse_word(Path(args.word).read_text(encoding="utf-8"), code.field.q, args.word)
+def _load_word(code: Code, path: str) -> list[int | None]:
+    word = parse_word(Path(path).read_text(encoding="utf-8"), code.field.q, path)
     if len(word) != code.n:
         raise ValidationError(f"word has {len(word)} symbols, expected n = {code.n}")
+    return word
+
+
+def cmd_repair(args) -> int:
+    code = load_artifacts(args.code)
+    word = _load_word(code, args.word)
     if not 1 <= args.position <= code.n:
         raise ValidationError(f"--position must lie in [1, {code.n}]")
     pos = args.position - 1
@@ -153,9 +161,7 @@ def cmd_repair(args) -> int:
 
 def cmd_decode(args) -> int:
     code = load_artifacts(args.code)
-    word = parse_word(Path(args.word).read_text(encoding="utf-8"), code.field.q, args.word)
-    if len(word) != code.n:
-        raise ValidationError(f"word has {len(word)} symbols, expected n = {code.n}")
+    word = _load_word(code, args.word)
     stats = None if args.policy == "global" else hybrid_decode(code, word)
     text = word_to_text(erasure_decode(code, word) if stats is None else stats.codeword)
     if args.out is not None:
@@ -199,30 +205,24 @@ def cmd_verify(args) -> int:
         code = Code.build(field_of_order(args.q), args.r)
     reports = _run_suites(args, code)
     all_pass = all(r.result for r in reports)
-    doc = {
-        "format_version": FORMAT_VERSION,
+    doc = document_head(code, d_claimed=code.params.d_target) | {
         "rng": RNG_NAME,
-        "field": code.field.spec_dict(),
-        "code": {"r": code.r, "n": code.n, "k": code.k, "d_claimed": code.params.d_target},
         "suite": args.suite,
         "mode_requested": args.mode,
         "seed": args.seed,
         "all_pass": all_pass,
         "reports": [r.to_json_dict() for r in reports],
     }
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_text_atomic(outdir / "report.json", dumps_json(doc))
     header = (
         f"code: q={code.field.q} r={code.r} n={code.n} k={code.k} "
         f"suite={args.suite} mode={args.mode} seed={args.seed} rng={RNG_NAME}\n"
     )
     text = header + "".join(r.text_line() + "\n" for r in reports)
-    write_text_atomic(outdir / "report.txt", text)
+    paths = write_texts(args.out, [("report.json", dumps_json(doc)), ("report.txt", text)])
     for r in reports:
         print(f"{r.text_line()} ({r.millis:.0f} ms)")
-    print(f"wrote {outdir / 'report.json'}")
-    print(f"wrote {outdir / 'report.txt'}")
+    for path in paths.values():
+        print(f"wrote {path}")
     if not all_pass:
         failing = [r.claim for r in reports if not r.result]
         print(f"ERR VerificationFailed: {','.join(failing)}", file=sys.stderr)
@@ -231,8 +231,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    field = field_of_order(args.q)
-    code = Code.build(field, args.r)
+    code = Code.build(field_of_order(args.q), args.r)
     config = SimulationConfig(
         model=args.model,
         trials=args.trials,
@@ -242,15 +241,8 @@ def cmd_simulate(args) -> int:
         rho=args.rho,
     )
     result = run_simulation(code, config)
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "field": field.spec_dict(),
-        "code": {"r": code.r, "n": code.n, "k": code.k},
-        **result.to_json_dict(),
-    }
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_text_atomic(outdir / "simulation.json", dumps_json(doc))
+    doc = document_head(code) | result.to_json_dict()
+    paths = write_texts(args.out, [("simulation.json", dumps_json(doc))])
     res = doc["results"]
     print(f"trials: {res['trials']}")
     print(f"erased_symbols: {res['erased_symbols']}")
@@ -259,11 +251,14 @@ def cmd_simulate(args) -> int:
     print(f"local_repair_success_rate: {res['local_repair_success_rate']}")
     print(f"overall_recovery_rate: {res['overall_recovery_rate']}")
     print(f"mean_reads_per_repaired_symbol: {res['mean_reads_per_repaired_symbol']}")
-    print(f"wrote {outdir / 'simulation.json'}")
+    print(f"wrote {paths['simulation.json']}")
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The root parser, built on the first call only: building costs about
+    25 times what one parse does."""
     parser = _Parser(prog="lrc5", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -272,9 +267,13 @@ def build_parser() -> _Parser:
     seeded.add_argument("--seed", type=_integer, default=0, help="PRNG seed")
     seeded.add_argument("--out", default=".", help="output directory")
 
-    sp = subs.add_parser("params", help="validate parameters and print code facts")
-    sp.add_argument("--q", type=_integer, required=True, help="field order (prime power)")
-    sp.add_argument("--r", type=_integer, required=True, help="locality")
+    # the required code parameters of params and simulate
+    sized = argparse.ArgumentParser(add_help=False)
+    sized.add_argument("--q", type=_integer, required=True, help="field order (prime power)")
+    sized.add_argument("--r", type=_integer, required=True, help="locality")
+
+    sp = subs.add_parser("params", parents=[sized],
+                         help="validate parameters and print code facts")
     sp.set_defaults(func=cmd_params)
 
     sg = subs.add_parser("gen", help="construct a code and write its artifacts")
@@ -315,10 +314,8 @@ def build_parser() -> _Parser:
                     help="subset count for sampled mode")
     sv.set_defaults(func=cmd_verify)
 
-    ss = subs.add_parser("simulate", parents=[seeded],
+    ss = subs.add_parser("simulate", parents=[seeded, sized],
                          help="Monte Carlo erasure and repair simulation")
-    ss.add_argument("--q", type=_integer, required=True, help="field order (prime power)")
-    ss.add_argument("--r", type=_integer, required=True, help="locality")
     ss.add_argument("--model", choices=MODELS, required=True)
     ss.add_argument("--t", type=_integer, help="erasures per trial (fixed model)")
     ss.add_argument("--rho", type=_real, help="per-symbol erasure probability")

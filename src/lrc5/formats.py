@@ -1,9 +1,12 @@
-"""Artifact file formats: the gen directory, matrix CSV and word files.
+"""Artifact file formats: the gen directory, matrix CSV and word files,
+and what every written JSON document and output directory share.
 
 Writers are deterministic (sorted JSON keys, LF newlines, no floats or
 timestamps in anything persisted) and atomic (temp file then rename inside
 the target directory), so regenerating with the same flags reproduces every
-artifact byte for byte.
+artifact byte for byte. document_head is the head of every JSON document
+(gen's manifest, verify's report, simulate's result), and write_texts the
+one writer of an output directory.
 
 ARTIFACTS defines a gen directory once: each file name with the text gen
 writes for a code. write_artifacts writes that table. load_artifacts reads
@@ -22,7 +25,7 @@ about one row of its text at a time. parity.csv is matrix_to_csv of H.
 import io
 import json
 import os
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .construct import Code, Monomial, build_within_budget
@@ -123,17 +126,19 @@ def parse_message(text: str, q: int, k: int, path: str = "message") -> list[int]
     return symbols  # type: ignore[return-value]
 
 
-def manifest_dict(code: Code) -> dict:
+def document_head(code: Code, **code_fields) -> dict:
+    """The head of every JSON document written: format version, field and
+    code, with code_fields added to the code's r, n and k."""
     return {
         "format_version": FORMAT_VERSION,
         "field": code.field.spec_dict(),
-        "code": {
-            "r": code.r,
-            "n": code.n,
-            "k": code.k,
-            "d_claimed": code.params.d_target,
-            "optimal_regime": code.params.optimal_regime,
-        },
+        "code": {"r": code.r, "n": code.n, "k": code.k, **code_fields},
+    }
+
+
+def manifest_dict(code: Code) -> dict:
+    params = code.params
+    return document_head(code, d_claimed=params.d_target, optimal_regime=params.optimal_regime) | {
         "ordering": {
             "primitive_element": code.domain.g,
             "point_order": POINT_ORDER,
@@ -165,15 +170,24 @@ ARTIFACTS = {
 }
 
 
+def write_texts(outdir: str | Path, texts: Iterable[tuple[str, str]]) -> dict[str, Path]:
+    """Make outdir and write each (file name, text) into it atomically, one
+    text at a time; returns the path of each file name, in order."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    paths = {}
+    for name, text in texts:
+        paths[name] = outdir / name
+        write_text_atomic(paths[name], text)
+    return paths
+
+
 def write_artifacts(code: Code, outdir: str | Path) -> dict[str, Path]:
     """Write the ARTIFACTS texts of code into outdir; returns the path of
     each file name, in table order."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    paths = {name: outdir / name for name in ARTIFACTS}
-    for name, pieces in ARTIFACTS.items():
-        write_text_atomic(paths[name], "".join(pieces(code)))
-    return paths
+    return write_texts(
+        outdir, ((name, "".join(pieces(code))) for name, pieces in ARTIFACTS.items())
+    )
 
 
 def _holds_exactly(fh, pieces) -> bool:

@@ -7,7 +7,7 @@ seed) pair fixes the entire run. Like verify's sampled scans, a run is
 capped at SUBSET_BUDGET trials, refused before any trial runs.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .codec import _local_pass, erasure_decode, erasure_positions
 # encode is unused here but stays bound: the benchmark's tracing rebinds it
@@ -49,14 +49,7 @@ class SimulationConfig:
             raise ValueError(f"{other} does not apply to the {self.model} model")
 
     def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "t": self.t,
-            "rho": self.rho,
-            "trials": self.trials,
-            "seed": self.seed,
-            "policy": self.policy,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -88,25 +81,16 @@ class SimulationResult:
         return self.symbols_read / repaired
 
     def to_json_dict(self) -> dict:
-        return {
-            "rng": RNG_NAME,
-            "config": self.config.to_json_dict(),
-            "results": {
-                "trials": self.trials,
-                "erased_symbols": self.erased_symbols,
-                "locally_repaired": self.locally_repaired,
-                "globally_repaired": self.globally_repaired,
-                "symbols_read": self.symbols_read,
-                "fully_recovered_trials": self.fully_recovered_trials,
-                "local_repair_success_rate": self.local_repair_success_rate,
-                "overall_recovery_rate": self.overall_recovery_rate,
-                "mean_reads_per_repaired_symbol": self.mean_reads_per_repaired_symbol,
-                "erasures_per_cell_histogram": {
-                    str(c): v
-                    for c, v in sorted(self.erasures_per_cell_histogram.items())
-                },
-            },
-        }
+        """config and results: every field, the three rates, and the
+        histogram with string keys, as JSON writes them."""
+        results = asdict(self)
+        config = results.pop("config")
+        hist = results["erasures_per_cell_histogram"]
+        results["erasures_per_cell_histogram"] = {str(c): v for c, v in hist.items()}
+        results["local_repair_success_rate"] = self.local_repair_success_rate
+        results["overall_recovery_rate"] = self.overall_recovery_rate
+        results["mean_reads_per_repaired_symbol"] = self.mean_reads_per_repaired_symbol
+        return {"rng": RNG_NAME, "config": config, "results": results}
 
 
 def run_simulation(code: Code, config: SimulationConfig) -> SimulationResult:

@@ -71,6 +71,12 @@ def test_params_output(capsys):
     assert "optimality_equivalence=holds" in lines
 
 
+@pytest.mark.parametrize("r", ["0", "-1"])
+def test_params_refuses_locality_below_one(capsys, r):
+    err = "ERR Validation: locality must be at least 1\n"
+    assert run(capsys, "params", "--q", "7", "--r", r) == (2, "", err)
+
+
 @pytest.mark.parametrize("q,n,k", [("4096", 16769025, 11179347), ("65521", 4292870400, 2861913597)])
 def test_params_computes_arithmetic_only(capsys, monkeypatch, q, n, k):
     """params builds no grid, basis or field table, so it answers at once at
@@ -214,9 +220,54 @@ def test_load_refuses_manifest_integer_past_digit_limit(tmp_path, capsys):
     assert "manifest.json: invalid JSON (" in err
 
 
-def test_help_exits_zero(capsys):
-    assert run(capsys, "--help")[0] == 0
-    assert run(capsys, "verify", "--help")[0] == 0
+#: the usage line of each command's --help on a line wide enough for it;
+#: the flags keep their order
+HELP_USAGE = {
+    (): "lrc5 [-h] {params,gen,encode,repair,decode,verify,simulate} ...",
+    ("params",): "lrc5 params [-h] --q Q --r R",
+    ("gen",): "lrc5 gen [-h] [--out OUT] --q Q --r R",
+    ("encode",): "lrc5 encode [-h] --code CODE --message MESSAGE --out OUT",
+    ("repair",): "lrc5 repair [-h] --code CODE --word WORD --position POSITION",
+    ("decode",): "lrc5 decode [-h] --code CODE --word WORD [--policy {hybrid,global}] [--out OUT]",
+    ("verify",): "lrc5 verify [-h] [--seed SEED] [--out OUT] [--q Q] [--r R] [--load LOAD] "
+                 "[--suite {distance,lemma,locality,bounds,all}] "
+                 "[--mode {auto,exhaustive,sampled}] [--trials TRIALS]",
+    ("simulate",): "lrc5 simulate [-h] [--seed SEED] [--out OUT] --q Q --r R "
+                   "--model {fixed,bernoulli} [--t T] [--rho RHO] [--trials TRIALS] "
+                   "[--policy {local-only,hybrid}]",
+}
+
+
+def test_help_exits_zero(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    for command, usage in HELP_USAGE.items():
+        rc, out, err = run(capsys, *command, "--help")
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[0] == f"usage: {usage}"
+
+
+def test_main_builds_one_parser_per_process_and_none_at_import(tmp_path):
+    """Building the parser costs many parses, so main builds it on its first
+    call; importing lrc5.cli, as every benchmark process does, builds none."""
+    script = """
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    built.append(self.prog)
+argparse.ArgumentParser.__init__ = counted
+from lrc5 import cli
+print(len(built))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["params", "--q", "7", "--r", "5"]) for _ in range(2)]
+print(codes, built.count("lrc5"))
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "0\n[0, 0] 1\n"
 
 
 def test_gen_writes_artifacts(tmp_path, capsys):
@@ -523,6 +574,17 @@ def test_rho_reads_every_other_spelling_as_float_does(tmp_path, capsys, value, c
         2: "ERR Validation: bernoulli model needs a probability rho in [0, 1]\n",
     }
     assert err == expected[code]
+
+
+def test_rho_reads_a_negative_zero_as_zero(tmp_path, capsys):
+    """-0 and -0.0 pass the [0, 1] check as 0 does, and write its file."""
+    texts = set()
+    for value in ("0", "-0", "-0.0"):
+        out = tmp_path / value
+        assert run(capsys, *BERNOULLI, "--rho", value, "--out", str(out))[0] == 0
+        texts.add((out / "simulation.json").read_text())
+    (text,) = texts
+    assert '"rho": 0.0,' in text
 
 
 def test_python_m_lrc5_runs_the_cli(tmp_path, capsys):
@@ -970,6 +1032,16 @@ def test_word_file_format_errors_exit_2(tmp_path, capsys):
     bad.write_text("9,9,9\n")
     rc, _, err = run(capsys, "decode", "--code", str(d), "--word", str(bad))
     assert rc == 2 and err.startswith("ERR Format:")
+
+
+def test_repair_and_decode_refuse_a_word_of_another_length(tmp_path, capsys):
+    d = gen_code(tmp_path, capsys)
+    short = tmp_path / "short.txt"
+    write_word(short, [1] * 30)
+    for command in (["repair", "--position", "1"], ["decode"]):
+        rc, out, err = run(capsys, *command, "--code", str(d), "--word", str(short))
+        assert (rc, out) == (2, "")
+        assert err == "ERR Validation: word has 30 symbols, expected n = 36\n"
 
 
 @pytest.mark.parametrize("token,value", [("1_2", 12), ("+3", 3), ("-0", 0), ("\u0661\u0662", 12)])

@@ -233,6 +233,13 @@ def test_division_by_zero(f7):
         f7.div(3, 0)
 
 
+def test_powers_of_zero(f7, f8):
+    for f in (f7, f8):
+        assert (f.pow(0, 0), f.pow(0, 3)) == (1, 0)
+        with pytest.raises(ZeroDivisionError, match="zero has no negative powers"):
+            f.pow(0, -1)
+
+
 def test_dot_product(f7):
     assert f7.dot([1, 2, 3], [4, 5, 6]) == (4 + 10 + 18) % 7
     assert f7.dot([], []) == 0

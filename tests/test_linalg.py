@@ -239,4 +239,7 @@ def test_empty_and_zero_width_inputs(f7):
     assert rref(f7, []) == ([], [])
     assert rref(f7, [[], []]) == ([[], []], [])
     assert rank(f7, []) == 0 and rank(f7, [[]]) == 0
+    assert nullspace(f7, []) == []
+    with pytest.raises(ValueError, match="empty system"):
+        solve(f7, [], [])
     assert rref(f7, [[0, 0, 0], [0, 0, 0]]) == ([[0, 0, 0], [0, 0, 0]], [])

@@ -15,6 +15,7 @@ from math import comb
 
 import pytest
 
+from lrc5.codec import local_repair
 from lrc5.construct import Code
 from lrc5.errors import (
     BudgetExceededError,
@@ -304,6 +305,8 @@ def test_constraint_matrix_requires_four_distinct_points(f7):
         constraint_matrix(f7, [(1, 1), (1, 1), (2, 3), (4, 5)])
     with pytest.raises(NotDistinctError):
         constraint_matrix(f7, [(1, 1), (2, 3), (4, 5)])
+    with pytest.raises(ValueError, match="nonzero coordinates"):
+        constraint_matrix(f7, [(0, 1), (1, 1), (2, 3), (4, 5)])
 
 
 def test_constraint_matrix_sampled_frozen(f13):
@@ -429,6 +432,19 @@ def test_locality_catches_injected_zero_dual_entry(f5):
     rep = verify_locality(broken, trials=5, seed=0)
     assert rep.result is False
     assert rep.witness["reason"] == "zero dual entry"
+
+
+def test_locality_reports_a_wrong_repair_with_its_witness(code75, monkeypatch):
+    """The behavioural check fails at the first position whose repair
+    differs from the codeword symbol."""
+    repair = local_repair
+    monkeypatch.setattr("lrc5.verify.local_repair",
+                        lambda code, word, pos: (repair(code, word, pos) + 1) % 7)
+    rep = verify_locality(code75, trials=3, seed=0)
+    assert rep.result is False
+    assert set(rep.witness) == {"position", "expected", "repaired"}
+    assert rep.witness["position"] == 1
+    assert rep.witness["repaired"] == (rep.witness["expected"] + 1) % 7
 
 
 def test_singleton_like_bound_values():
