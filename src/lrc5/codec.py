@@ -3,7 +3,8 @@
 Received words are plain lists whose entries are either element indices or
 None for an erased symbol (written "?" in files). Positions are 0-based
 throughout the library; the CLI presents them 1-based. Every decoder applies
-the dual to a word through one routine, syndromes.
+the dual to a word through one routine, syndromes, and groups erasures by
+cell through one, _erasures_by_cell, which the simulator reads too.
 """
 
 from dataclasses import dataclass
@@ -25,6 +26,15 @@ ERASED = None
 
 def erasure_positions(received: list[int | None]) -> list[int]:
     return [i for i, s in enumerate(received) if s is None]
+
+
+def _erasures_by_cell(code: Code, erased: list[int]) -> dict[int, list[int]]:
+    """Each cell index holding erasures, mapped to its erased positions; for
+    ascending erased, the cells and the positions in each come in order."""
+    by_cell: dict[int, list[int]] = {}
+    for pos in erased:
+        by_cell.setdefault(pos // code.domain.cell_size, []).append(pos)
+    return by_cell
 
 
 def encode(field: Field, g_rows: list[list[int]], message: list[int]) -> list[int]:
@@ -110,24 +120,13 @@ def erasure_decode(code: Code, received: list[int | None]) -> list[int]:
     field, domain = code.field, code.domain
     neg, local, size = field.neg, domain.local_parity, domain.cell_size
     local_syn, dense_syn = syndromes(code, [0 if s is None else s for s in received])
-    in_cell: dict[int, list[int]] = {}
-    for col, pos in enumerate(erased):
-        in_cell.setdefault(pos // size, []).append(col)
-    stray = any(syn for ci, syn in enumerate(local_syn) if ci not in in_cell)
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for ci, cols in in_cell.items():
-        row = [0] * len(erased)
-        for col in cols:
-            row[col] = local[erased[col] - ci * size]
-        rows.append(row)
-        rhs.append(neg(local_syn[ci]))
-    for dense, syn in zip(domain.extra_dual, dense_syn):
-        rows.append([dense[e] for e in erased])
-        rhs.append(neg(syn))
+    by_cell = _erasures_by_cell(code, erased)
+    if any(syn for ci, syn in enumerate(local_syn) if ci not in by_cell):
+        raise UndecodableError(_INCONSISTENT)  # a cell without erasures fails its check
+    rows = [[local[p % size] if p in gaps else 0 for p in erased] for gaps in by_cell.values()]
+    rows += [[dense[e] for e in erased] for dense in domain.extra_dual]
+    rhs = [neg(local_syn[ci]) for ci in by_cell] + [neg(syn) for syn in dense_syn]
     try:
-        if stray:
-            raise InconsistentSystemError("a cell without erasures fails its local parity")
         x = solve(field, rows, rhs)
     except InconsistentSystemError:
         raise UndecodableError(_INCONSISTENT) from None
@@ -141,21 +140,19 @@ def erasure_decode(code: Code, received: list[int | None]) -> list[int]:
     return out
 
 
-def _local_pass(code: Code, work: list[int | None]) -> tuple[list[int], int]:
-    """Repair every cell holding exactly one erasure, in place.
-
-    Cells are disjoint, so one sweep reaches the fixed point.
-    """
+def _local_pass(code: Code, work: list[int | None], by_cell: dict[int, list[int]]):
+    """Repair, in place, each cell of by_cell with one erasure: cells are
+    disjoint, so one pass reaches the fixed point. Returns the repaired
+    positions, the ascending ones left for a global solve and the reads."""
     repaired: list[int] = []
-    reads = 0
-    for cell in code.domain.cells:
-        gaps = [pos for pos in cell if work[pos] is None]
+    remaining: list[int] = []
+    for gaps in by_cell.values():
         if len(gaps) == 1:
-            pos = gaps[0]
-            work[pos] = local_repair(code, work, pos)
-            repaired.append(pos)
-            reads += code.r
-    return repaired, reads
+            work[gaps[0]] = local_repair(code, work, gaps[0])
+            repaired += gaps
+        else:
+            remaining += gaps
+    return repaired, remaining, code.r * len(repaired)
 
 
 @dataclass
@@ -175,8 +172,8 @@ def hybrid_decode(code: Code, received: list[int | None]) -> HybridResult:
     """
     _check_length(code, received)
     work: list[int | None] = list(received)
-    local_fixed, reads = _local_pass(code, work)
-    remaining = erasure_positions(work)
+    by_cell = _erasures_by_cell(code, erasure_positions(work))
+    local_fixed, remaining, reads = _local_pass(code, work, by_cell)
     if remaining:
         reads += code.n - len(remaining)
         work = erasure_decode(code, work)

@@ -27,9 +27,7 @@ monomial_row joins q-1 of them into a row of G or one of the three dense
 extra_dual_rows, and formats joins their texts into generator.csv. evaluate
 is a (q-1) x (q-1) two-dimensional transform on the rows (x_u^i)_u alone,
 about k + (q-1)*|I| vector operations of length q-1 for |I| distinct
-exponents i, against k of length n for m*G; Code.encode and
-evaluate_on_domain run it, and interpolate is its inverse, from the
-character sums on V.
+exponents i, against k of length n for m*G; Code.encode runs it.
 """
 
 from collections.abc import Iterable
@@ -269,33 +267,6 @@ def build_parity_check(
         rows[piv] = row
     assert len(rows) == len(domain.points) - len(basis)
     return [rows[piv] for piv in sorted(rows)]
-
-
-def evaluate_on_domain(domain: EvaluationDomain, table: list[list[int]]) -> list[int]:
-    """Grid evaluations of a coefficient table of any shape."""
-    return domain.evaluate(
-        ((i, j), c) for i, row in enumerate(table) for j, c in enumerate(row)
-    )
-
-
-def interpolate(domain: EvaluationDomain, values: list[int]) -> list[list[int]]:
-    """The unique (q-1) x (q-1) coefficient table whose grid evaluations
-    equal values; the inverse of evaluate_on_domain.
-
-    On V the sum of x^a y^b is (q-1)^2 = 1 when a = b = 0 mod q-1 and 0
-    otherwise, so c_ij = sum_t y_t^(-j) sum_u v_tu x_u^(-i), with v_tu the
-    value at grid row t, column u.
-    """
-    field = domain.field
-    qm1 = field.q - 1
-    if len(values) != len(domain.points):
-        raise ValueError("one value per domain point required")
-    x_inv = [domain.x_powers[-i % qm1] for i in range(qm1)]
-    y_inv = [domain.y_powers[-j % qm1] for j in range(qm1)]
-    grid_rows = [values[s:s + qm1] for s in range(0, len(values), qm1)]
-    # sums[i][t] = sum_u v_tu x_u^(-i)
-    sums = [[field.dot(v, xi) for v in grid_rows] for xi in x_inv]
-    return [[field.dot(s, yj) for yj in y_inv] for s in sums]
 
 
 def local_parity_vector(domain: EvaluationDomain) -> list[int]:

@@ -9,7 +9,7 @@ capped at SUBSET_BUDGET trials, refused before any trial runs.
 
 from dataclasses import asdict, dataclass
 
-from .codec import _local_pass, erasure_decode, erasure_positions
+from .codec import _erasures_by_cell, _local_pass, erasure_decode
 # encode is unused here but stays bound: the benchmark's tracing rebinds it
 from .codec import encode
 from .construct import Code
@@ -96,7 +96,7 @@ class SimulationResult:
 def run_simulation(code: Code, config: SimulationConfig) -> SimulationResult:
     config.validate(code.n)
     rng = SplitMix64(config.seed)
-    q, n, k = code.field.q, code.n, code.k
+    q, n, k, cells = code.field.q, code.n, code.k, len(code.domain.cells)
     threshold = int(config.rho * (1 << 64)) if config.model == "bernoulli" else 0
     erased_total = 0
     local_total = 0
@@ -112,17 +112,17 @@ def run_simulation(code: Code, config: SimulationConfig) -> SimulationResult:
         else:
             pattern = [i for i, u in enumerate(rng.below(1 << 64, n)) if u < threshold]
         erased_total += len(pattern)
-        pattern_set = set(pattern)
-        for cell in code.domain.cells:
-            c = sum(1 for pos in cell if pos in pattern_set)
-            hist[c] = hist.get(c, 0) + 1
+        by_cell = _erasures_by_cell(code, pattern)
+        for gaps in by_cell.values():
+            hist[len(gaps)] = hist.get(len(gaps), 0) + 1
+        if len(by_cell) < cells:
+            hist[0] = hist.get(0, 0) + cells - len(by_cell)
         work: list[int | None] = list(cw)
         for pos in pattern:
             work[pos] = None
-        repaired, reads = _local_pass(code, work)
+        repaired, remaining, reads = _local_pass(code, work, by_cell)
         local_total += len(repaired)
         reads_total += reads
-        remaining = erasure_positions(work)
         recovered = not remaining
         if remaining and config.policy == "hybrid":
             try:

@@ -11,8 +11,9 @@ prefix span as its kernel. Each prefix thus costs one reduction per later
 column, not one per leaf. Every scan is bounded by SUBSET_BUDGET, counted
 in column reductions plus, when a scan bins, leaf callbacks: exhaustive
 scans stop with BudgetExceededError once they would pass it, and sampled
-scans refuse more trials than that. exhaustive_cost is the exact count of a
-complete exhaustive scan; mode "auto" runs exhaustive exactly when it fits.
+scans refuse more trials than that, and fewer than 1 with ValueError.
+exhaustive_cost is the exact count of a complete exhaustive scan; mode
+"auto" runs exhaustive exactly when it fits.
 
 Sampled rank-lemma scans first try two certificates: rows (0, 1, 2, 4) of a
 4-subset's moment columns form a 4x4 minor whose determinant is the affine
@@ -254,11 +255,11 @@ def _scan(field, columns, size, mode, trials, seed, betas=None, certify=None):
     """Scan size-subsets of columns for independence in one mode.
 
     Exhaustive mode walks every subset in lexicographic order; sampled mode
-    checks `trials` seeded subsets, at most SUBSET_BUDGET of them, trying
-    certify first; auto mode is exhaustive when a complete scan fits
-    SUBSET_BUDGET. Returns (mode,
-    checked, failure, bins): the mode that ran, and with betas, bins counts
-    the y-pattern of every subset confirmed independent, otherwise None.
+    checks `trials` seeded subsets, at least 1 and at most SUBSET_BUDGET of
+    them, trying certify first; auto mode is exhaustive when a complete scan
+    fits SUBSET_BUDGET. Returns (mode, checked, failure, bins): the mode that
+    ran, and with betas, bins counts the y-pattern of every subset confirmed
+    independent, otherwise None.
     """
     if mode == "auto":
         cost = exhaustive_cost(len(columns), size)
@@ -271,6 +272,8 @@ def _scan(field, columns, size, mode, trials, seed, betas=None, certify=None):
         raise BudgetExceededError(
             f"{trials} sampled subsets exceed the {SUBSET_BUDGET} rank-check budget"
         )
+    if mode == "sampled" and trials < 1:
+        raise ValueError(f"a sampled scan needs at least 1 trial, got {trials}")
     if size == 0:
         return mode, 0, None, None
     bins, on_leaf = _pattern_bins(betas)
@@ -454,8 +457,11 @@ def verify_locality(code: Code, trials: int = 25, seed: int = 0) -> Verification
     h^r), has no zero entry (a zero at a position would leave it
     unprotected). Behavioral part, which certifies that closed form against
     real codewords: seeded random codewords, erase each position in turn,
-    repair it from the cell survivors, and compare.
+    repair it from the cell survivors, and compare. Fewer than 1 trial is
+    refused with ValueError, as a sampled scan refuses it.
     """
+    if trials < 1:
+        raise ValueError(f"locality needs at least 1 trial, got {trials}")
     t0 = time.perf_counter()
     field = code.field
     witness = None
@@ -467,10 +473,11 @@ def verify_locality(code: Code, trials: int = 25, seed: int = 0) -> Verification
         for _ in range(trials):
             msg = rng.below(field.q, code.k)
             cw = code.encode(msg)
+            received: list[int | None] = list(cw)  # one working word: erase, repair, restore
             for pos in range(code.n):
-                received: list[int | None] = list(cw)
                 received[pos] = None
                 got = local_repair(code, received, pos)
+                received[pos] = cw[pos]
                 if got != cw[pos]:
                     witness = {
                         "position": pos + 1,

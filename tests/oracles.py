@@ -5,9 +5,10 @@ arithmetic: no imports from lrc5 except in the tests that compare the two
 sides, and lrc5.errors, whose classes oracle_erasure_decode and
 oracle_error_correct raise so that a test can compare verdicts. Extension
 fields get a tuple-coefficient polynomial model instead of the package's
-index tables. The exceptions run on the Field they are given:
-oracle_error_correct, the dense syndrome search that codec.correct_error
-replaced, and the last section's references, which only tests call.
+index tables. The exceptions run on the Field or EvaluationDomain they are
+given: oracle_error_correct, the dense syndrome search that
+codec.correct_error replaced, and the last section's references, which
+only tests call.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from collections import defaultdict
 from functools import lru_cache
 from itertools import combinations
 
+from lrc5.construct import EvaluationDomain
 from lrc5.errors import (
     AmbiguousErasuresError,
     LengthMismatchError,
@@ -549,9 +551,10 @@ def oracle_lemma_family(q: int) -> list[tuple[tuple[int, int], ...]]:
 
 # --- references on lrc5's Field ----------------------------------------------
 #
-# Matrix products, the constraint-matrix rank through linalg.rank, and the
+# Matrix products, the constraint-matrix rank through linalg.rank, the
 # per-point Horner evaluation and indicator polynomials of one grid point,
-# which the grid transform and interpolate are checked against.
+# and evaluate_on_domain with its inverse interpolate, which round-trip
+# coefficient tables through the library's grid transform.
 
 
 def matmul(field: Field, a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -595,3 +598,31 @@ def evaluate_table(field: Field, table: list[list[int]], point: tuple[int, int])
             acc = add(mul(acc, beta), c)
         total = add(mul(total, alpha), acc)
     return total
+
+
+def evaluate_on_domain(domain: EvaluationDomain, table: list[list[int]]) -> list[int]:
+    """Grid evaluations of a coefficient table of any shape, through the
+    library's EvaluationDomain.evaluate."""
+    return domain.evaluate(
+        ((i, j), c) for i, row in enumerate(table) for j, c in enumerate(row)
+    )
+
+
+def interpolate(domain: EvaluationDomain, values: list[int]) -> list[list[int]]:
+    """The unique (q-1) x (q-1) coefficient table whose grid evaluations
+    equal values; the inverse of evaluate_on_domain.
+
+    On V the sum of x^a y^b is (q-1)^2 = 1 when a = b = 0 mod q-1 and 0
+    otherwise, so c_ij = sum_t y_t^(-j) sum_u v_tu x_u^(-i), with v_tu the
+    value at grid row t, column u.
+    """
+    field = domain.field
+    qm1 = field.q - 1
+    if len(values) != len(domain.points):
+        raise ValueError("one value per domain point required")
+    x_inv = [domain.x_powers[-i % qm1] for i in range(qm1)]
+    y_inv = [domain.y_powers[-j % qm1] for j in range(qm1)]
+    grid_rows = [values[s:s + qm1] for s in range(0, len(values), qm1)]
+    # sums[i][t] = sum_u v_tu x_u^(-i)
+    sums = [[field.dot(v, xi) for v in grid_rows] for xi in x_inv]
+    return [[field.dot(s, yj) for yj in y_inv] for s in sums]

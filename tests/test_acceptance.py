@@ -18,12 +18,7 @@ import pytest
 
 from lrc5.cli import main as cli_main
 from lrc5.codec import encode, erasure_decode, local_repair
-from lrc5.construct import (
-    Code,
-    evaluate_on_domain,
-    interpolate,
-    validate_params,
-)
+from lrc5.construct import Code, validate_params
 from lrc5.errors import (
     AmbiguousErasuresError,
     ConditionViolatedError,
@@ -43,7 +38,9 @@ from lrc5.verify import (
 
 from .oracles import (
     constraint_matrix_rank,
+    evaluate_on_domain,
     evaluate_table,
+    interpolate,
     interpolation_poly,
     mat_vec_mod,
     oracle_erasure_decode,

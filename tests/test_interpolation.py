@@ -1,10 +1,9 @@
 import pytest
 
 from lrc5 import Code, Field
-from lrc5.construct import evaluate_on_domain, interpolate
 from lrc5.rng import SplitMix64
 
-from .oracles import evaluate_table, interpolation_poly
+from .oracles import evaluate_on_domain, evaluate_table, interpolate, interpolation_poly
 
 # prime fields, characteristic 2 and odd-characteristic extensions
 LOCALITY = {5: 3, 7: 5, 8: 6, 9: 3, 13: 5, 16: 4, 27: 12}

@@ -1,11 +1,14 @@
 import pytest
 
+from lrc5 import Code
 from lrc5.errors import BudgetExceededError
+from lrc5.field import field_of_order
 from lrc5.simulate import SimulationConfig, SimulationResult, run_simulation
 from lrc5.verify import SUBSET_BUDGET
 
 FROZEN = {
     "fixed_t1_local": (
+        (7, 5),
         SimulationConfig(model="fixed", t=1, trials=200, seed=0, policy="local-only"),
         {
             "erased_symbols": 200,
@@ -21,6 +24,7 @@ FROZEN = {
         },
     ),
     "fixed_t3_hybrid": (
+        (7, 5),
         SimulationConfig(model="fixed", t=3, trials=500, seed=0, policy="hybrid"),
         {
             "erased_symbols": 1500,
@@ -36,6 +40,7 @@ FROZEN = {
         },
     ),
     "fixed_t5_hybrid": (
+        (7, 5),
         SimulationConfig(model="fixed", t=5, trials=1000, seed=0, policy="hybrid"),
         {
             "erased_symbols": 5000,
@@ -57,6 +62,7 @@ FROZEN = {
         },
     ),
     "bern_rho08_s3": (
+        (7, 5),
         SimulationConfig(model="bernoulli", rho=0.08, trials=300, seed=3, policy="hybrid"),
         {
             "erased_symbols": 844,
@@ -77,13 +83,63 @@ FROZEN = {
             "trials": 300,
         },
     ),
+    # the other field kinds: characteristic 2 and an odd-characteristic extension
+    "gf8_fixed_t4_hybrid": (
+        (8, 6),
+        SimulationConfig(model="fixed", t=4, trials=300, seed=0, policy="hybrid"),
+        {
+            "erased_symbols": 1200,
+            "erasures_per_cell_histogram": {"0": 1112, "1": 792, "2": 180, "3": 16},
+            "fully_recovered_trials": 300,
+            "globally_repaired": 408,
+            "local_repair_success_rate": 0.66,
+            "locally_repaired": 792,
+            "mean_reads_per_repaired_symbol": 11.051666666666666,
+            "overall_recovery_rate": 1.0,
+            "symbols_read": 13262,
+            "trials": 300,
+        },
+    ),
+    "gf9_bern_rho01_local": (
+        (9, 3),
+        SimulationConfig(model="bernoulli", rho=0.1, trials=300, seed=1, policy="local-only"),
+        {
+            "erased_symbols": 1926,
+            "erasures_per_cell_histogram": {"0": 3149, "1": 1393, "2": 243, "3": 13, "4": 2},
+            "fully_recovered_trials": 124,
+            "globally_repaired": 0,
+            "local_repair_success_rate": 0.7232606438213914,
+            "locally_repaired": 1393,
+            "mean_reads_per_repaired_symbol": 3.0,
+            "overall_recovery_rate": 0.41333333333333333,
+            "symbols_read": 4179,
+            "trials": 300,
+        },
+    ),
+    # every trial erases in every cell, so the histogram has no "0" key
+    "gf5_bern_rho09_hybrid": (
+        (5, 3),
+        SimulationConfig(model="bernoulli", rho=0.9, trials=20, seed=0, policy="hybrid"),
+        {
+            "erased_symbols": 293,
+            "erasures_per_cell_histogram": {"2": 5, "3": 17, "4": 58},
+            "fully_recovered_trials": 0,
+            "globally_repaired": 0,
+            "local_repair_success_rate": 0.0,
+            "locally_repaired": 0,
+            "mean_reads_per_repaired_symbol": None,
+            "overall_recovery_rate": 0.0,
+            "symbols_read": 0,
+            "trials": 20,
+        },
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN))
-def test_frozen_simulations(name, code75):
-    config, expected = FROZEN[name]
-    result = run_simulation(code75, config)
+def test_frozen_simulations(name):
+    (q, r), config, expected = FROZEN[name]
+    result = run_simulation(Code.build(field_of_order(q), r), config)
     doc = result.to_json_dict()
     assert doc["rng"] == "splitmix64"
     assert doc["results"] == expected

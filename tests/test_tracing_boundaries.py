@@ -9,7 +9,7 @@ so no bytecode is written next to it.
 
 from pathlib import Path
 
-from lrc5 import Code, Field, cli, construct
+from lrc5 import Code, Field, cli, construct, simulate
 from lrc5.codec import encode, hybrid_decode, local_repair
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -84,3 +84,23 @@ def test_field_op_counter_sees_repair_and_decode():
         received[0] = received[1] = None  # two erasures in one cell
         assert hybrid_decode(code, received).codeword == word
     assert all(counts[op] > 0 for op in ("add", "mul", "dot")), counts
+
+
+def test_simulate_spans_see_every_local_pass_and_the_global_solve():
+    """The benchmark's simulate.local_pass_ms and simulate.erasure_decode_ms
+    views read these spans inside a simulate.run span: one local pass per
+    trial, and the global solve of each trial that local repair leaves
+    unfinished. Were either call no longer made through simulate's globals,
+    its view would read 0."""
+    code = Code.build(Field(7), 5)
+    config = simulate.SimulationConfig(model="fixed", t=3, trials=20, seed=0, policy="hybrid")
+    tracer = load_tracing()["Tracer"]()
+    with tracer.operation(), tracer.span("simulate.run"):
+        result = simulate.run_simulation(code, config)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("codec.local_pass") == 20
+    assert names.count("codec.erasure_decode") >= 1
+    assert result.globally_repaired > 0
+    run = names.index("simulate.run")
+    for name in ("codec.local_pass", "codec.erasure_decode"):
+        assert {span[3] for span in tracer.spans if span[0] == name} == {run}

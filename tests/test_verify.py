@@ -447,6 +447,35 @@ def test_locality_reports_a_wrong_repair_with_its_witness(code75, monkeypatch):
     assert rep.witness["repaired"] == (rep.witness["expected"] + 1) % 7
 
 
+def test_locality_restores_each_erased_symbol_before_the_next_repair(code75, monkeypatch):
+    """One working word per codeword: every repair sees exactly one erasure,
+    and a wrong repair past the first position is the one reported."""
+    def repair(code, word, pos):
+        assert [i for i, s in enumerate(word) if s is None] == [pos]
+        return (local_repair(code, word, pos) + (pos == 10)) % 7
+
+    monkeypatch.setattr("lrc5.verify.local_repair", repair)
+    rep = verify_locality(code75, trials=3, seed=0)
+    assert rep.result is False
+    assert rep.witness["position"] == 11
+    assert rep.witness["repaired"] == (rep.witness["expected"] + 1) % 7
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_sampled_checks_refuse_fewer_than_one_trial(code75, trials):
+    """A sampled check of no subsets or codewords would pass having checked
+    nothing, so it is refused; an exhaustive scan still ignores trials."""
+    f, dual = code75.field, code75.domain.dual_rows
+    with pytest.raises(ValueError, match="at least 1 trial"):
+        verify_distance_at_least(f, dual, 5, "sampled", trials, 0)
+    with pytest.raises(ValueError, match="at least 1 trial"):
+        verify_constraint_matrix(f, "sampled", trials, 0)
+    with pytest.raises(ValueError, match="at least 1 trial"):
+        verify_locality(code75, trials, 0)
+    rep = verify_distance_at_least(f, dual, 4, "exhaustive", trials, 0)
+    assert rep.result is True and rep.trials > 0
+
+
 def test_singleton_like_bound_values():
     assert singleton_like_bound(16, 9, 3) == 6
     assert singleton_like_bound(36, 27, 5) == 5
