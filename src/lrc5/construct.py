@@ -17,17 +17,20 @@ positions, and each such cell satisfies one local parity equation.
 
 The local parity (1, h, ..., h^r) and the dual are closed forms from
 character-sum duality on V; no nullspace of G is computed. dual_rows holds
-one local row per cell and the three extra_dual_rows, reduced at every cell
-start: verify scans their columns, and H is their RREF in closed form.
+one local row per cell and dense_dual, the three extra_dual_rows reduced at
+every cell start: verify scans their columns. H is their RREF in closed
+form, and parity_check_pivot_rows its at most six rows that are not plain
+local rows, which build_parity_check and formats' parity.csv both read.
 
 Every monomial evaluation on the grid is one transform on EvaluationDomain.
 Position t*(q-1) + u holds (x_u, g^t), so grid row t of x^i y^j is the
-block g^(j*t) * (x_u^i)_u. x_blocks builds the q-1 blocks of one i, once;
-monomial_row joins q-1 of them into a row of G or one of the three dense
-extra_dual_rows, and formats joins their texts into generator.csv. evaluate
-is a (q-1) x (q-1) two-dimensional transform on the rows (x_u^i)_u alone,
-about k + (q-1)*|I| vector operations of length q-1 for |I| distinct
-exponents i, against k of length n for m*G; Code.encode runs it.
+block g^(j*t) * (x_u^i)_u, whose entry u is g^(j*t + i*log x_u). x_blocks
+builds the q-1 blocks of one i, once; monomial_row joins q-1 of them into
+a row of G or one of the three dense extra_dual_rows. formats reads x_logs
+for the texts of generator.csv instead. evaluate is a (q-1) x (q-1)
+two-dimensional transform on the rows (x_u^i)_u alone, about k + (q-1)*|I|
+vector operations of length q-1 for |I| distinct exponents i, against k of
+length n for m*G; Code.encode runs it.
 """
 
 from collections.abc import Iterable
@@ -138,23 +141,28 @@ class EvaluationDomain:
         return extra_dual_rows(self)
 
     @cached_property
+    def dense_dual(self) -> list[list[int]]:
+        """extra_dual reduced by the local rows to zero at every cell start."""
+        field, local = self.field, self.local_parity
+        starts = range(0, len(self.points), len(local))
+        return [
+            field.submul(row, 1, [x for s in starts for x in field.scale(row[s], local)])
+            for row in self.extra_dual
+        ]
+
+    @cached_property
     def dual_rows(self) -> list[list[int]]:
         """A basis of the dual, built once per domain: the local parity on
-        each cell and zero elsewhere, in cell order, then the extra_dual rows
-        reduced against those to zero at every cell start.
+        each cell and zero elsewhere, in cell order, then dense_dual.
 
         On V the sum of x^a y^b is 0 unless a = b = 0 mod q-1, so the
         evaluations of x^(-i) y^(-j), for the n-k pairs (i, j) in [0, q-2]^2
         outside the basis, are independent and span the dual. Those with
         i = r mod r+1 span the local rows; the other three are extra_dual.
         """
-        field, n, local = self.field, len(self.points), self.local_parity
+        n, local = len(self.points), self.local_parity
         starts = range(0, n, len(local))
-        rows = [[0] * s + local + [0] * (n - s - len(local)) for s in starts]
-        for row in self.extra_dual:
-            at_starts = [x for s in starts for x in field.scale(row[s], local)]
-            rows.append(field.submul(row, 1, at_starts))
-        return rows
+        return [[0] * s + local + [0] * (n - s - len(local)) for s in starts] + self.dense_dual
 
     @cached_property
     def y_powers(self) -> list[list[int]]:
@@ -163,11 +171,15 @@ class EvaluationDomain:
         return [[exp[j * t % qm1] for t in range(qm1)] for j in range(qm1)]
 
     @cached_property
+    def x_logs(self) -> list[int]:
+        """log x_u over one grid row's x-values x_u, which every row shares."""
+        return [self.field.log[x] for x, _ in self.points[:self.field.q - 1]]
+
+    @cached_property
     def x_powers(self) -> list[list[int]]:
         """Row i is x_u^i over one grid row's x-values x_u, i in [0, q-2]."""
-        qm1, exp, log = self.field.q - 1, self.field.exp, self.field.log
-        lxs = [log[x] for x, _ in self.points[:qm1]]
-        return [[exp[i * lx % qm1] for lx in lxs] for i in range(qm1)]
+        qm1, exp = self.field.q - 1, self.field.exp
+        return [[exp[i * lx % qm1] for lx in self.x_logs] for i in range(qm1)]
 
     @cached_property
     def _x_blocks(self) -> dict[int, list[tuple[int, ...]]]:
@@ -250,21 +262,32 @@ def extra_dual_rows(domain: EvaluationDomain) -> list[list[int]]:
     return [domain.monomial_row(-i, -j) for i, j in removed_monomials(domain.field.q)]
 
 
+def parity_check_pivot_rows(domain: EvaluationDomain) -> dict[int, list[int]]:
+    """The at most six rows of H that are not plain local rows, by pivot.
+    H is the RREF of dual_rows, so of any basis of the dual. Its local rows
+    have pivot 1 at their cell start, where dense_dual is zero, so only
+    dense_dual goes through rref; each of its pivots is then cleared from
+    the local row of its cell."""
+    field, size, local = domain.field, domain.cell_size, domain.local_parity
+    n = len(domain.points)
+    rows: dict[int, list[int]] = {}
+    dense, pivots = rref(field, domain.dense_dual)
+    for piv, row in zip(pivots, dense):
+        start = piv - piv % size
+        cell = rows.get(start) or [0] * start + local + [0] * (n - start - size)
+        rows[start] = field.submul(cell, cell[piv], row)
+        rows[piv] = row
+    return rows
+
+
 def build_parity_check(
     basis: list[Monomial], domain: EvaluationDomain
 ) -> list[list[int]]:
-    """Canonical parity-check matrix: the RREF of domain.dual_rows, so of
-    any basis of the dual. Its local rows have pivot 1 at their cell start,
-    where its dense rows are zero, so only the dense rows go through rref;
-    each is then cleared from the local row whose cell holds its pivot.
-    Local rows left as they are stay shared with dual_rows."""
-    field, size, dual = domain.field, domain.cell_size, domain.dual_rows
+    """Canonical parity-check matrix: parity_check_pivot_rows with the
+    plain local rows around them, which stay shared with dual_rows."""
+    size, dual = domain.cell_size, domain.dual_rows
     rows = dict(zip(range(0, len(domain.points), size), dual[:len(domain.cells)]))
-    dense, pivots = rref(field, dual[len(domain.cells):])
-    for piv, row in zip(pivots, dense):
-        start = piv - piv % size
-        rows[start] = field.submul(rows[start], rows[start][piv], row)
-        rows[piv] = row
+    rows |= parity_check_pivot_rows(domain)
     assert len(rows) == len(domain.points) - len(basis)
     return [rows[piv] for piv in sorted(rows)]
 

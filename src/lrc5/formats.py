@@ -15,20 +15,21 @@ the directory unless every file equals its table text byte for byte. So a
 loaded code is the built code: no stored basis or matrix is parsed, and no
 manifest field is checked on its own.
 
-generator.csv is joined from the texts of the domain's x_blocks, each
-converted once, so neither gen nor a load builds the rows of G: a row is
-q-1 block texts, and at most (q-1)^3 symbols are converted to text instead
-of the k*n of G. A load compares it with the file row by row, so it holds
-about one row of its text at a time. parity.csv is matrix_to_csv of H.
+Neither gen nor a load builds G or H, and both take the texts line by
+line, so either holds about one row of text at a time. generator.csv joins
+block texts, each converted once: a row is q-1 of them, so at most (q-1)^3
+symbols are converted instead of the k*n of G. parity.csv is H's pivot rows
+and, for every other row, the local parity's text amid runs of zeros.
 """
 
 import io
 import json
 import os
 from collections.abc import Iterable, Iterator
+from operator import itemgetter
 from pathlib import Path
 
-from .construct import Code, Monomial, build_within_budget
+from .construct import Code, Monomial, build_within_budget, parity_check_pivot_rows
 from .errors import FormatError
 from .field import Field
 
@@ -47,11 +48,13 @@ def dumps_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
+def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write text, or each of its pieces in turn, to a temp file beside
+    path, then rename it to path."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines([text] if isinstance(text, str) else text)
     os.replace(tmp, path)
 
 
@@ -62,15 +65,35 @@ def matrix_to_csv(rows: list[list[int]]) -> str:
 
 def generator_lines(code: Code) -> Iterator[str]:
     """The lines of matrix_to_csv(code.generator_matrix), each with its LF,
-    without building G: row (i, j) is the texts of x_blocks(i) at
-    j*t mod q-1, t in [0, q-2], joined."""
-    qm1, domain = code.field.q - 1, code.domain
-    names = [str(x) for x in range(code.field.q)]
+    without building G: row (i, j) joins, for t in [0, q-2], the text of
+    block j*t mod q-1 of exponent i, whose entry u is g^e * x_u^i =
+    exp[e + i * log x_u]. Each block text is converted once."""
+    qm1, logs = code.field.q - 1, code.domain.x_logs
+    exp_names = [str(x) for x in code.field.exp]
     texts: dict[int, list[str]] = {}
+    rows: dict[int, itemgetter] = {}
     for i, j in code.basis:
         if (blocks := texts.get(i)) is None:
-            blocks = texts[i] = [",".join([names[x] for x in b]) for b in domain.x_blocks(i)]
-        yield ",".join([blocks[j * t % qm1] for t in range(qm1)]) + "\n"
+            block = itemgetter(*[i * lx % qm1 for lx in logs])
+            blocks = texts[i] = [",".join(block(exp_names[e:e + qm1])) for e in range(qm1)]
+        if (row := rows.get(j)) is None:
+            row = rows[j] = itemgetter(*[j * t % qm1 for t in range(qm1)])
+        yield ",".join(row(blocks)) + "\n"
+
+
+def parity_lines(code: Code) -> Iterator[str]:
+    """The lines of matrix_to_csv(code.parity_check_matrix), each with its
+    LF, without building H: the text of construct.parity_check_pivot_rows,
+    and every other row the run of the local parity's text at its cell
+    start, zeros elsewhere."""
+    n, size = code.n, code.domain.cell_size
+    pivot_rows = parity_check_pivot_rows(code.domain)
+    local = ",".join(map(str, code.domain.local_parity))
+    for piv in sorted(pivot_rows.keys() | range(0, n, size)):
+        if (row := pivot_rows.get(piv)) is not None:
+            yield ",".join(map(str, row)) + "\n"
+        else:
+            yield "0," * piv + local + ",0" * (n - piv - size) + "\n"
 
 
 def basis_to_text(basis: list[Monomial]) -> str:
@@ -165,14 +188,15 @@ def _manifest_text(code: Code) -> str:
 ARTIFACTS = {
     MANIFEST_NAME: lambda code: [_manifest_text(code)],
     FILES["generator"]: generator_lines,
-    FILES["parity"]: lambda code: [matrix_to_csv(code.parity_check_matrix)],
+    FILES["parity"]: parity_lines,
     FILES["basis"]: lambda code: [basis_to_text(code.basis)],
 }
 
 
-def write_texts(outdir: str | Path, texts: Iterable[tuple[str, str]]) -> dict[str, Path]:
-    """Make outdir and write each (file name, text) into it atomically, one
-    text at a time; returns the path of each file name, in order."""
+def write_texts(outdir: str | Path, texts: Iterable[tuple[str, Iterable[str]]]) -> dict[str, Path]:
+    """Make outdir and write each (file name, text or its pieces) into it
+    atomically, one file at a time; returns the path of each file name, in
+    order."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = {}
@@ -183,11 +207,9 @@ def write_texts(outdir: str | Path, texts: Iterable[tuple[str, str]]) -> dict[st
 
 
 def write_artifacts(code: Code, outdir: str | Path) -> dict[str, Path]:
-    """Write the ARTIFACTS texts of code into outdir; returns the path of
-    each file name, in table order."""
-    return write_texts(
-        outdir, ((name, "".join(pieces(code))) for name, pieces in ARTIFACTS.items())
-    )
+    """Write the ARTIFACTS texts of code into outdir, piece by piece;
+    returns the path of each file name, in table order."""
+    return write_texts(outdir, ((name, pieces(code)) for name, pieces in ARTIFACTS.items()))
 
 
 def _holds_exactly(fh, pieces) -> bool:
@@ -226,7 +248,7 @@ def load_artifacts(dirpath: str | Path) -> Code:
         raise FormatError(f"{mpath}: bad field spec ({e})") from None
     code = build_within_budget(field, r)
     # the matrices last, so a foreign manifest or basis is refused before
-    # their texts are rendered and H is built
+    # their texts are rendered
     for name in sorted(ARTIFACTS, key=lambda name: name.endswith(".csv")):
         is_manifest = name == MANIFEST_NAME
         with io.BytesIO(manifest_bytes) if is_manifest else (dirpath / name).open("rb") as fh:

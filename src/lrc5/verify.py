@@ -9,11 +9,12 @@ columns j and l complete a dependent subset exactly when l's normalized
 residual is zero or equals j's, because the residual map is linear with the
 prefix span as its kernel. Each prefix thus costs one reduction per later
 column, not one per leaf. Every scan is bounded by SUBSET_BUDGET, counted
-in column reductions plus, when a scan bins, leaf callbacks: exhaustive
-scans stop with BudgetExceededError once they would pass it, and sampled
-scans refuse more trials than that, and fewer than 1 with ValueError.
-exhaustive_cost is the exact count of a complete exhaustive scan; mode
-"auto" runs exhaustive exactly when it fits.
+in column reductions plus, when a scan bins, leaf callbacks. An exhaustive
+scan whose complete run makes more reductions (exhaustive_cost) raises
+BudgetExceededError before it starts, and one that bins raises it once its
+leaf callbacks would pass the budget; sampled scans refuse more trials than
+that, and fewer than 1 with ValueError. Mode "auto" runs exhaustive exactly
+when a complete scan, leaf callbacks included, fits.
 
 Sampled rank-lemma scans first try two certificates: rows (0, 1, 2, 4) of a
 4-subset's moment columns form a 4x4 minor whose determinant is the affine
@@ -257,15 +258,20 @@ def _scan(field, columns, size, mode, trials, seed, betas=None, certify=None):
     Exhaustive mode walks every subset in lexicographic order; sampled mode
     checks `trials` seeded subsets, at least 1 and at most SUBSET_BUDGET of
     them, trying certify first; auto mode is exhaustive when a complete scan
-    fits SUBSET_BUDGET. Returns (mode, checked, failure, bins): the mode that
+    fits SUBSET_BUDGET, leaves included. Returns (mode, checked, failure, bins): the mode that
     ran, and with betas, bins counts the y-pattern of every subset confirmed
     independent, otherwise None.
     """
+    cost = exhaustive_cost(len(columns), size)
     if mode == "auto":
-        cost = exhaustive_cost(len(columns), size)
         if betas is not None:  # one on_leaf call per subset
             cost += comb(len(columns), size)
         mode = "exhaustive" if cost <= SUBSET_BUDGET else "sampled"
+    elif mode == "exhaustive" and cost > SUBSET_BUDGET:
+        raise BudgetExceededError(
+            f"a complete exhaustive scan makes {cost} reductions, "
+            f"past the {SUBSET_BUDGET} reduction budget"
+        )
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and trials > SUBSET_BUDGET:
@@ -299,8 +305,9 @@ def verify_distance_at_least(
 
     The scan stops at the first dependent subset, so on a failing report
     trials counts only the subsets checked up to and including the witness,
-    not every subset there is. A scan that would pass SUBSET_BUDGET raises
-    BudgetExceededError instead of reporting.
+    not every subset there is. An exhaustive scan whose complete run would
+    pass SUBSET_BUDGET raises BudgetExceededError before it starts, even
+    where a witness would come early; so does a sampled one of more trials.
     """
     t0 = time.perf_counter()
     n = len(h_rows[0])

@@ -962,6 +962,25 @@ def test_verify_budget_stops_exhaustive_and_sampled_scans(tmp_path, capsys, monk
         assert not out_dir.exists()
 
 
+def test_verify_refuses_an_exhaustive_scan_over_the_budget_before_it_starts(
+    tmp_path, capsys, monkeypatch
+):
+    """A complete d>=5 scan at GF(25) r=2 makes 31,849,250 reductions, so
+    --mode exhaustive is refused from exhaustive_cost without scanning."""
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the exhaustive scan started")
+
+    monkeypatch.setattr("lrc5.verify._scan_exhaustive", no_scan)
+    out_dir = tmp_path / "out"
+    rc, out, err = run(capsys, "verify", "--q", "25", "--r", "2", "--mode", "exhaustive",
+                       "--suite", "distance", "--out", str(out_dir))
+    assert rc == 2
+    assert err.startswith("ERR BudgetExceeded:") and err.count("ERR") == 1
+    assert "31849250 reductions" in err and "10000000 reduction budget" in err
+    assert not out_dir.exists()
+
+
 def test_simulate_writes_deterministic_json(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):

@@ -5,6 +5,7 @@ import string
 import pytest
 
 from lrc5 import Code, Field
+from lrc5.construct import parity_check_pivot_rows
 from lrc5.errors import FormatError
 from lrc5.formats import (
     FORMAT_VERSION,
@@ -14,6 +15,7 @@ from lrc5.formats import (
     load_artifacts,
     manifest_dict,
     matrix_to_csv,
+    parity_lines,
     parse_message,
     parse_word,
     word_to_text,
@@ -151,11 +153,31 @@ def test_generator_text_is_matrix_csv_of_g_at_every_small_instance():
         assert text == matrix_to_csv(code.generator_matrix), (q, r)
 
 
+def test_parity_text_is_matrix_csv_of_h_at_every_small_instance():
+    """The text rendered from the pivot rows and local-row runs equals
+    matrix_to_csv of the built H at all 44 admissible (q, r) with q <= 32,
+    without building H itself."""
+    assert len(ADMISSIBLE_UP_TO_32) == 44
+    for q, r in ADMISSIBLE_UP_TO_32:
+        code = Code.build(Field(*prime_power(q)), r)
+        text = "".join(parity_lines(code))
+        assert "parity_check_matrix" not in vars(code)
+        assert text == matrix_to_csv(code.parity_check_matrix), (q, r)
+
+
 def test_load_leaves_the_generator_matrix_unbuilt(tmp_path, code75):
     write_artifacts(code75, tmp_path)
     loaded = load_artifacts(tmp_path)
     assert "generator_matrix" not in vars(loaded)
     assert loaded.generator_matrix == code75.generator_matrix
+
+
+def test_load_builds_neither_h_nor_the_local_dual_rows(tmp_path, code75):
+    write_artifacts(code75, tmp_path)
+    loaded = load_artifacts(tmp_path)
+    assert "parity_check_matrix" not in vars(loaded)
+    assert "dual_rows" not in vars(loaded.domain)
+    assert loaded.parity_check_matrix == code75.parity_check_matrix
 
 
 def test_load_reads_the_manifest_once(tmp_path, code75, monkeypatch):
@@ -217,6 +239,36 @@ def test_load_keeps_tampered_matrices_as_stored(tmp_path, code75):
     text = gpath.read_text()
     gpath.write_text(str((int(text[0]) + 1) % 7) + text[1:])
     with pytest.raises(FormatError, match="generator.csv"):
+        load_artifacts(tmp_path)
+
+
+def _parity_line_index(code, pivot_row: bool) -> int:
+    """Index in parity.csv of the first row that is (or is not) one of
+    parity_check_pivot_rows: a dense row or a cleared local row."""
+    special = parity_check_pivot_rows(code.domain)
+    pivots = sorted(special.keys() | range(0, code.n, code.r + 1))
+    return next(i for i, piv in enumerate(pivots) if (piv in special) == pivot_row)
+
+
+@pytest.mark.parametrize("pivot_row", [False, True], ids=["plain-run-row", "pivot-row"])
+def test_load_refuses_one_changed_byte_in_parity_csv(tmp_path, code75, pivot_row):
+    write_artifacts(code75, tmp_path)
+    hpath = tmp_path / "parity.csv"
+    lines = hpath.read_text().splitlines(keepends=True)
+    at = _parity_line_index(code75, pivot_row)
+    line = lines[at]
+    lines[at] = str((int(line[0]) + 1) % 7) + line[1:]
+    hpath.write_text("".join(lines))
+    with pytest.raises(FormatError, match="parity.csv"):
+        load_artifacts(tmp_path)
+
+
+def test_load_refuses_an_extra_trailing_line_in_parity_csv(tmp_path, code75):
+    write_artifacts(code75, tmp_path)
+    hpath = tmp_path / "parity.csv"
+    text = hpath.read_text()
+    hpath.write_text(text + text.splitlines(keepends=True)[-1])
+    with pytest.raises(FormatError, match="parity.csv"):
         load_artifacts(tmp_path)
 
 

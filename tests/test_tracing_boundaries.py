@@ -45,9 +45,10 @@ def test_construct_boundaries_record_spans():
 
 
 def test_hybrid_decode_of_loaded_code_builds_no_matrix(tmp_path, capsys):
-    """Loading builds H once, to compare it with parity.csv, and never G:
-    generator.csv is compared with text joined from the domain's blocks.
-    Decoding then constructs neither."""
+    """Loading builds neither H nor G: parity.csv is compared with text
+    rendered from the one RREF of the 3 dense dual rows, and generator.csv
+    with text joined from log-indexed block texts. Decoding then constructs
+    neither."""
     d = tmp_path / "code"
     assert cli.main(["gen", "--q", "7", "--r", "5", "--out", str(d)]) == 0
     code = Code.build(Field(7), 5)
@@ -65,8 +66,9 @@ def test_hybrid_decode_of_loaded_code_builds_no_matrix(tmp_path, capsys):
     assert names.count("formats.load_artifacts") == 1
     assert names.count("codec.erasure_decode") == 1
     assert names.count("construct.generator") == 0
-    assert names.count("construct.parity") == 1
-    parent = tracer.spans[tracer.spans[names.index("construct.parity")][3]]
+    assert names.count("construct.parity") == 0
+    assert names.count("linalg.rref") == 1
+    parent = tracer.spans[tracer.spans[names.index("linalg.rref")][3]]
     assert parent[0] == "formats.load_artifacts"
 
 
