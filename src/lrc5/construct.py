@@ -326,7 +326,10 @@ class Code:
 
     @classmethod
     def build(cls, field: Field, r: int) -> "Code":
+        """The code of locality r over field, refused with Field's table
+        TooLargeError above MAX_TABLE_ORDER before anything is built."""
         params = validate_params(field, r)
+        field.table_order()
         basis = build_monomial_basis(params)
         domain = build_domain(field, params)
         return cls(field, params, basis, domain)

@@ -216,8 +216,9 @@ class Field:
         hi_index = {sp: c * half for c, sp in enumerate(highs)}
         return [lo_index[x & mask] + hi_index[x >> shift] for x in powers]
 
-    def _table_order(self) -> int:
-        """q, once it is known to be at most MAX_TABLE_ORDER."""
+    def table_order(self) -> int:
+        """q, once it is known to be at most MAX_TABLE_ORDER: the guard of
+        the q x q tables, which Code.build also runs before building."""
         if self.q > MAX_TABLE_ORDER:
             raise TooLargeError(
                 f"{self!r} is above GF({MAX_TABLE_ORDER}), the largest order "
@@ -230,7 +231,7 @@ class Field:
         """Addition table. Sums are digit-wise mod p, so row a is row a - w
         with digit k raised by 1 mod p, for w = p^k and k the lowest nonzero
         digit of a."""
-        p, q = self.p, self._table_order()
+        p, q = self.p, self.table_order()
         rows = [list(range(q))]
         for a in range(1, q):
             w = 1
@@ -243,7 +244,7 @@ class Field:
     def _mul(self) -> list[list[int]]:
         """Multiplication table, one log-table row per element."""
         exp, logs = self.exp, self.log[1:]
-        return [[0] * self._table_order()] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
+        return [[0] * self.table_order()] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
 
     @cached_property
     def _neg(self) -> list[int]:

@@ -8,13 +8,15 @@ last level is decided by hashing: against the basis of a (w-2)-prefix,
 columns j and l complete a dependent subset exactly when l's normalized
 residual is zero or equals j's, because the residual map is linear with the
 prefix span as its kernel. Each prefix thus costs one reduction per later
-column, not one per leaf. Every scan is bounded by SUBSET_BUDGET, counted
-in column reductions plus, when a scan bins, leaf callbacks. An exhaustive
+column, not one per leaf. The engine only scans: every budget is decided
+in _scan, against SUBSET_BUDGET, before the work it bounds. An exhaustive
 scan whose complete run makes more reductions (exhaustive_cost) raises
-BudgetExceededError before it starts, and one that bins raises it once its
-leaf callbacks would pass the budget; sampled scans refuse more trials than
-that, and fewer than 1 with ValueError. Mode "auto" runs exhaustive exactly
-when a complete scan, leaf callbacks included, fits.
+BudgetExceededError before its first one; sampled scans refuse more trials
+than that, and fewer than 1 with ValueError. A binned (lemma) scan bins
+the lexicographic prefix its scan confirmed, one count per subset, and is
+refused before binning any when those counts and the reductions together
+pass. Mode "auto" runs exhaustive exactly when a complete scan fits with
+every subset binned.
 
 Sampled rank-lemma scans first try two certificates: rows (0, 1, 2, 4) of a
 4-subset's moment columns form a 4x4 minor whose determinant is the affine
@@ -43,6 +45,7 @@ import time
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field as dc_field
+from itertools import combinations, islice
 from math import comb
 
 from .codec import local_repair
@@ -114,49 +117,35 @@ def _report(t0, claim, mode, trials, witness=None, seed=None, **details):
     )
 
 
-def _scan_exhaustive(field, columns, size, on_leaf=None):
+def _scan_exhaustive(field, columns, size):
     """Check every size-subset of columns for independence.
 
     Returns (checked, failure): failure is the lexicographically first
     dependent subset, completed with the smallest available indices when the
     dependency appears before the subset is full. checked counts subsets
-    confirmed independent, plus one for the failure. on_leaf receives each
-    subset confirmed independent, in lexicographic order.
+    confirmed independent, plus one for the failure; those confirmed are
+    the first ones in lexicographic order.
 
     The last two levels are not walked leaf by leaf: each later column is
     reduced once against the prefix basis and keyed by its normalized
     residual. That is exact because two columns extend the prefix to a
-    dependent set iff their residuals are parallel or one is zero.
-
-    Raises BudgetExceededError before the reductions and on_leaf calls made
-    pass SUBSET_BUDGET, so a scan that ends within it is never cut short.
+    dependent set iff their residuals are parallel or one is zero. A
+    complete scan makes exactly exhaustive_cost(n, size) reductions, one
+    that stops at a witness fewer, so _scan sets the budget beforehand.
     """
     n = len(columns)
-    checked = reductions = 0
     if size == 1:
         for idx in range(n):
-            checked += 1
             if not any(columns[idx]):
-                return checked, (idx,)
-            if on_leaf is not None:
-                on_leaf([idx])
-        return checked, None
-
-    def spend(count):
-        nonlocal reductions
-        reductions += count
-        if reductions > SUBSET_BUDGET:
-            raise BudgetExceededError(
-                f"exhaustive scan passed the {SUBSET_BUDGET} reduction budget "
-                f"after {checked} subsets"
-            )
+                return idx + 1, (idx,)
+        return n, None
+    checked = 0
 
     def last_two(start, stop, basis, chosen):
         # partner: the first l > j whose residual is zero or equal to j's
         # (reduce_row scales pivots to 1, so parallel residuals are equal
         # tuples); a zero residual at j fails at once, completed as (j, j+1).
         nonlocal checked
-        spend(n - start)
         next_zero, seen, first = n, {}, None
         for i in range(n - 1, start - 1, -1):
             ext = reduce_row(field, basis, columns[i])
@@ -170,21 +159,11 @@ def _scan_exhaustive(field, columns, size, on_leaf=None):
                 first = i, partner
         j_end = stop if first is None else first[0]
         # leaves (j, l) for j in [start, j_end), l in (j, n) all pass
-        passed = comb(n - start, 2) - comb(n - j_end, 2)
-        checked += passed
-        if on_leaf is not None:
-            spend(passed)
-            for j in range(start, j_end):
-                for l in range(j + 1, n):
-                    on_leaf(chosen + [j, l])
+        checked += comb(n - start, 2) - comb(n - j_end, 2)
         if first is None:
             return None
         j, partner = first
         checked += partner - j
-        if on_leaf is not None:
-            spend(partner - j - 1)
-            for l in range(j + 1, partner):
-                on_leaf(chosen + [j, l])
         return (*chosen, j, partner)
 
     def rec(start, stop, basis, chosen):
@@ -193,7 +172,6 @@ def _scan_exhaustive(field, columns, size, on_leaf=None):
         if depth == size - 2:
             return last_two(start, stop, basis, chosen)
         for idx in range(start, stop):
-            spend(1)
             ext = reduce_row(field, basis, columns[idx])
             if ext is None:
                 checked += 1
@@ -215,7 +193,7 @@ _PAIR_PATTERNS = {
 
 
 def _pattern_bins(betas):
-    """(bins, on_leaf): on_leaf counts a 4-subset's y-pattern into bins.
+    """(bins, on_subset): on_subset counts a 4-subset's y-pattern into bins.
 
     Both are None without betas, so unbinned scans pay for no callback.
     """
@@ -223,11 +201,11 @@ def _pattern_bins(betas):
         return None, None
     bins: Counter = Counter()
 
-    def on_leaf(subset):
+    def on_subset(subset):
         a, b, c, d = [betas[i] for i in subset]
         bins[_PAIR_PATTERNS[(a == b) + (a == c) + (a == d) + (b == c) + (b == d) + (c == d)]] += 1
 
-    return bins, on_leaf
+    return bins, on_subset
 
 
 def _scan_sampled(field, columns, size, trials, seed, on_subset=None, certify=None):
@@ -253,20 +231,21 @@ def _scan_sampled(field, columns, size, trials, seed, on_subset=None, certify=No
 
 
 def _scan(field, columns, size, mode, trials, seed, betas=None, certify=None):
-    """Scan size-subsets of columns for independence in one mode.
+    """Scan size-subsets of columns for independence in one mode, under the
+    one budget rule of the module docstring.
 
     Exhaustive mode walks every subset in lexicographic order; sampled mode
-    checks `trials` seeded subsets, at least 1 and at most SUBSET_BUDGET of
-    them, trying certify first; auto mode is exhaustive when a complete scan
-    fits SUBSET_BUDGET, leaves included. Returns (mode, checked, failure, bins): the mode that
-    ran, and with betas, bins counts the y-pattern of every subset confirmed
-    independent, otherwise None.
+    checks `trials` seeded subsets, trying certify first; auto mode picks
+    one. Returns (mode, checked, failure, bins): the mode that ran, and with
+    betas, bins counts the y-pattern of every subset confirmed independent
+    (for an exhaustive scan, the first checked - 1 in lexicographic order,
+    or all checked when none failed), otherwise None.
     """
-    cost = exhaustive_cost(len(columns), size)
+    n = len(columns)
+    cost = exhaustive_cost(n, size)
     if mode == "auto":
-        if betas is not None:  # one on_leaf call per subset
-            cost += comb(len(columns), size)
-        mode = "exhaustive" if cost <= SUBSET_BUDGET else "sampled"
+        most = cost + (comb(n, size) if betas is not None else 0)
+        mode = "exhaustive" if most <= SUBSET_BUDGET else "sampled"
     elif mode == "exhaustive" and cost > SUBSET_BUDGET:
         raise BudgetExceededError(
             f"a complete exhaustive scan makes {cost} reductions, "
@@ -282,11 +261,20 @@ def _scan(field, columns, size, mode, trials, seed, betas=None, certify=None):
         raise ValueError(f"a sampled scan needs at least 1 trial, got {trials}")
     if size == 0:
         return mode, 0, None, None
-    bins, on_leaf = _pattern_bins(betas)
-    if mode == "exhaustive":
-        checked, failure = _scan_exhaustive(field, columns, size, on_leaf=on_leaf)
-    else:
-        checked, failure = _scan_sampled(field, columns, size, trials, seed, on_leaf, certify)
+    bins, on_subset = _pattern_bins(betas)
+    if mode == "sampled":
+        checked, failure = _scan_sampled(field, columns, size, trials, seed, on_subset, certify)
+        return mode, checked, failure, bins
+    checked, failure = _scan_exhaustive(field, columns, size)
+    if betas is not None:
+        confirmed = checked - (failure is not None)
+        if cost + confirmed > SUBSET_BUDGET:
+            raise BudgetExceededError(
+                f"an exhaustive scan of {cost} reductions that bins {confirmed} "
+                f"subsets passes the {SUBSET_BUDGET} budget"
+            )
+        for subset in islice(combinations(range(n), size), confirmed):
+            on_subset(subset)
     return mode, checked, failure, bins
 
 
@@ -332,17 +320,20 @@ def find_min_weight_codeword(
     lexicographic) supports a codeword of exactly that weight, recovered
     from the one-dimensional nullspace of the subset columns, which every
     basis of the dual gives alike. A report with witness None certifies
-    d > w_cap. Each weight's scan is bounded by SUBSET_BUDGET like any
-    exhaustive scan.
+    d > w_cap; a w_cap below 1 would certify nothing and raises ValueError.
+    Like any exhaustive scan, a weight whose complete scan would pass
+    SUBSET_BUDGET is refused before it starts, even if its witness is early.
     """
+    if w_cap < 1:
+        raise ValueError(f"a minimum-weight search needs a weight cap of at least 1, got {w_cap}")
     t0 = time.perf_counter()
     n = len(h_rows[0])
     columns = transpose(h_rows)
     checked_total = 0
     witness = None
     details = {"weight_cap": w_cap}
-    for w in range(1, w_cap + 1):
-        checked, failure = _scan_exhaustive(field, columns, w)
+    for w in range(1, min(w_cap, n) + 1):  # no subset is larger than n
+        _, checked, failure, _ = _scan(field, columns, w, "exhaustive", 0, 0)
         checked_total += checked
         if failure is not None:
             sub_rows = [[row[c] for c in failure] for row in h_rows]

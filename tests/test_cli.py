@@ -94,6 +94,29 @@ def test_params_computes_arithmetic_only(capsys, monkeypatch, q, n, k):
     assert f"r=2 n={n} k={k} d_target=5" in out.splitlines()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "--q", "4099", "--r", "2"),
+     ("verify", "--q", "4099", "--r", "2", "--suite", "bounds"),
+     ("simulate", "--q", "8192", "--r", "8190", "--model", "fixed", "--t", "1")],
+)
+def test_verify_and_simulate_refuse_orders_above_the_tables(tmp_path, capsys, monkeypatch, argv):
+    """verify and simulate read the q x q tables, which stop at GF(4096):
+    above it the code is refused before its grid or basis is built (at
+    q = 4099 they would hold 16.8M and 11.2M entries), with Field's line."""
+    def no_build(*args):
+        raise AssertionError("built part of the code")
+
+    monkeypatch.setattr("lrc5.construct.build_domain", no_build)
+    monkeypatch.setattr("lrc5.construct.build_monomial_basis", no_build)
+    rc, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    q = argv[2]
+    assert rc == 2 and out == ""
+    assert err == (f"ERR TooLarge: GF({q}) is above GF(4096), the largest order "
+                   "that builds q x q addition and multiplication tables\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_params_reports_equivalence_side_condition(capsys):
     rc, out, _ = run(capsys, "params", "--q", "5", "--r", "3")
     assert rc == 0

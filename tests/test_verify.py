@@ -10,7 +10,7 @@ rank claims verify False here, with witnesses; that is the honest output.
 
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import pytest
@@ -23,13 +23,14 @@ from lrc5.errors import (
     NotDistinctError,
 )
 from lrc5.field import Field
-from lrc5.linalg import rank
+from lrc5.linalg import rank, reduce_row
 from lrc5.rng import SplitMix64
 from lrc5.verify import (
     SUBSET_BUDGET,
     VerificationReport,
     _lemma_certificate,
     _moment_columns,
+    _pattern_bins,
     _scan,
     _scan_exhaustive,
     constraint_matrix,
@@ -198,12 +199,17 @@ def test_min_weight_search_none_found_on_toy_mds(f7):
     assert rep.witness is None
     assert rep.trials == 7 + 21 + 35
     assert "no codeword" in rep.details["conclusion"]
+    # a cap past n scans weights up to n only: no larger subset exists
+    rep = find_min_weight_codeword(f7, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 5)
+    assert (rep.witness, rep.trials) == (None, 3 + 3 + 1)
+    assert rep.details["conclusion"] == "no codeword of weight <= 5"
 
 
 def test_min_weight_search_over_gf13_stops_at_its_witness(code135, monkeypatch):
-    """No up-front refusal: weights 1-3 are scanned in full and weight 4
-    stops at its witness, well within the budget. Each weight's scan still
-    answers to the reduction budget."""
+    """Weights 1-3 are scanned in full and weight 4 stops at its witness,
+    well within the budget. Each weight's scan is decided up front: on a
+    budget one below the cost of a complete weight-3 scan, weights 1 and 2
+    run in full and weight 3 is refused before its first reduction."""
     f, h = code135.field, code135.parity_check_matrix
     rep = find_min_weight_codeword(f, h, 5)
     assert rep.witness["weight"] == 4
@@ -212,8 +218,19 @@ def test_min_weight_search_over_gf13_stops_at_its_witness(code135, monkeypatch):
     assert all(f.dot(row, rep.witness["codeword"]) == 0 for row in h)
     assert SUBSET_BUDGET == 10_000_000
     monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", exhaustive_cost(144, 3) - 1)
-    with pytest.raises(BudgetExceededError):
+    calls = count_reductions(monkeypatch)
+    with pytest.raises(BudgetExceededError, match="makes 10437 reductions, past the 10436 reduction budget"):
         find_min_weight_codeword(f, h, 5)
+    assert len(calls) == exhaustive_cost(144, 1) + exhaustive_cost(144, 2) == 144
+
+
+@pytest.mark.parametrize("w_cap", [0, -1])
+def test_min_weight_search_refuses_a_cap_below_one(f7, w_cap):
+    """A search of no weights would certify nothing, yet passed with
+    trials 0."""
+    h = [[pow(x, e, 7) for x in range(1, 8)] for e in range(3)]
+    with pytest.raises(ValueError, match=f"at least 1, got {w_cap}"):
+        find_min_weight_codeword(f7, h, w_cap)
 
 
 def test_scans_stop_at_the_budget(monkeypatch):
@@ -324,7 +341,7 @@ def test_constraint_matrix_sampled_frozen(f13):
 
 
 FIELDS = {5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2), 13: (13, 1),
-          16: (2, 4), 17: (17, 1), 27: (3, 3)}
+          16: (2, 4), 17: (17, 1), 19: (19, 1), 27: (3, 3)}
 
 
 def _minors_agree(f, columns, certify, quad):
@@ -572,33 +589,72 @@ def test_exhaustive_cost_closed_form():
     assert exhaustive_cost(576, 4) == 31_849_250  # GF(25) r=2, d>=5
 
 
+def count_reductions(monkeypatch):
+    """A list that grows by one at each reduce_row call verify makes."""
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return reduce_row(*args)
+
+    monkeypatch.setattr("lrc5.verify.reduce_row", counting)
+    return calls
+
+
 @pytest.mark.parametrize("n", [5, 9, 17, 30])
 @pytest.mark.parametrize("size", [2, 3, 4, 5])
 def test_exhaustive_cost_is_the_budget_edge_of_a_complete_scan(n, size, monkeypatch):
-    """A complete scan runs on a budget of exactly its cost, and one less
-    stops it: the cost is the number of reductions it makes."""
+    """A complete scan makes exactly exhaustive_cost reductions and one that
+    stops at a witness makes no more, so _scan can decide the budget before
+    the first reduction: it runs the scan on a budget of exactly its cost
+    and refuses it on one less without reducing anything."""
     f = Field(31)
     columns = vandermonde_columns(n)
     cost = exhaustive_cost(n, size)
-    monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", cost)
+    calls = count_reductions(monkeypatch)
     assert _scan_exhaustive(f, columns, size) == (comb(n, size), None)
+    assert len(calls) == cost
+    calls.clear()
+    repeated = columns[:n - 1] + [columns[n // 2]]
+    assert _scan_exhaustive(f, repeated, size)[1] is not None
+    assert len(calls) <= cost
+    calls.clear()
+    monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", cost)
+    assert _scan(f, columns, size, "exhaustive", 1, 0) == ("exhaustive", comb(n, size), None, None)
+    calls.clear()
     monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", cost - 1)
-    with pytest.raises(BudgetExceededError):
-        _scan_exhaustive(f, columns, size)
+    with pytest.raises(BudgetExceededError, match=f"makes {cost} reductions"):
+        _scan(f, columns, size, "exhaustive", 1, 0)
+    assert calls == []
 
 
 def test_binned_scan_budget_counts_leaf_callbacks(monkeypatch):
     """Every 4-subset of 16 Vandermonde columns is independent; binning
-    them costs one on_leaf call per subset on top of the reductions."""
+    them costs one count per subset on top of the reductions, and a scan
+    whose bins would pass the budget is refused before it bins any."""
     f, columns, betas = Field(31), vandermonde_columns(16), [i % 3 for i in range(16)]
+    binned = []
+
+    def recording(betas):
+        bins, on_subset = _pattern_bins(betas)
+
+        def record(subset):
+            binned.append(subset)
+            on_subset(subset)
+
+        return bins, record
+
+    monkeypatch.setattr("lrc5.verify._pattern_bins", recording)
     cost = exhaustive_cost(16, 4) + 1_820
     monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", cost)
     mode, checked, failure, bins = _scan(f, columns, 4, "exhaustive", 1, 0, betas)
     assert (mode, checked, failure) == ("exhaustive", 1_820, None)
-    assert sum(bins.values()) == 1_820
+    assert sum(bins.values()) == len(binned) == 1_820
+    binned.clear()
     monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", cost - 1)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="bins 1820 subsets"):
         _scan(f, columns, 4, "exhaustive", 1, 0, betas)
+    assert binned == []
 
 
 def test_auto_mode_is_exhaustive_exactly_when_a_complete_scan_fits(f5, monkeypatch):
@@ -611,7 +667,7 @@ def test_auto_mode_is_exhaustive_exactly_when_a_complete_scan_fits(f5, monkeypat
     rep = verify_distance_at_least(f, h, 5, mode="auto", trials=1_000, seed=3)
     assert (rep.mode, rep.trials, rep.seed) == ("sampled", 1_000, 3)
 
-    lemma_cost = exhaustive_cost(16, 4) + 1_820  # plus one on_leaf per subset
+    lemma_cost = exhaustive_cost(16, 4) + 1_820  # plus one bin count per subset
     monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", lemma_cost)
     rep = verify_constraint_matrix(f5, mode="auto", trials=100)
     assert rep.mode == "exhaustive" and rep.trials == FROZEN_LEMMA[(5, 3)]["trials"]
@@ -641,6 +697,29 @@ def test_constraint_matrix_exhaustive_over_gf13_stops_at_its_witness(f13):
     assert rank_mod(oracle_lemma_matrix(pts, 13), 13) == 3
 
 
+@pytest.mark.parametrize(
+    "q,trials,witness,counts",
+    [
+        (16, 332_732, [[1, 1], [2, 1], [4, 3], [7, 3]], (229_684, 23, 96_655, 3_262, 3_107)),
+        (17, 464_388, [[1, 1], [2, 1], [4, 8], [16, 8]], (328_055, 25, 128_400, 4_044, 3_863)),
+        (19, 848_022, [[1, 1], [2, 1], [4, 9], [18, 9]], (624_920, 29, 211_731, 5_790, 5_551)),
+    ],
+)
+def test_constraint_matrix_exhaustive_frozen_up_to_the_largest_admitted_scan(
+    q, trials, witness, counts
+):
+    """Explicit exhaustive lemma scans up to GF(19), whose 5,668,004
+    reductions plus 848,021 binned subsets are the largest the budget admits
+    (GF(23) makes 18.8M reductions and is refused up front); auto mode
+    samples at these orders. The bins hold every subset before the witness."""
+    rep = verify_constraint_matrix(Field(*FIELDS[q]), mode="exhaustive")
+    assert (rep.mode, rep.trials, rep.result) == ("exhaustive", trials, False)
+    assert rep.witness == {"points": witness}
+    names = ("all-distinct", "all-equal", "one-pair", "three-equal", "two-pairs")
+    assert rep.details["case_counts"] == dict(zip(names, counts))
+    assert sum(counts) == trials - 1
+
+
 def _reference_reduce(field, basis, col):
     v = list(col)
     for piv, b in basis:
@@ -656,7 +735,8 @@ def reference_scan(field, columns, size):
     """Per-leaf depth-first scan: every leaf subset is reduced on its own.
 
     Returns (checked, failure, leaves) with the same meaning as
-    _scan_exhaustive plus the on_leaf call sequence.
+    _scan_exhaustive plus every subset confirmed independent, in the order
+    it was confirmed.
     """
     n = len(columns)
     checked = 0
@@ -684,10 +764,14 @@ def reference_scan(field, columns, size):
     return checked, failure, leaves
 
 
-def engine_scan(field, columns, size):
-    leaves = []
-    checked, failure = _scan_exhaustive(field, columns, size, leaves.append)
-    return checked, failure, leaves
+def assert_scan_matches_reference(field, columns, size):
+    """The engine's (checked, failure) equals the reference's, and the
+    reference confirms exactly the first subsets in lexicographic order,
+    the identity that binning the confirmed prefix rests on."""
+    checked, failure, leaves = reference_scan(field, columns, size)
+    assert _scan_exhaustive(field, columns, size) == (checked, failure)
+    prefix = islice(combinations(range(len(columns)), size), checked - (failure is not None))
+    assert leaves == [list(subset) for subset in prefix]
 
 
 @pytest.mark.parametrize("p,m,r", [(5, 1, 3), (7, 1, 5), (2, 3, 6), (3, 2, 3), (11, 1, 4)])
@@ -695,15 +779,16 @@ def test_scan_matches_per_leaf_reference_on_parity_columns(p, m, r):
     field = Field(p, m)
     columns = [list(c) for c in zip(*Code.build(field, r).parity_check_matrix)]
     for size in (1, 2, 3, 4):
-        assert engine_scan(field, columns, size) == reference_scan(field, columns, size)
+        assert_scan_matches_reference(field, columns, size)
 
 
 @pytest.mark.parametrize("q", [5, 7])
 def test_scan_matches_reference_on_lemma_columns(q):
-    """Equal on_leaf sequences give equal y-pattern bins."""
+    """The confirmed subsets are the lexicographic prefix, so the bins of
+    that prefix are the bins of the reference's leaves."""
     field = Field(q)
     _, columns, _ = _moment_columns(field)
-    assert engine_scan(field, columns, 4) == reference_scan(field, columns, 4)
+    assert_scan_matches_reference(field, columns, 4)
 
 
 @pytest.mark.parametrize("p,m", [(5, 1), (2, 2), (3, 2), (2, 3)])
@@ -728,7 +813,7 @@ def test_scan_matches_reference_on_random_columns(p, m):
                 new = field.scale(rng.randrange(1, field.q), src)
             columns.insert(rng.randrange(n + 1), new)
         for size in range(1, min(5, len(columns)) + 1):
-            assert engine_scan(field, columns, size) == reference_scan(field, columns, size)
+            assert_scan_matches_reference(field, columns, size)
 
 
 @pytest.mark.parametrize("p,m,r,trials", [(3, 2, 3, 41_664), (2, 4, 4, 1_873_200)])
