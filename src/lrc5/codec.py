@@ -3,8 +3,9 @@
 Received words are plain lists whose entries are either element indices or
 None for an erased symbol (written "?" in files). Positions are 0-based
 throughout the library; the CLI presents them 1-based. Every decoder applies
-the dual to a word through one routine, syndromes, and groups erasures by
-cell through one, _erasures_by_cell, which the simulator reads too.
+the dual (the local parity on each cell and the three dense_dual rows) to
+a word through one routine, syndromes, and groups erasures by cell
+through one, _erasures_by_cell, which the simulator reads too.
 """
 
 from dataclasses import dataclass
@@ -57,6 +58,7 @@ def local_repair(code: Code, received: list[int | None], position: int) -> int:
 
     Reads exactly the r other symbols of the cell, once each.
     """
+    _check_length(code, received)
     if not 0 <= position < code.n:
         raise ValueError(f"position {position} out of range")
     if received[position] is not None:
@@ -87,12 +89,12 @@ def _check_length(code: Code, received: list[int | None]) -> None:
 
 def syndromes(code: Code, word: list[int]) -> tuple[list[int], list[int]]:
     """The dual applied to a complete word: the local syndrome of each cell,
-    in cell order, and the syndromes of the three dense extra_dual rows."""
+    in cell order, and the syndromes of the three dense_dual rows."""
     domain = code.domain
     dot, local, size = code.field.dot, domain.local_parity, domain.cell_size
     return (
         [dot(local, word[start:start + size]) for start in range(0, code.n, size)],
-        [dot(dense, word) for dense in domain.extra_dual],
+        [dot(dense, word) for dense in domain.dense_dual],
     )
 
 
@@ -102,10 +104,10 @@ _INCONSISTENT = "kept symbols are not consistent with any codeword"
 def erasure_decode(code: Code, received: list[int | None]) -> list[int]:
     """Complete a codeword by solving the dual's equations on the erasures.
 
-    The dual is spanned by one local row per cell and the three dense
-    extra_dual rows. A cell without erasures only checks its kept symbols,
-    so the system is the erased columns of the other cells' local rows and
-    of the dense rows: the same solutions as all of H, from far fewer rows.
+    The dual is spanned by one local row per cell and the three dense_dual
+    rows. A cell without erasures only checks its kept symbols, so the
+    system is the erased columns of the other cells' local rows and of the
+    dense rows: the same solutions as all of H, from far fewer rows.
     A word without erasures is returned only when it is a codeword: every
     local check passes and the dense rows give a system of no unknowns whose
     right-hand side must be 0.
@@ -124,7 +126,7 @@ def erasure_decode(code: Code, received: list[int | None]) -> list[int]:
     if any(syn for ci, syn in enumerate(local_syn) if ci not in by_cell):
         raise UndecodableError(_INCONSISTENT)  # a cell without erasures fails its check
     rows = [[local[p % size] if p in gaps else 0 for p in erased] for gaps in by_cell.values()]
-    rows += [[dense[e] for e in erased] for dense in domain.extra_dual]
+    rows += [[dense[e] for e in erased] for dense in domain.dense_dual]
     rhs = [neg(local_syn[ci]) for ci in by_cell] + [neg(syn) for syn in dense_syn]
     try:
         x = solve(field, rows, rhs)
@@ -192,14 +194,14 @@ def hybrid_decode(code: Code, received: list[int | None]) -> HybridResult:
 def correct_error(code: Code, received: list[int]) -> list[int]:
     """Correct at most one symbol error, read off the structure of the dual.
 
-    The dense row of the removed monomial 1 is all ones, so an error of value
-    e is dense syndrome 0. Its cell is the one cell with a nonzero local
-    syndrome s, and s/e is the local parity's entry h^o at the error's offset
-    o; the entries (1, h, ..., h^r) are distinct because h has order r+1. The
-    other dense syndromes must equal e times their row's entry there. At
-    distance 4 the radius-1 balls are disjoint, so a returned word is the one
-    codeword within distance 1 of the received word; any other word is
-    refused.
+    An error of value e at offset o of a cell gives that cell, and only
+    that cell, the nonzero local syndrome s = e h^o. Dense row 0, of the
+    removed monomial 1, is 1 - h^o there, so e is dense syndrome 0 plus s,
+    and s/e is the local parity's entry h^o; the entries (1, h, ..., h^r)
+    are distinct because h has order r+1. Every dense syndrome must equal e
+    times its row's entry at the error's position. At distance 4 the
+    radius-1 balls are disjoint, so a returned word is the one codeword
+    within distance 1 of the received word; any other word is refused.
     """
     if any(s is None for s in received):
         raise ValueError("erasures are not allowed here; use erasure_decode")
@@ -208,14 +210,15 @@ def correct_error(code: Code, received: list[int]) -> list[int]:
     if not any(local_syn) and not any(dense_syn):
         return list(received)
     field, domain = code.field, code.domain
-    local, e = domain.local_parity, dense_syn[0]
+    local = domain.local_parity
     cells = [ci for ci, syn in enumerate(local_syn) if syn]
-    ratio = field.div(local_syn[cells[0]], e) if e and len(cells) == 1 else None
+    e = field.add(dense_syn[0], local_syn[cells[0]]) if len(cells) == 1 else 0
+    ratio = field.div(local_syn[cells[0]], e) if e else None
     if ratio in local:
         pos = cells[0] * domain.cell_size + local.index(ratio)
         if all(
             syn == field.mul(e, dense[pos])
-            for syn, dense in zip(dense_syn, domain.extra_dual)
+            for syn, dense in zip(dense_syn, domain.dense_dual)
         ):
             out = list(received)
             out[pos] = field.sub(out[pos], e)

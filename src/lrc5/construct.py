@@ -18,9 +18,10 @@ positions, and each such cell satisfies one local parity equation.
 The local parity (1, h, ..., h^r) and the dual are closed forms from
 character-sum duality on V; no nullspace of G is computed. dual_rows holds
 one local row per cell and dense_dual, the three extra_dual_rows reduced at
-every cell start: verify scans their columns. H is their RREF in closed
-form, and parity_check_pivot_rows its at most six rows that are not plain
-local rows, which build_parity_check and formats' parity.csv both read.
+every cell start: verify scans their columns and the codec's syndromes
+read them. H is their RREF in closed form, and parity_check_pivot_rows its
+at most six rows that are not plain local rows, which build_parity_check
+and formats' parity.csv both read.
 
 Every monomial evaluation on the grid is one transform on EvaluationDomain.
 Position t*(q-1) + u holds (x_u, g^t), so grid row t of x^i y^j is the
@@ -136,18 +137,14 @@ class EvaluationDomain:
         return local_parity_vector(self)
 
     @cached_property
-    def extra_dual(self) -> list[list[int]]:
-        """The three dense dual rows, built once per domain."""
-        return extra_dual_rows(self)
-
-    @cached_property
     def dense_dual(self) -> list[list[int]]:
-        """extra_dual reduced by the local rows to zero at every cell start."""
+        """extra_dual_rows reduced by the local rows to zero at every cell
+        start. Row 0, of the removed monomial 1, is 1 - h^o at cell offset o."""
         field, local = self.field, self.local_parity
         starts = range(0, len(self.points), len(local))
         return [
             field.submul(row, 1, [x for s in starts for x in field.scale(row[s], local)])
-            for row in self.extra_dual
+            for row in extra_dual_rows(self)
         ]
 
     @cached_property
@@ -158,7 +155,7 @@ class EvaluationDomain:
         On V the sum of x^a y^b is 0 unless a = b = 0 mod q-1, so the
         evaluations of x^(-i) y^(-j), for the n-k pairs (i, j) in [0, q-2]^2
         outside the basis, are independent and span the dual. Those with
-        i = r mod r+1 span the local rows; the other three are extra_dual.
+        i = r mod r+1 span the local rows, the other three extra_dual_rows.
         """
         n, local = len(self.points), self.local_parity
         starts = range(0, n, len(local))

@@ -4,7 +4,7 @@ Field elements are plain ints in [0, q). The base-p digits of an index are
 the coefficients of the representative polynomial, constant term first, so
 index 0 is the additive zero, index 1 the multiplicative one, and index p
 the polynomial x (when m > 1). Multiplication, inversion, and powers run on
-log/antilog tables built at construction.
+log/antilog tables of the generator.
 
 Addition and the vector primitives run on one kernel for every field kind:
 a q x q addition table, a q x q multiplication table and the negation row
@@ -15,9 +15,10 @@ builds its grid from log/antilog, never holds q^2 entries; above
 MAX_TABLE_ORDER they are refused with TooLargeError.
 
 affine_det, the certificate that verify's sampled lemma scan runs on, reads
-the same three tables. The bootstrap that finds the modulus and generator
-runs on base-p digits at every m; only the generator's power chain takes a
-shortcut at prime q, where it is plain multiplication mod p.
+the same three tables. Construction only finds the modulus. The generator,
+its power chain exp (one bootstrap product per power, on base-p digits, or
+mod p at prime q) and log are built on first use too, so a Field that only
+names a code builds no table at all.
 
 A field is named by (p, m) alone. Its reducing modulus is the first monic
 irreducible polynomial of degree m in index order (non-leading coefficients
@@ -120,8 +121,8 @@ class Field:
             so exp[log[a] + log[b]] needs no reduction mod q-1.
 
     add, sub, neg, submul, scale, dot and affine_det read the q x q addition
-    and multiplication tables, which are built on first use; mul, inv, div
-    and pow read exp and log only.
+    and multiplication tables; mul, inv, div and pow read exp and log only.
+    All of these, and the generator, are built on first use.
     """
 
     def __init__(self, p: int, m: int = 1):
@@ -136,16 +137,12 @@ class Field:
         self.p, self.m, self.q = p, m, p**m
         self.modulus = _smallest_irreducible(p, m)
         self._qm1 = self.q - 1
-        self.generator = self._find_generator()
-        exp = self._powers()
-        self.log = [0] * self.q
-        for i, e in enumerate(exp):
-            self.log[e] = i
-        self.exp = exp + exp
 
     # Bootstrap arithmetic on polynomial indices, used only to build tables.
     def _raw_mul(self, a: int, b: int) -> int:
         p, m = self.p, self.m
+        if m == 1:  # the modulus is x: the digit path gives a * b % p
+            return a * b % p
         da = _digits(a, p, m)
         db = _digits(b, p, m)
         prod = [0] * (2 * m - 1)
@@ -166,7 +163,9 @@ class Field:
             e >>= 1
         return out
 
-    def _find_generator(self) -> int:
+    @cached_property
+    def generator(self) -> int:
+        """The smallest index of multiplicative order q-1."""
         # at q = 2 there is nothing to check and 1 generates
         checks = [self._qm1 // f for f in _prime_factors(self._qm1)]
         for a in range(1, self.q):
@@ -174,47 +173,21 @@ class Field:
                 return a
         raise AssertionError("no primitive element found")  # unreachable
 
-    def _powers(self) -> list[int]:
-        """g^0, ..., g^(q-2) for the generator g.
-
-        For m > 1, multiplication by g is GF(p)-linear, so with lo the low
-        h = ceil(m/2) digits of an element and hi the rest, g*(lo + p^h hi)
-        is the digit-wise sum of g*lo and g*(p^h hi), two lookups in tables
-        over half-indices. The sum runs on whole ints with each digit in its
-        own s-bit slot, 2^(s-1) > p: a slot then holds at most 2p-2, adding
-        2^(s-1) - p to it sets its top bit exactly when it reached p, and p
-        is subtracted from those slots.
-        """
-        p, m, g = self.p, self.m, self.generator
-        if m == 1:  # plain mod p; a half-index table would hold all q elements
-            powers = [1]
-            for _ in range(p - 2):
-                powers.append(powers[-1] * g % p)
-            return powers
-        s, h = p.bit_length() + 1, (m + 1) // 2
-        half, shift = p**h, s * h
-        # spreads[c]: the h-digit index c with its digits in s-bit slots
-        spreads = [0]
-        for c in range(1, half):
-            spreads.append(spreads[c // p] << s | c % p)
-        highs = spreads[: p ** (m - h)]
-
-        def spread(v):
-            return spreads[v % half] | spreads[v // half] << shift
-
-        low = {spreads[c]: spread(self._raw_mul(c, g)) for c in range(half)}
-        high = {sp: spread(self._raw_mul(c * half, g)) for c, sp in enumerate(highs)}
-        ones = spread((self.q - 1) // (p - 1))  # every digit 1
-        bias, top = ((1 << (s - 1)) - p) * ones, (1 << (s - 1)) * ones
-        mask = (1 << shift) - 1
-        x, powers = 1, [1]
+    @cached_property
+    def exp(self) -> list[int]:
+        """g^0, ..., g^(q-2), one _raw_mul by the generator g each, twice."""
+        g, powers = self.generator, [1]
         for _ in range(self.q - 2):
-            t = low[x & mask] + high[x >> shift]
-            x = t - p * (((t + bias) & top) >> (s - 1))
-            powers.append(x)
-        lo_index = {sp: c for c, sp in enumerate(spreads)}
-        hi_index = {sp: c * half for c, sp in enumerate(highs)}
-        return [lo_index[x & mask] + hi_index[x >> shift] for x in powers]
+            powers.append(self._raw_mul(powers[-1], g))
+        return powers + powers
+
+    @cached_property
+    def log(self) -> list[int]:
+        """log[g^e] = e for e in [0, q-2]; log[0] is a placeholder 0."""
+        log = [0] * self.q
+        for e, a in enumerate(self.exp[:self._qm1]):
+            log[a] = e
+        return log
 
     def table_order(self) -> int:
         """q, once it is known to be at most MAX_TABLE_ORDER: the guard of
@@ -347,10 +320,4 @@ def subgroup_of_order(field: Field, t: int) -> list[int]:
     qm1 = field.q - 1
     if t < 1 or qm1 % t:
         raise NotADivisorError(f"{t} does not divide the group order {qm1}")
-    h = field.pow(field.generator, qm1 // t)
-    out = [1]
-    cur = 1
-    for _ in range(t - 1):
-        cur = field.mul(cur, h)
-        out.append(cur)
-    return out
+    return field.exp[:qm1:qm1 // t]

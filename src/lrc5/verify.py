@@ -299,8 +299,9 @@ def verify_distance_at_least(
     """
     t0 = time.perf_counter()
     n = len(h_rows[0])
-    if not 1 <= w <= len(h_rows) + 1:
-        raise ValueError(f"w must lie in [1, n-k+1] = [1, {len(h_rows) + 1}]")
+    cap = min(len(h_rows), n) + 1
+    if not 1 <= w <= cap:
+        raise ValueError(f"w must lie in [1, min(n-k, n)+1] = [1, {cap}]")
     size = w - 1
     mode, checked, failure, _ = _scan(field, transpose(h_rows), size, mode, trials, seed)
     witness = None if failure is None else {"columns": [c + 1 for c in failure]}

@@ -99,15 +99,18 @@ class PolyField:
     of the integer index of its low coefficients, that has no factorization
     witness; for m <= 3 irreducibility is exactly having no root in GF(p),
     and for m = 4 it is having no root and not being a product of two
-    monic quadratics.
+    monic quadratics. A given modulus, of any degree m >= 1, is taken as
+    it is: the model multiplies under it but does not certify it.
     """
 
-    def __init__(self, p: int, m: int):
-        assert m in (2, 3, 4), "root and quadratic-product tests certify m <= 4"
+    def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None = None):
         self.p = p
         self.m = m
         self.q = p**m
-        self.modulus = self._first_irreducible()
+        if modulus is None:
+            assert m in (2, 3, 4), "root and quadratic-product tests certify m <= 4"
+            modulus = self._first_irreducible()
+        self.modulus = tuple(modulus)
 
     def _first_irreducible(self) -> tuple[int, ...]:
         p, m = self.p, self.m

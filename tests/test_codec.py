@@ -122,6 +122,14 @@ def test_local_repair_rejects_non_erased_and_bad_positions(code75):
         local_repair(code75, list(w), -1)
 
 
+def test_local_repair_refuses_a_word_of_the_wrong_length(code75):
+    """A short word is refused, not read past its end, and a long one is
+    refused though the cell it repairs lies within it."""
+    for received, pos in (([None] + [1] * 10, 20), ([None] + [1] * 60, 0)):
+        with pytest.raises(LengthMismatchError, match=f"word length {len(received)} != n = 36"):
+            local_repair(code75, received, pos)
+
+
 def test_local_repair_impossible_with_two_holes_in_a_cell(code75):
     rng = SplitMix64(55)
     w = random_codeword(code75, rng)

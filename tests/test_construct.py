@@ -238,13 +238,15 @@ ADMISSIBLE_UP_TO_32 = [
 
 @pytest.mark.parametrize("q,r", ADMISSIBLE_UP_TO_32)
 def test_the_dual_structure_single_error_correction_reads(q, r):
-    """codec.correct_error takes a single error's value from the all-ones
-    dense row of the removed monomial 1, and its offset from the local
-    parity (1, h, ..., h^r), whose entries are distinct because h has order
-    r+1."""
+    """codec.correct_error takes a single error's value from dense_dual's
+    row of the removed monomial 1 plus the local parity entry, which sum to
+    1 at every position, and its offset from the local parity
+    (1, h, ..., h^r), whose entries are distinct because h has order r+1."""
     domain = Code.build(Field(*prime_power(q)), r).domain
-    assert domain.extra_dual[0] == [1] * (q - 1) ** 2
-    assert len(set(domain.local_parity)) == r + 1
+    field, local, size = domain.field, domain.local_parity, domain.cell_size
+    dense0 = domain.dense_dual[0]
+    assert [field.add(d, local[pos % size]) for pos, d in enumerate(dense0)] == [1] * (q - 1) ** 2
+    assert len(set(local)) == r + 1
 
 
 def weight4_count_times_8(q, r):

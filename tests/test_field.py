@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lrc5.construct import validate_params
 from lrc5.errors import NotADivisorError, NotPrimeError, TooLargeError, ValidationError
 from lrc5.field import Field, field_of_order, subgroup_of_order
 from lrc5.rng import SplitMix64
 
-from .oracles import PolyField, mult_order, smallest_generator
+from .oracles import PolyField, is_prime, mult_order, smallest_generator
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
@@ -160,6 +161,14 @@ def test_a_field_builds_its_tables_on_first_use(p, m):
     assert not {"_add", "_mul", "_neg"} & set(vars(f))
 
 
+def test_naming_a_field_and_its_code_builds_no_table():
+    """params at q = 65536 needs only (p, m), the modulus and r: the
+    generator, exp and log are left for the first multiplication."""
+    f = field_of_order(65536)
+    assert validate_params(f, 2).n == 65535**2
+    assert not {"generator", "exp", "log", "_add", "_mul", "_neg"} & set(vars(f))
+
+
 def test_the_first_add_builds_the_addition_table_alone():
     f = Field(13)
     assert f.add(0, 2) == 2
@@ -170,14 +179,21 @@ def test_the_first_add_builds_the_addition_table_alone():
     "p,m", [(2, 1), (13, 1), (2, 2), (3, 2), (2, 12), (3, 7), (5, 4), (7, 3), (17, 2), (2, 9), (3, 5)]
 )
 def test_exp_and_log_equal_the_generator_chain(p, m):
-    """The half-index power chain gives the powers the bootstrap product
-    gives, one _raw_mul per power."""
+    """exp is the chain of the generator's powers that the polynomial model
+    gives under the field's modulus, listed twice, and log inverts it. The
+    chain reaches every unit, so the generator is primitive, and every
+    smaller index a has a^((q-1)/f) = 1 for some prime f of q-1."""
     f = Field(p, m)
+    oracle, g = PolyField(p, m, f.modulus), f.generator
     chain = [1]
     for _ in range(f.q - 2):
-        chain.append(f._raw_mul(chain[-1], f.generator))
+        chain.append(oracle.mul_idx(chain[-1], g))
     assert f.exp == chain + chain
+    assert sorted(chain) == list(range(1, f.q))
     assert [f.log[e] for e in chain] == list(range(f.q - 1))
+    factors = [d for d in range(2, f.q) if (f.q - 1) % d == 0 and is_prime(d)]
+    for a in range(1, g):
+        assert any(oracle.pow_idx(a, (f.q - 1) // d) == 1 for d in factors)
 
 
 @pytest.mark.parametrize("p,m", [(65521, 1), (2, 13), (3, 8)])

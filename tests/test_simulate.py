@@ -3,8 +3,11 @@ import pytest
 from lrc5 import Code
 from lrc5.errors import BudgetExceededError
 from lrc5.field import field_of_order
+from lrc5.rng import SplitMix64
 from lrc5.simulate import SimulationConfig, SimulationResult, run_simulation
 from lrc5.verify import SUBSET_BUDGET
+
+from .oracles import oracle_weight4_supports
 
 FROZEN = {
     "fixed_t1_local": (
@@ -239,3 +242,23 @@ def test_trials_above_the_budget_are_refused_before_any_trial(code75, monkeypatc
     with pytest.raises(BudgetExceededError):
         run_simulation(code75, SimulationConfig(model="fixed", t=1, trials=10**9, seed=0,
                                                 policy="hybrid"))
+
+
+@pytest.mark.parametrize("q,r,trials", [(5, 3, 5_000), (7, 5, 10_000)])
+def test_four_erasures_fail_exactly_on_the_weight4_supports(q, r, trials):
+    """A 4-erasure pattern is undecodable exactly when it is the support of
+    a weight-4 codeword, and each such support puts two erasures in each of
+    its two cells, so the local pass cannot help. Replaying the stream in
+    run_simulation's order (the message, then the pattern) and looking the
+    patterns up in the two-pairs oracle gives the hybrid failures exactly."""
+    code = Code.build(field_of_order(q), r)
+    config = SimulationConfig(model="fixed", t=4, trials=trials, seed=7, policy="hybrid")
+    result = run_simulation(code, config)
+    supports = set(oracle_weight4_supports(q, r))
+    rng = SplitMix64(config.seed)
+    replayed = 0
+    for _ in range(trials):
+        rng.below(q, code.k)
+        replayed += tuple(rng.sample_sorted(code.n, 4)) in supports
+    assert replayed > 0
+    assert trials - result.fully_recovered_trials == replayed

@@ -262,6 +262,19 @@ def test_distance_input_validation(code53):
         verify_distance_at_least(f, h, 5, mode="guess")
 
 
+def test_distance_w_is_capped_by_the_columns_too():
+    """A dual with more rows than columns caps w at n+1: w - 1 > n columns
+    leave no subset to scan, so the claim is refused rather than passed
+    vacuously or left to math.comb."""
+    f = Field(7)
+    h = [[1, 1], [0, 0], [0, 0]]  # columns 1 and 2 are equal, so d = 2
+    for rows, w in ((h, 4), (h + [[0, 0]], 5)):
+        with pytest.raises(ValueError, match=r"w must lie in \[1, min\(n-k, n\)\+1\] = \[1, 3\]"):
+            verify_distance_at_least(f, rows, w)
+    rep = verify_distance_at_least(f, h, 3)
+    assert rep.result is False and rep.witness == {"columns": [1, 2]}
+
+
 def test_distance_w1_is_vacuous(code53):
     rep = verify_distance_at_least(code53.field, code53.parity_check_matrix, 1)
     assert rep.result is True and rep.trials == 0
