@@ -17,26 +17,26 @@ positions, and each such cell satisfies one local parity equation.
 
 The local parity (1, h, ..., h^r) and the dual are closed forms from
 character-sum duality on V; no nullspace of G is computed. dual_rows holds
-one local row per cell and dense_dual, the three extra_dual_rows reduced at
-every cell start: verify scans their columns and the codec's syndromes
-read them. H is their RREF in closed form, and parity_check_pivot_rows its
-at most six rows that are not plain local rows, which build_parity_check
-and formats' parity.csv both read.
+one local row per cell and dense_dual, the dual's three dense rows reduced
+at every cell start, each one pattern scaled per cell: verify scans their
+columns and the codec's syndromes read them. H is their RREF in closed
+form, and parity_check_pivot_rows its at most six rows that are not plain
+local rows, which build_parity_check and formats' parity.csv both read.
 
-Every monomial evaluation on the grid is one transform on EvaluationDomain.
 Position t*(q-1) + u holds (x_u, g^t), so grid row t of x^i y^j is the
 block g^(j*t) * (x_u^i)_u, whose entry u is g^(j*t + i*log x_u). x_blocks
-builds the q-1 blocks of one i, once; monomial_row joins q-1 of them into
-a row of G or one of the three dense extra_dual_rows. formats reads x_logs
-for the texts of generator.csv instead. evaluate is a (q-1) x (q-1)
+takes the q-1 blocks of one i off a table of symbols by exponent, and
+basis_rows assembles each basis row from q-1 of them: G reads the
+elements, formats' generator.csv their texts. evaluate is a (q-1) x (q-1)
 two-dimensional transform on the rows (x_u^i)_u alone, about k + (q-1)*|I|
 vector operations of length q-1 for |I| distinct exponents i, against k of
 length n for m*G; Code.encode runs it.
 """
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -138,14 +138,23 @@ class EvaluationDomain:
 
     @cached_property
     def dense_dual(self) -> list[list[int]]:
-        """extra_dual_rows reduced by the local rows to zero at every cell
-        start. Row 0, of the removed monomial 1, is 1 - h^o at cell offset o."""
-        field, local = self.field, self.local_parity
-        starts = range(0, len(self.points), len(local))
-        return [
-            field.submul(row, 1, [x for s in starts for x in field.scale(row[s], local)])
-            for row in extra_dual_rows(self)
-        ]
+        """The dual's three dense rows x^a y^b, for the removed monomials
+        x^(-a) y^(-b), reduced by the local rows to zero at every cell start.
+        On the cell of (g^c h^s, g^t) that is x^a y^b less g^(ac+bt) h^s, so
+        g^(ac+bt) * (h^(as) - h^s): one pattern per row, scaled per cell.
+        Row 0, of the removed monomial 1, is 1 - h^s."""
+        field, local, size = self.field, self.local_parity, self.cell_size
+        qm1, exp = field.q - 1, field.exp
+        rows = []
+        for i, j in removed_monomials(field.q):
+            a, b = -i % qm1, -j % qm1
+            pattern = field.submul([local[a * s % size] for s in range(size)], 1, local)
+            row: list[int] = []
+            for t in range(qm1):
+                for c in range(qm1 // size):
+                    row += field.scale(exp[(a * c + b * t) % qm1], pattern)
+            rows.append(row)
+        return rows
 
     @cached_property
     def dual_rows(self) -> list[list[int]]:
@@ -155,7 +164,8 @@ class EvaluationDomain:
         On V the sum of x^a y^b is 0 unless a = b = 0 mod q-1, so the
         evaluations of x^(-i) y^(-j), for the n-k pairs (i, j) in [0, q-2]^2
         outside the basis, are independent and span the dual. Those with
-        i = r mod r+1 span the local rows, the other three extra_dual_rows.
+        i = r mod r+1 span the local rows, and the other three those of
+        dense_dual.
         """
         n, local = len(self.points), self.local_parity
         starts = range(0, n, len(local))
@@ -178,35 +188,13 @@ class EvaluationDomain:
         qm1, exp = self.field.q - 1, self.field.exp
         return [[exp[i * lx % qm1] for lx in self.x_logs] for i in range(qm1)]
 
-    @cached_property
-    def _x_blocks(self) -> dict[int, list[tuple[int, ...]]]:
-        """x_blocks by exponent, each entry built on first use."""
-        return {}
-
-    def x_blocks(self, i: int) -> list[tuple[int, ...]]:
+    def x_blocks(self, i: int, symbols: Sequence) -> list[tuple]:
         """The q-1 blocks g^e * (x_u^i)_u, e in [0, q-2], exponent i taken
-        mod q-1: grid row t of x^i y^j is block j*t mod q-1. Built once per
-        exponent and kept. Blocks are tuples: shared, so immutable, and of
-        ints only, so the garbage collector stops scanning them once they
-        survive a collection."""
+        mod q-1, in symbols: a table by exponent, doubled like Field.exp,
+        whose entry e + (i*log x_u mod q-1) is entry u of block e. Kept nowhere."""
         qm1 = self.field.q - 1
-        i %= qm1
-        if (blocks := self._x_blocks.get(i)) is None:
-            scale, xi = self.field.scale, self.x_powers[i]
-            blocks = self._x_blocks[i] = [tuple(scale(ge, xi)) for ge in self.field.exp[:qm1]]
-        return blocks
-
-    def monomial_row(self, i: int, j: int) -> list[int]:
-        """The evaluations of x^i y^j over the grid, exponents taken mod q-1.
-
-        Grid row t is the block g^(j*t) * (x_u^i)_u, so the row joins q-1
-        shared blocks rather than computing n products.
-        """
-        qm1, blocks = self.field.q - 1, self.x_blocks(i)
-        row: list[int] = []
-        for t in range(qm1):
-            row += blocks[j * t % qm1]
-        return row
+        block = itemgetter(*[i * lx % qm1 for lx in self.x_logs])
+        return [block(symbols[e:e + qm1]) for e in range(qm1)]
 
     def evaluate(self, terms: Iterable[tuple[tuple[int, int], int]]) -> list[int]:
         """Grid evaluations of sum c * x^i y^j over ((i, j), c) terms, exponents
@@ -246,17 +234,29 @@ def build_domain(field: Field, params: CodeParams) -> EvaluationDomain:
     )
 
 
+def basis_rows(
+    basis: list[Monomial], domain: EvaluationDomain, symbols: Sequence, convert=tuple
+) -> Iterator[tuple]:
+    """Row by row, the q-1 blocks of each basis monomial x^i y^j over the
+    grid, in grid-row order: grid row t is block j*t mod q-1 of
+    domain.x_blocks(i, symbols). Each block goes through convert once."""
+    qm1 = domain.field.q - 1
+    orders = [itemgetter(*[j * t % qm1 for t in range(qm1)]) for j in range(qm1)]
+    blocks = {i: list(map(convert, domain.x_blocks(i, symbols))) for i in {i for i, _ in basis}}
+    return (orders[j](blocks[i]) for i, j in basis)
+
+
 def build_generator_matrix(
     basis: list[Monomial], domain: EvaluationDomain
 ) -> list[list[int]]:
     """k x n matrix of monomial evaluations; row u is basis[u] over the grid."""
-    return [domain.monomial_row(i, j) for i, j in basis]
-
-
-def extra_dual_rows(domain: EvaluationDomain) -> list[list[int]]:
-    """The dual's three dense rows: the evaluations of x^(-i) y^(-j) for the
-    removed monomials x^i y^j, which are 1, x^2 y and x^3 y."""
-    return [domain.monomial_row(-i, -j) for i, j in removed_monomials(domain.field.q)]
+    rows = []
+    for blocks in basis_rows(basis, domain, domain.field.exp):
+        row: list[int] = []
+        for block in blocks:
+            row += block
+        rows.append(row)
+    return rows
 
 
 def parity_check_pivot_rows(domain: EvaluationDomain) -> dict[int, list[int]]:

@@ -16,20 +16,20 @@ loaded code is the built code: no stored basis or matrix is parsed, and no
 manifest field is checked on its own.
 
 Neither gen nor a load builds G or H, and both take the texts line by
-line, so either holds about one row of text at a time. generator.csv joins
-block texts, each converted once: a row is q-1 of them, so at most (q-1)^3
-symbols are converted instead of the k*n of G. parity.csv is H's pivot rows
-and, for every other row, the local parity's text amid runs of zeros.
+line, so either holds about one row of text at a time. generator.csv is
+G's row assembly, construct.basis_rows, over the elements' texts, each
+block text joined once: at most (q-1)^3 symbols instead of the k*n of G.
+parity.csv is H's pivot rows and, for every other row, the local parity's
+text amid runs of zeros.
 """
 
 import io
 import json
 import os
 from collections.abc import Iterable, Iterator
-from operator import itemgetter
 from pathlib import Path
 
-from .construct import Code, Monomial, build_within_budget, parity_check_pivot_rows
+from .construct import Code, Monomial, basis_rows, build_within_budget, parity_check_pivot_rows
 from .errors import FormatError
 from .field import Field
 
@@ -65,20 +65,11 @@ def matrix_to_csv(rows: list[list[int]]) -> str:
 
 def generator_lines(code: Code) -> Iterator[str]:
     """The lines of matrix_to_csv(code.generator_matrix), each with its LF,
-    without building G: row (i, j) joins, for t in [0, q-2], the text of
-    block j*t mod q-1 of exponent i, whose entry u is g^e * x_u^i =
-    exp[e + i * log x_u]. Each block text is converted once."""
-    qm1, logs = code.field.q - 1, code.domain.x_logs
-    exp_names = [str(x) for x in code.field.exp]
-    texts: dict[int, list[str]] = {}
-    rows: dict[int, itemgetter] = {}
-    for i, j in code.basis:
-        if (blocks := texts.get(i)) is None:
-            block = itemgetter(*[i * lx % qm1 for lx in logs])
-            blocks = texts[i] = [",".join(block(exp_names[e:e + qm1])) for e in range(qm1)]
-        if (row := rows.get(j)) is None:
-            row = rows[j] = itemgetter(*[j * t % qm1 for t in range(qm1)])
-        yield ",".join(row(blocks)) + "\n"
+    without building G: construct.basis_rows over the texts of Field.exp,
+    with each block text joined once."""
+    names = [str(x) for x in code.field.exp]
+    for row in basis_rows(code.basis, code.domain, names, ",".join):
+        yield ",".join(row) + "\n"
 
 
 def parity_lines(code: Code) -> Iterator[str]:

@@ -278,6 +278,13 @@ def _scan(field, columns, size, mode, trials, seed, betas=None, certify=None):
     return mode, checked, failure, bins
 
 
+def _columns(h_rows: list[list[int]]) -> list[list[int]]:
+    """The columns of the dual h_rows, which must have a row to have any."""
+    if not h_rows:
+        raise ValueError("the dual h_rows is empty: it has no columns to scan")
+    return transpose(h_rows)
+
+
 def verify_distance_at_least(
     field: Field,
     h_rows: list[list[int]],
@@ -298,12 +305,13 @@ def verify_distance_at_least(
     where a witness would come early; so does a sampled one of more trials.
     """
     t0 = time.perf_counter()
-    n = len(h_rows[0])
+    columns = _columns(h_rows)
+    n = len(columns)
     cap = min(len(h_rows), n) + 1
     if not 1 <= w <= cap:
         raise ValueError(f"w must lie in [1, min(n-k, n)+1] = [1, {cap}]")
     size = w - 1
-    mode, checked, failure, _ = _scan(field, transpose(h_rows), size, mode, trials, seed)
+    mode, checked, failure, _ = _scan(field, columns, size, mode, trials, seed)
     witness = None if failure is None else {"columns": [c + 1 for c in failure]}
     return _report(t0, f"distance>={w}", mode, checked, witness, seed,
                    subset_size=size, columns=n)
@@ -328,8 +336,8 @@ def find_min_weight_codeword(
     if w_cap < 1:
         raise ValueError(f"a minimum-weight search needs a weight cap of at least 1, got {w_cap}")
     t0 = time.perf_counter()
-    n = len(h_rows[0])
-    columns = transpose(h_rows)
+    columns = _columns(h_rows)
+    n = len(columns)
     checked_total = 0
     witness = None
     details = {"weight_cap": w_cap}

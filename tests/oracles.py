@@ -329,6 +329,21 @@ def oracle_generator_matrix(q: int, r: int) -> list[list[int]]:
     ]
 
 
+def extra_dual_rows(domain: EvaluationDomain) -> list[list[int]]:
+    """The dual's three dense rows before any reduction, the evaluations of
+    x^(-i) y^(-j) for the removed monomials x^i y^j: 1, x^2 y and x^3 y at
+    the domain's points, multiplied out in the PolyField model under the
+    field's modulus, so at every degree m. The reference that
+    EvaluationDomain.dense_dual reduces in closed form."""
+    f = domain.field
+    mul = PolyField(f.p, f.m, f.modulus).mul_idx
+    return [
+        [1] * len(domain.points),
+        [mul(mul(x, x), y) for x, y in domain.points],
+        [mul(mul(mul(x, x), x), y) for x, y in domain.points],
+    ]
+
+
 def oracle_parity_check(q: int, r: int) -> list[list[int]]:
     """The parity-check matrix from the whole dense dual: the RREF of the
     n-k evaluations of x^(-i) y^(-j) for the pairs (i, j) outside

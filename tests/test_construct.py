@@ -12,7 +12,6 @@ from lrc5.construct import (
     build_generator_matrix,
     build_monomial_basis,
     build_parity_check,
-    extra_dual_rows,
     local_parity_vector,
     build_within_budget,
     removed_monomials,
@@ -24,6 +23,7 @@ from lrc5.linalg import nullspace, rank, rref
 from lrc5.rng import SplitMix64
 
 from .oracles import (
+    extra_dual_rows,
     oracle_generator_matrix,
     mat_vec,
     mat_vec_gf,
@@ -46,6 +46,15 @@ EXPECTED_NK = {
     (13, 5): (144, 117),
     (13, 11): (144, 129),
 }
+
+ADMISSIBLE_UP_TO_32 = [
+    (q, r)
+    for q in range(4, 33)
+    if prime_power(q)
+    for r in range(2, q - 1)
+    if (q - 1) % (r + 1) == 0
+]
+
 
 BASIS_5_3 = [
     (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2),
@@ -161,12 +170,10 @@ def test_domain_is_a_plain_dataclass_snapshot(code53):
 
 
 # the block-built G on every field kind: prime, characteristic 2 and odd
-# extensions
-@pytest.mark.parametrize(
-    "q,r", [(5, 3), (7, 5), (11, 4), (13, 5), (17, 7), (8, 6), (16, 4), (9, 3), (27, 12)]
-)
+# extensions, at every admissible (q, r) with q <= 17 and at GF(27)
+@pytest.mark.parametrize("q,r", [(q, r) for q, r in ADMISSIBLE_UP_TO_32 if q <= 17] + [(27, 12)])
 def test_generator_matrix_matches_plain_evaluation(q, r):
-    code = Code.build(field_for(q), r)
+    code = Code.build(Field(*prime_power(q)), r)
     assert code.generator_matrix == oracle_generator_matrix(q, r)
 
 
@@ -225,15 +232,6 @@ def test_local_parity_vector_is_normalized_and_unique(code75):
     v = local_parity_vector(code75.domain)
     assert v == code75.local_parity(2)
     assert v[0] == 1
-
-
-ADMISSIBLE_UP_TO_32 = [
-    (q, r)
-    for q in range(4, 33)
-    if prime_power(q)
-    for r in range(2, q - 1)
-    if (q - 1) % (r + 1) == 0
-]
 
 
 @pytest.mark.parametrize("q,r", ADMISSIBLE_UP_TO_32)
@@ -321,6 +319,22 @@ def test_parity_check_is_the_rref_of_the_dual_rows_at_every_small_instance(monke
         assert sizes == [3], (q, r)
 
 
+@pytest.mark.parametrize("q,r", ADMISSIBLE_UP_TO_32)
+def test_dense_dual_is_the_extra_rows_reduced_at_every_cell_start(q, r):
+    """The closed form equals the reference rows less, on every cell, their
+    cell-start value times the local parity, so it is zero at every cell
+    start."""
+    domain = Code.build(Field(*prime_power(q)), r).domain
+    field, local, size = domain.field, domain.local_parity, domain.cell_size
+    reduced = [
+        [field.sub(v, field.mul(row[pos - pos % size], local[pos % size]))
+         for pos, v in enumerate(row)]
+        for row in extra_dual_rows(domain)
+    ]
+    assert domain.dense_dual == reduced
+    assert all(not row[s] for row in domain.dense_dual for s in range(0, len(row), size))
+
+
 @pytest.mark.parametrize("q,r", CLOSED_FORM_INSTANCES)
 def test_extra_dual_rows_annihilate_generator(q, r):
     code = Code.build(field_for(q), r)
@@ -332,8 +346,9 @@ def test_extra_dual_rows_annihilate_generator(q, r):
 
 @pytest.mark.parametrize("q,r", CLOSED_FORM_INSTANCES)
 def test_extra_dual_rows_match_per_point_formula(q, r):
-    """The dense dual rows joined from shared blocks equal the per-point
-    formula x^(-i) y^(-j) = exp[(-i log a - j log b) mod (q-1)]."""
+    """The reference rows on the oracle's tables equal the per-point formula
+    x^(-i) y^(-j) = exp[(-i log a - j log b) mod (q-1)] on the library's
+    tables and its removed_monomials."""
     code = Code.build(field_for(q), r)
     exp, log = code.field.exp, code.field.log
     reference = [
@@ -377,12 +392,17 @@ def test_code_build_and_caching(code75):
     assert fresh.generator_matrix == code75.generator_matrix
 
 
-def test_encode_builds_no_scaled_blocks():
-    """Code.encode reads only the x^i rows, about n entries. Building the
-    q-1 scaled blocks of every exponent it meets would hold about
-    (q-1)^3 entries: a 2.0 MB peak at GF(64) r=6, against the 0.5 MB
-    bound here, field tables included."""
+def test_encode_builds_no_scaled_blocks(monkeypatch):
+    """Code.encode reads only the x^i rows, about n entries, and never the
+    block builder. The q-1 scaled blocks of every exponent it meets would
+    hold about (q-1)^3 entries: a 2.0 MB peak at GF(64) r=6, against the
+    0.5 MB bound here, field tables included."""
     code = Code.build(Field(2, 6), 6)
+
+    def no_blocks(self, i, symbols):
+        raise AssertionError("encode built scaled blocks")
+
+    monkeypatch.setattr(EvaluationDomain, "x_blocks", no_blocks)
     msg = [i % 64 for i in range(code.k)]
     tracemalloc.start()
     try:
@@ -391,7 +411,6 @@ def test_encode_builds_no_scaled_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 500_000
-    assert "_x_blocks" not in vars(code.domain)
     assert len(word) == code.n and any(word)
 
 

@@ -177,6 +177,7 @@ def test_load_builds_neither_h_nor_the_local_dual_rows(tmp_path, code75):
     loaded = load_artifacts(tmp_path)
     assert "parity_check_matrix" not in vars(loaded)
     assert "dual_rows" not in vars(loaded.domain)
+    assert "x_powers" not in vars(loaded.domain)
     assert loaded.parity_check_matrix == code75.parity_check_matrix
 
 

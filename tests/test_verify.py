@@ -275,6 +275,15 @@ def test_distance_w_is_capped_by_the_columns_too():
     assert rep.result is False and rep.witness == {"columns": [1, 2]}
 
 
+def test_scans_refuse_an_empty_dual(f7):
+    """A dual without rows has no columns to scan: both scans refuse it by
+    name rather than fail on its missing first row."""
+    with pytest.raises(ValueError, match="the dual h_rows is empty"):
+        verify_distance_at_least(f7, [], 1)
+    with pytest.raises(ValueError, match="the dual h_rows is empty"):
+        find_min_weight_codeword(f7, [], 1)
+
+
 def test_distance_w1_is_vacuous(code53):
     rep = verify_distance_at_least(code53.field, code53.parity_check_matrix, 1)
     assert rep.result is True and rep.trials == 0
