@@ -9,20 +9,30 @@ columns j and l complete a dependent subset exactly when l's normalized
 residual is zero or equals j's, because the residual map is linear with the
 prefix span as its kernel. Each prefix thus costs one reduction per later
 column, not one per leaf. The engine only scans: every budget is decided
-in _scan, against SUBSET_BUDGET, before the work it bounds. An exhaustive
+in _scan, against SUBSET_BUDGET, before the work it bounds, and a subset
+larger than the column family is refused with ValueError. An exhaustive
 scan whose complete run makes more reductions (exhaustive_cost) raises
 BudgetExceededError before its first one; sampled scans refuse more trials
 than that, and fewer than 1 with ValueError. A binned (lemma) scan bins
 the lexicographic prefix its scan confirmed, one count per subset, and is
 refused before binning any when those counts and the reductions together
 pass. Mode "auto" runs exhaustive exactly when a complete scan fits with
-every subset binned.
+every subset binned. Both modes bin alike: seven integer counts indexed by
+a 4-subset's pair code, its number of equal y-coordinate pairs, which _scan
+names once by _PAIR_PATTERNS.
+
+A sampled scan is one loop that draws, certifies, reduces when it must and
+bins, with no Python call per subset but the certificate. It draws from a
+buffer of SplitMix64 blocks the very subsets that successive sample_sorted
+calls on the scan's seed would return, unsorted, and sorts a subset only
+before reducing it.
 
 Sampled rank-lemma scans first try two certificates: rows (0, 1, 2, 4) of a
 4-subset's moment columns form a 4x4 minor whose determinant is the affine
 determinant Field.affine_det of the points (ab, a^2 b, a b^2), rows
 (0, 4, 5, 6) one whose determinant is that of (a b^2, a b^3, a b^4), and
-either minor nonzero proves rank 4. affine_det reads the q x q tables that
+either minor nonzero proves rank 4. The scan calls the certificate once
+per subset, on its four indices. affine_det reads the q x q tables that
 reduce_row reads, in every field. On 20,000 seeded subsets the first is
 nonzero for 85% (GF(5)) to 96% (GF(27)) of them, and with the second only
 3.7% (GF(5)) to 0.16% (GF(27)) are left, 0.6% at GF(13). Only those are
@@ -42,7 +52,6 @@ search with the distance it found.
 """
 
 import time
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field as dc_field
 from itertools import combinations, islice
@@ -55,7 +64,7 @@ from .construct import Code, CodeParams
 from .errors import BudgetExceededError, ConditionViolatedError, NotDistinctError
 from .field import Field
 from .linalg import nullspace, reduce_row, transpose
-from .rng import SplitMix64
+from .rng import LANES, SplitMix64
 
 #: most rank checks one verify call may make: reductions in an exhaustive
 #: scan, trials in a sampled one
@@ -186,48 +195,68 @@ def _scan_exhaustive(field, columns, size):
     return checked, failure
 
 
-#: y-pattern of a 4-subset by its number of equal y-coordinate pairs
+#: y-pattern of a 4-subset by its pair code, the number of equal
+#: y-coordinate pairs; the scans count into a list indexed by that code
 _PAIR_PATTERNS = {
     0: "all-distinct", 1: "one-pair", 2: "two-pairs", 3: "three-equal", 6: "all-equal",
 }
 
 
-def _pattern_bins(betas):
-    """(bins, on_subset): on_subset counts a 4-subset's y-pattern into bins.
-
-    Both are None without betas, so unbinned scans pay for no callback.
-    """
-    if betas is None:
-        return None, None
-    bins: Counter = Counter()
-
-    def on_subset(subset):
-        a, b, c, d = [betas[i] for i in subset]
-        bins[_PAIR_PATTERNS[(a == b) + (a == c) + (a == d) + (b == c) + (b == d) + (c == d)]] += 1
-
-    return bins, on_subset
+def _bin_pairs(counts, betas, subsets):
+    """Count each 4-subset of subsets into counts at its pair code."""
+    for i, j, k, l in subsets:
+        a, b, c, d = betas[i], betas[j], betas[k], betas[l]
+        counts[(a == b) + (a == c) + (a == d) + (b == c) + (b == d) + (c == d)] += 1
 
 
-def _scan_sampled(field, columns, size, trials, seed, on_subset=None, certify=None):
+def _scan_sampled(field, columns, size, trials, seed, betas=None, certify=None):
     """Check `trials` seeded uniform size-subsets; first failure wins.
 
-    certify(subset) may return True only for a subset that is certainly
-    independent; every other subset is decided by reduction.
+    Returns (checked, failure, counts): with betas, counts holds the pair
+    codes of the subsets confirmed independent, as _bin_pairs counts them.
+
+    One loop draws, certifies, reduces when it must, and bins. It reads
+    indices from a buffer of SplitMix64(seed).below(n, LANES) blocks, the
+    accepted draws in stream order, and takes the next size of them; on a
+    repeat it adds one index at a time until size are distinct. Each word
+    sample_sorted takes adds at most one index, so that is the stream
+    successive sample_sorted(n, size) calls consume, and the subsets are
+    theirs, unsorted. Nothing else draws from the scan's generator, so
+    reading a block ahead changes nothing. certify(*subset) may return True
+    only for a subset that is certainly independent; every other subset is
+    sorted and reduced, so a witness is ascending. size must not exceed n,
+    or the draw would never find size distinct indices.
     """
-    sample = SplitMix64(seed).sample_sorted
     n = len(columns)
+    draw = SplitMix64(seed).below
+    counts = [0] * 7
+    buf, pos = [], 0
     for t in range(trials):
-        subset = sample(n, size)
-        if certify is None or not certify(subset):
+        while len(buf) - pos < size:
+            buf, pos = buf[pos:] + draw(n, LANES), 0
+        subset = buf[pos:pos + size]
+        pos += size
+        if len(set(subset)) < size:
+            subset = list(dict.fromkeys(subset))
+            while len(subset) < size:
+                if pos == len(buf):
+                    buf, pos = draw(n, LANES), 0
+                if buf[pos] not in subset:
+                    subset.append(buf[pos])
+                pos += 1
+        if certify is None or not certify(*subset):
+            subset.sort()
             basis = []
             for idx in subset:
                 ext = reduce_row(field, basis, columns[idx])
                 if ext is None:
-                    return t + 1, tuple(subset)
+                    return t + 1, tuple(subset), counts
                 basis.append(ext)
-        if on_subset is not None:
-            on_subset(subset)
-    return trials, None
+        if betas is not None:  # as _bin_pairs bins, without a call per subset
+            i, j, k, l = subset
+            a, b, c, d = betas[i], betas[j], betas[k], betas[l]
+            counts[(a == b) + (a == c) + (a == d) + (b == c) + (b == d) + (c == d)] += 1
+    return trials, None, counts
 
 
 def _scan(field, columns, size, mode, trials, seed, betas=None, certify=None):
@@ -237,11 +266,15 @@ def _scan(field, columns, size, mode, trials, seed, betas=None, certify=None):
     Exhaustive mode walks every subset in lexicographic order; sampled mode
     checks `trials` seeded subsets, trying certify first; auto mode picks
     one. Returns (mode, checked, failure, bins): the mode that ran, and with
-    betas, bins counts the y-pattern of every subset confirmed independent
-    (for an exhaustive scan, the first checked - 1 in lexicographic order,
-    or all checked when none failed), otherwise None.
+    betas, bins maps each y-pattern name to the number of subsets confirmed
+    independent with it (for an exhaustive scan, the first checked - 1 in
+    lexicographic order, or all checked when none failed), in name order
+    and without empty patterns; otherwise None. size above len(columns)
+    raises ValueError.
     """
     n = len(columns)
+    if size > n:
+        raise ValueError(f"a scan of {size}-subsets needs at least {size} columns, got {n}")
     cost = exhaustive_cost(n, size)
     if mode == "auto":
         most = cost + (comb(n, size) if betas is not None else 0)
@@ -261,20 +294,23 @@ def _scan(field, columns, size, mode, trials, seed, betas=None, certify=None):
         raise ValueError(f"a sampled scan needs at least 1 trial, got {trials}")
     if size == 0:
         return mode, 0, None, None
-    bins, on_subset = _pattern_bins(betas)
     if mode == "sampled":
-        checked, failure = _scan_sampled(field, columns, size, trials, seed, on_subset, certify)
-        return mode, checked, failure, bins
-    checked, failure = _scan_exhaustive(field, columns, size)
-    if betas is not None:
-        confirmed = checked - (failure is not None)
-        if cost + confirmed > SUBSET_BUDGET:
-            raise BudgetExceededError(
-                f"an exhaustive scan of {cost} reductions that bins {confirmed} "
-                f"subsets passes the {SUBSET_BUDGET} budget"
-            )
-        for subset in islice(combinations(range(n), size), confirmed):
-            on_subset(subset)
+        checked, failure, counts = _scan_sampled(
+            field, columns, size, trials, seed, betas, certify)
+    else:
+        checked, failure = _scan_exhaustive(field, columns, size)
+        if betas is not None:
+            confirmed = checked - (failure is not None)
+            if cost + confirmed > SUBSET_BUDGET:
+                raise BudgetExceededError(
+                    f"an exhaustive scan of {cost} reductions that bins {confirmed} "
+                    f"subsets passes the {SUBSET_BUDGET} budget"
+                )
+            counts = [0] * 7
+            _bin_pairs(counts, betas, islice(combinations(range(n), size), confirmed))
+    if betas is None:
+        return mode, checked, failure, None
+    bins = dict(sorted((_PAIR_PATTERNS[code], c) for code, c in enumerate(counts) if c))
     return mode, checked, failure, bins
 
 
@@ -416,16 +452,15 @@ def _moment_columns(field: Field) -> tuple[list[tuple[int, int]], list, list[int
     return points, columns, betas
 
 
-def _lemma_certificate(field: Field, columns: list) -> Callable[[list[int]], bool]:
-    """certify(subset): whether the rows (0, 1, 2, 4) or the rows
-    (0, 4, 5, 6) of the subset's four moment columns form a nonzero 4x4
+def _lemma_certificate(field: Field, columns: list) -> Callable[[int, int, int, int], bool]:
+    """certify(i, j, k, l): whether the rows (0, 1, 2, 4) or the rows
+    (0, 4, 5, 6) of the moment columns i, j, k and l form a nonzero 4x4
     minor, which proves rank 4."""
     first = [(c[1], c[2], c[4]) for c in columns]
     second = [(c[4], c[5], c[6]) for c in columns]
     det = field.affine_det
 
-    def certify(subset):
-        i, j, k, l = subset
+    def certify(i, j, k, l):
         return (det(first[i], first[j], first[k], first[l]) != 0
                 or det(second[i], second[j], second[k], second[l]) != 0)
 
@@ -454,7 +489,7 @@ def verify_constraint_matrix(
     mode, checked, failure, bins = _scan(field, columns, 4, mode, trials, seed, betas, certify)
     witness = None if failure is None else {"points": [list(points[i]) for i in failure]}
     return _report(t0, "constraint-matrix-rank", mode, checked, witness, seed,
-                   case_counts={k: bins[k] for k in sorted(bins)})
+                   case_counts=bins)
 
 
 def verify_locality(code: Code, trials: int = 25, seed: int = 0) -> VerificationReport:

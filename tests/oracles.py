@@ -273,17 +273,19 @@ def oracle_monomials(q: int, r: int) -> list[tuple[int, int]]:
 
 def _arith(q: int):
     """(add, mul, g) on element indices of GF(q): plain integers mod q for
-    prime q, the PolyField model otherwise; g is the smallest generator."""
+    prime q, otherwise the PolyField model under the field's modulus, so at
+    every degree m; g is the smallest generator."""
     if is_prime(q):
         g = smallest_generator(q)
         return (lambda a, b: (a + b) % q), (lambda a, b: a * b % q), g
-    fld = PolyField(*prime_power(q))
+    p, m = prime_power(q)
+    fld = PolyField(p, m, Field(p, m).modulus)
     return fld.add_idx, fld.mul_idx, fld.smallest_generator()
 
 
 def oracle_points(q: int, r: int) -> list[tuple[int, int]]:
     """Grid ordering: index t(q-1) + c(r+1) + s -> (g^c h^s, g^t) with
-    h = g^((q-1)/(r+1)); prime q, or q = p^m with m <= 3 via PolyField."""
+    h = g^((q-1)/(r+1)); prime q, or q = p^m via PolyField."""
     _, mul, g = _arith(q)
     powers = [1]
     for _ in range(q - 2):

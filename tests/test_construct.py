@@ -170,8 +170,10 @@ def test_domain_is_a_plain_dataclass_snapshot(code53):
 
 
 # the block-built G on every field kind: prime, characteristic 2 and odd
-# extensions, at every admissible (q, r) with q <= 17 and at GF(27)
-@pytest.mark.parametrize("q,r", [(q, r) for q, r in ADMISSIBLE_UP_TO_32 if q <= 17] + [(27, 12)])
+# extensions, at every admissible (q, r) with q <= 17, at GF(27) and at
+# GF(32), whose degree 5 the oracle reaches under the field's modulus
+@pytest.mark.parametrize("q,r", [(q, r) for q, r in ADMISSIBLE_UP_TO_32 if q <= 17]
+                         + [(27, 12), (32, 30)])
 def test_generator_matrix_matches_plain_evaluation(q, r):
     code = Code.build(Field(*prime_power(q)), r)
     assert code.generator_matrix == oracle_generator_matrix(q, r)
@@ -256,11 +258,9 @@ def weight4_count_times_8(q, r):
 def test_weight4_and_lemma_family_sizes_fit_the_closed_forms():
     """A_4 = n r (r-2) / 8 for even r and n (q + r^2 - 4r) / 8 for odd r,
     so A_4 = 0 at r = 2; the rank-lemma family at q has A_4(q, q-2)
-    members. A conjecture, pinned at all 43 admissible (q, r) with q <= 31
-    (the oracles' extension-field model certifies degree m <= 4, so not
-    GF(32))."""
-    instances = [(q, r) for q, r in ADMISSIBLE_UP_TO_32 if q < 32]
-    assert len(instances) == 43
+    members. A conjecture, pinned at all 44 admissible (q, r) with q <= 32."""
+    instances = ADMISSIBLE_UP_TO_32
+    assert len(instances) == 44
     for q, r in instances:
         assert 8 * len(oracle_weight4_supports(q, r)) == weight4_count_times_8(q, r), (q, r)
     for q in sorted({q for q, _ in instances}):

@@ -24,15 +24,16 @@ from lrc5.errors import (
 )
 from lrc5.field import Field
 from lrc5.linalg import rank, reduce_row
-from lrc5.rng import SplitMix64
+from lrc5.rng import LANES, SplitMix64
 from lrc5.verify import (
     SUBSET_BUDGET,
     VerificationReport,
+    _bin_pairs,
     _lemma_certificate,
     _moment_columns,
-    _pattern_bins,
     _scan,
     _scan_exhaustive,
+    _scan_sampled,
     constraint_matrix,
     exhaustive_cost,
     find_min_weight_codeword,
@@ -375,7 +376,7 @@ def _minors_agree(f, columns, certify, quad):
         pts = [tuple(c[r] for r in rows) for c in cols]
         if (f.affine_det(*pts) == 0) != (rank(f, [[1, *pt] for pt in pts]) < 4):
             return False
-    return not certify(list(quad)) or rank(f, cols) == 4
+    return not certify(*quad) or rank(f, cols) == 4
 
 
 @pytest.mark.parametrize("q", [5, 7])
@@ -405,7 +406,7 @@ def test_the_second_minor_certifies_subsets_the_first_leaves(q):
     first = [(c[1], c[2], c[4]) for c in columns]
     left = [quad for quad in combinations(range(len(columns)), 4)
             if f.affine_det(*(first[i] for i in quad)) == 0]
-    assert left and any(certify(list(quad)) for quad in left)
+    assert left and any(certify(*quad) for quad in left)
 
 
 def reduce_only_lemma_scan(f, trials, seed):
@@ -432,6 +433,56 @@ def test_sampled_lemma_scan_equals_the_reduce_only_reference(q):
         trials, witness, bins = reduce_only_lemma_scan(f, 1_500, seed)
         assert (rep.trials, rep.witness, rep.result) == (trials, witness, witness is None)
         assert rep.details["case_counts"] == {k: bins[k] for k in sorted(bins)}
+
+
+@pytest.mark.parametrize("n,size", [(n, size) for n in (4, 5, 6, 64, 144, 961)
+                                    for size in sorted({1, 2, 4} | ({n} if n <= 6 else set()))])
+def test_sampled_scan_draws_the_subsets_sample_sorted_draws(n, size):
+    """The scan's block buffer yields, subset by subset, what successive
+    sample_sorted calls on the seed return, across at least 3 refills of
+    LANES words, repeats included."""
+    trials = 3 * LANES // size + 2 if size < n else 3 * LANES
+    columns = [[1]] * n  # never reduced: certify passes every subset
+    for seed in (0, 7):
+        drawn = []
+
+        def certify(*subset):
+            drawn.append(sorted(subset))
+            return True
+
+        checked, failure, _ = _scan_sampled(Field(2), columns, size, trials, seed, None, certify)
+        assert (checked, failure) == (trials, None)
+        rng = SplitMix64(seed)
+        assert drawn == [rng.sample_sorted(n, size) for _ in range(trials)]
+
+
+#: the sampled d>=5 scan of the sparse dual with 2,000 trials, before its
+#: loop drew from a block buffer: (q, r, seed) -> (trials, witness columns)
+FROZEN_SAMPLED_2000 = {
+    (7, 5, 0): (254, [25, 29, 32, 33]), (7, 5, 1): (2000, None), (7, 5, 2): (7, [1, 3, 10, 11]),
+    (9, 3, 0): (2000, None), (9, 3, 1): (2000, None), (9, 3, 2): (2000, None),
+    (13, 5, 0): (2000, None), (13, 5, 1): (2000, None), (13, 5, 2): (2000, None),
+}
+
+
+@pytest.mark.parametrize("q,r,seed", sorted(FROZEN_SAMPLED_2000))
+def test_sampled_distance_scan_keeps_its_trials_and_witnesses(q, r, seed):
+    code = Code.build(Field(*FIELDS[q]), r)
+    rep = verify_distance_at_least(code.field, code.domain.dual_rows, 5, "sampled", 2_000, seed)
+    trials, columns = FROZEN_SAMPLED_2000[(q, r, seed)]
+    assert (rep.trials, rep.witness) == (trials, columns and {"columns": columns})
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled", "auto"])
+def test_lemma_scan_refuses_a_grid_of_fewer_than_four_points(mode):
+    """GF(2) has one grid point, too few for a 4-subset; GF(3) has four,
+    exactly one subset, which passes in every mode."""
+    with pytest.raises(ValueError, match="4-subsets needs at least 4 columns, got 1"):
+        verify_constraint_matrix(Field(2), mode, 50, 0)
+    rep = verify_constraint_matrix(Field(3), mode, 50, 0)
+    assert (rep.result, rep.witness) == (True, None)
+    assert rep.details["case_counts"] == {"two-pairs": rep.trials}
+    assert rep.trials == (50 if mode == "sampled" else 1)
 
 
 @pytest.mark.parametrize(
@@ -657,16 +708,12 @@ def test_binned_scan_budget_counts_leaf_callbacks(monkeypatch):
     f, columns, betas = Field(31), vandermonde_columns(16), [i % 3 for i in range(16)]
     binned = []
 
-    def recording(betas):
-        bins, on_subset = _pattern_bins(betas)
+    def recording(counts, betas, subsets):
+        subsets = list(subsets)
+        binned.extend(subsets)
+        _bin_pairs(counts, betas, subsets)
 
-        def record(subset):
-            binned.append(subset)
-            on_subset(subset)
-
-        return bins, record
-
-    monkeypatch.setattr("lrc5.verify._pattern_bins", recording)
+    monkeypatch.setattr("lrc5.verify._bin_pairs", recording)
     cost = exhaustive_cost(16, 4) + 1_820
     monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", cost)
     mode, checked, failure, bins = _scan(f, columns, 4, "exhaustive", 1, 0, betas)
