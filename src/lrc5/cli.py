@@ -95,6 +95,14 @@ def _real(text: str) -> float:
     raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a seed outside [0, 2^64): SplitMix64 reduces its seed mod
+    2^64, so such a seed would rerun another seed's stream under its own
+    name in the report."""
+    if not 0 <= seed < 1 << 64:
+        raise ValidationError(f"--seed must lie in [0, 2^64), got {seed}")
+
+
 def cmd_params(args) -> int:
     field = field_of_order(args.q)
     p = validate_params(field, args.r)
@@ -191,6 +199,7 @@ def _run_suites(args, code: Code) -> list[VerificationReport]:
 
 
 def cmd_verify(args) -> int:
+    _check_seed(args.seed)
     if args.trials < 1:
         raise ValidationError("--trials must be at least 1")
     if args.load is not None:
@@ -231,6 +240,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_seed(args.seed)
     code = Code.build(field_of_order(args.q), args.r)
     config = SimulationConfig(
         model=args.model,
@@ -264,7 +274,7 @@ def build_parser() -> _Parser:
 
     # options of verify and simulate, the only commands that draw random numbers
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=_integer, default=0, help="PRNG seed")
+    seeded.add_argument("--seed", type=_integer, default=0, help="PRNG seed, in [0, 2^64)")
     seeded.add_argument("--out", default=".", help="output directory")
 
     # the required code parameters of params and simulate

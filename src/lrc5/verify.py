@@ -27,17 +27,16 @@ buffer of SplitMix64 blocks the very subsets that successive sample_sorted
 calls on the scan's seed would return, unsorted, and sorts a subset only
 before reducing it.
 
-Sampled rank-lemma scans first try two certificates: rows (0, 1, 2, 4) of a
-4-subset's moment columns form a 4x4 minor whose determinant is the affine
-determinant Field.affine_det of the points (ab, a^2 b, a b^2), rows
-(0, 4, 5, 6) one whose determinant is that of (a b^2, a b^3, a b^4), and
-either minor nonzero proves rank 4. The scan calls the certificate once
-per subset, on its four indices. affine_det reads the q x q tables that
-reduce_row reads, in every field. On 20,000 seeded subsets the first is
-nonzero for 85% (GF(5)) to 96% (GF(27)) of them, and with the second only
-3.7% (GF(5)) to 0.16% (GF(27)) are left, 0.6% at GF(13). Only those are
-reduced, so the sampled subsets, trials, witnesses and bins are those of
-the reductions alone, and the budget still counts trials.
+A sampled rank-lemma scan reads a 4-subset's y-pattern first: only a
+two-pairs subset can drop rank. Rows 1, 4, 5 and 6 of the moment column
+at (a, b) are ab (1, b, b^2, b^3), and a Vandermonde argument on them,
+and on rows 0 to 3 for equal b, gives rank 4 to every other pattern
+(README, "The distance claim, measured", has the proof). A two-pairs
+subset tries one certificate, the rows (0, 1, 2, 4) minor, which is the
+affine determinant Field.affine_det of the points (ab, a^2 b, a b^2), and
+is reduced when that is zero. So the sampled subsets, trials, witnesses
+and bins are those of the reductions alone, and the budget still counts
+trials.
 
 Every check returns a VerificationReport, and _report is the one place one
 is made, so every check follows the same rules: millis is the wall time
@@ -222,10 +221,13 @@ def _scan_sampled(field, columns, size, trials, seed, betas=None, certify=None):
     sample_sorted takes adds at most one index, so that is the stream
     successive sample_sorted(n, size) calls consume, and the subsets are
     theirs, unsorted. Nothing else draws from the scan's generator, so
-    reading a block ahead changes nothing. certify(*subset) may return True
-    only for a subset that is certainly independent; every other subset is
-    sorted and reduced, so a witness is ascending. size must not exceed n,
-    or the draw would never find size distinct indices.
+    reading a block ahead changes nothing. With betas (the y-coordinates
+    of moment columns), a subset whose pair code is not 2 (two-pairs) is
+    confirmed by that code alone (see the module docstring); without
+    them every subset is treated as two-pairs. certify(*subset) may return
+    True only for a subset that is certainly independent; every other
+    two-pairs subset is sorted and reduced, so a witness is ascending. size
+    must not exceed n, or the draw would never find size distinct indices.
     """
     n = len(columns)
     draw = SplitMix64(seed).below
@@ -244,7 +246,12 @@ def _scan_sampled(field, columns, size, trials, seed, betas=None, certify=None):
                 if buf[pos] not in subset:
                     subset.append(buf[pos])
                 pos += 1
-        if certify is None or not certify(*subset):
+        code = 2  # without betas no y-pattern certifies a subset
+        if betas is not None:  # as _bin_pairs bins, without a call per subset
+            i, j, k, l = subset
+            a, b, c, d = betas[i], betas[j], betas[k], betas[l]
+            code = (a == b) + (a == c) + (a == d) + (b == c) + (b == d) + (c == d)
+        if code == 2 and (certify is None or not certify(*subset)):
             subset.sort()
             basis = []
             for idx in subset:
@@ -252,10 +259,7 @@ def _scan_sampled(field, columns, size, trials, seed, betas=None, certify=None):
                 if ext is None:
                     return t + 1, tuple(subset), counts
                 basis.append(ext)
-        if betas is not None:  # as _bin_pairs bins, without a call per subset
-            i, j, k, l = subset
-            a, b, c, d = betas[i], betas[j], betas[k], betas[l]
-            counts[(a == b) + (a == c) + (a == d) + (b == c) + (b == d) + (c == d)] += 1
+        counts[code] += 1
     return trials, None, counts
 
 
@@ -453,16 +457,17 @@ def _moment_columns(field: Field) -> tuple[list[tuple[int, int]], list, list[int
 
 
 def _lemma_certificate(field: Field, columns: list) -> Callable[[int, int, int, int], bool]:
-    """certify(i, j, k, l): whether the rows (0, 1, 2, 4) or the rows
-    (0, 4, 5, 6) of the moment columns i, j, k and l form a nonzero 4x4
-    minor, which proves rank 4."""
-    first = [(c[1], c[2], c[4]) for c in columns]
-    second = [(c[4], c[5], c[6]) for c in columns]
+    """certify(i, j, k, l): whether the rows (0, 1, 2, 4) of the moment
+    columns i, j, k and l form a nonzero 4x4 minor, which proves rank 4.
+
+    The rows (0, 4, 5, 6) minor is not tried: on a two-pairs subset, the
+    only pattern the sampled scan asks about, rows 4 to 6 of a column are
+    a b^2 (1, b, b^2) with two values of b, so that minor is always zero."""
+    points = [(c[1], c[2], c[4]) for c in columns]
     det = field.affine_det
 
     def certify(i, j, k, l):
-        return (det(first[i], first[j], first[k], first[l]) != 0
-                or det(second[i], second[j], second[k], second[l]) != 0)
+        return det(points[i], points[j], points[k], points[l]) != 0
 
     return certify
 

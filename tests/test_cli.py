@@ -1056,6 +1056,31 @@ def test_simulate_refuses_trials_above_the_budget(tmp_path, capsys, monkeypatch)
     assert not (out_dir / "simulation.json").exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seeds_outside_64_bits_are_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                          command, seed):
+    """SplitMix64 reduces its seed mod 2^64, so -1 would rerun seed 2^64 - 1
+    and 2^64 seed 0, each under another name in the report."""
+    def no_work(q):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr("lrc5.cli.field_of_order", no_work)
+    rc, out, err = run(capsys, command, *with_flag(tmp_path, command, "--seed", seed))
+    assert (rc, out) == (2, "")
+    assert err == f"ERR Validation: --seed must lie in [0, 2^64), got {seed}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_largest_seed_is_kept_as_given(tmp_path, capsys):
+    seed = str(2**64 - 1)
+    rc, _, err = run(capsys, "verify", "--q", "7", "--r", "5", "--suite", "lemma",
+                     "--mode", "sampled", "--trials", "10", "--seed", seed,
+                     "--out", str(tmp_path))
+    assert (rc, err) == (0, "")
+    assert f"seed={seed} rng=splitmix64" in (tmp_path / "report.txt").read_text()
+
+
 def test_verify_q7_r2_distance_suite_passes(tmp_path, capsys):
     """d = 5 exactly at GF(7) r = 2, though the Singleton-like bound is 6."""
     rc, out, err = run(capsys, "verify", "--q", "7", "--r", "2", "--suite", "distance",

@@ -22,7 +22,7 @@ from lrc5.errors import (
     ConditionViolatedError,
     NotDistinctError,
 )
-from lrc5.field import Field
+from lrc5.field import Field, field_of_order
 from lrc5.linalg import rank, reduce_row
 from lrc5.rng import LANES, SplitMix64
 from lrc5.verify import (
@@ -368,14 +368,13 @@ FIELDS = {5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2), 13: (13, 1),
 
 
 def _minors_agree(f, columns, certify, quad):
-    """affine_det vanishes exactly when the rows (0, 1, 2, 4), or the rows
-    (0, 4, 5, 6), minor of the quadruple's moment columns has rank below 4,
-    and a quadruple the certificate passes has rank 4."""
+    """affine_det vanishes exactly when the rows (0, 1, 2, 4) minor of the
+    quadruple's moment columns has rank below 4, and a quadruple the
+    certificate passes has rank 4."""
     cols = [columns[i] for i in quad]
-    for rows in ((1, 2, 4), (4, 5, 6)):
-        pts = [tuple(c[r] for r in rows) for c in cols]
-        if (f.affine_det(*pts) == 0) != (rank(f, [[1, *pt] for pt in pts]) < 4):
-            return False
+    pts = [(c[1], c[2], c[4]) for c in cols]
+    if (f.affine_det(*pts) == 0) != (rank(f, [[1, *pt] for pt in pts]) < 4):
+        return False
     return not certify(*quad) or rank(f, cols) == 4
 
 
@@ -398,15 +397,76 @@ def test_lemma_minor_vanishes_exactly_when_it_drops_rank_on_seeded_quadruples(q)
                for _ in range(5_000))
 
 
+def _pair_code(betas, quad):
+    counts = [0] * 7
+    _bin_pairs(counts, betas, [quad])
+    return counts.index(1)
+
+
 @pytest.mark.parametrize("q", [5, 7])
-def test_the_second_minor_certifies_subsets_the_first_leaves(q):
+def test_the_rows_0456_minor_is_zero_on_every_two_pairs_quadruple(q):
+    """Rows 4 to 6 of a column are a b^2 (1, b, b^2), and a two-pairs
+    quadruple has two values of b, so that minor never certifies one."""
     f = Field(q)
-    _, columns, _ = _moment_columns(f)
-    certify = _lemma_certificate(f, columns)
-    first = [(c[1], c[2], c[4]) for c in columns]
-    left = [quad for quad in combinations(range(len(columns)), 4)
-            if f.affine_det(*(first[i] for i in quad)) == 0]
-    assert left and any(certify(*quad) for quad in left)
+    _, columns, betas = _moment_columns(f)
+    two_pairs = [quad for quad in combinations(range(len(columns)), 4)
+                 if _pair_code(betas, quad) == 2]
+    assert len(two_pairs) == comb(q - 1, 2) ** 3
+    assert all(f.affine_det(*((c[4], c[5], c[6]) for c in (columns[i] for i in quad))) == 0
+               for quad in two_pairs)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7])
+def test_every_quadruple_outside_two_pairs_has_rank_4(q):
+    """The pattern rule the sampled lemma scan certifies by, on every
+    4-subset of the grid."""
+    f = field_of_order(q)
+    _, columns, betas = _moment_columns(f)
+    for quad in combinations(range(len(columns)), 4):
+        if _pair_code(betas, quad) != 2:
+            assert rank(f, [columns[i] for i in quad]) == 4, quad
+
+
+@pytest.mark.parametrize("q", [8, 9, 13, 16, 27])
+@pytest.mark.parametrize("groups", [(1, 1, 1, 1), (2, 1, 1), (3, 1), (4,)])
+def test_seeded_quadruples_of_each_pattern_outside_two_pairs_have_rank_4(q, groups):
+    """5,000 seeded quadruples with len(groups) distinct y-coordinates, a
+    group of points sharing each, drawn directly so that rare patterns
+    (all-equal is 1 in 22,000 uniform quadruples at GF(27)) are covered."""
+    f = Field(*FIELDS[q])
+    units = list(f.units())
+    rng = random.Random(q)
+    codes = Counter()
+    for _ in range(5_000):
+        ys = rng.sample(units, len(groups))
+        pts = [(x, y) for y, size in zip(ys, groups) for x in rng.sample(units, size)]
+        assert rank(f, constraint_matrix(f, pts)) == 4, pts
+        codes[_pair_code([y for _, y in pts], (0, 1, 2, 3))] += 1
+    assert list(codes) == [{4: 0, 3: 1, 2: 3, 1: 6}[len(groups)]]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sampled_lemma_scan_computes_a_determinant_only_for_two_pairs(monkeypatch, seed):
+    """Every other pattern is certified by its y-coordinates alone. Seed 1
+    runs all 20,000 trials; seed 0 stops at a two-pairs witness, whose
+    certificate was tried."""
+    calls = 0
+    affine_det = Field.affine_det
+
+    def counted(self, *points):
+        nonlocal calls
+        calls += 1
+        return affine_det(self, *points)
+
+    monkeypatch.setattr(Field, "affine_det", counted)
+    f = Field(13)
+    rep = verify_constraint_matrix(f, mode="sampled", trials=20_000, seed=seed)
+    two_pairs = rep.details["case_counts"]["two-pairs"]
+    if rep.witness is not None:
+        ys = [y for _, y in rep.witness["points"]]
+        two_pairs += _pair_code(ys, (0, 1, 2, 3)) == 2
+    assert (rep.trials, rep.witness is None) == ((3318, False) if seed == 0 else (20_000, True))
+    assert calls == two_pairs
 
 
 def reduce_only_lemma_scan(f, trials, seed):
