@@ -277,7 +277,7 @@ def build_parser() -> _Parser:
     seeded.add_argument("--seed", type=_integer, default=0, help="PRNG seed, in [0, 2^64)")
     seeded.add_argument("--out", default=".", help="output directory")
 
-    # the required code parameters of params and simulate
+    # the required code parameters of params, gen and simulate
     sized = argparse.ArgumentParser(add_help=False)
     sized.add_argument("--q", type=_integer, required=True, help="field order (prime power)")
     sized.add_argument("--r", type=_integer, required=True, help="locality")
@@ -286,10 +286,8 @@ def build_parser() -> _Parser:
                          help="validate parameters and print code facts")
     sp.set_defaults(func=cmd_params)
 
-    sg = subs.add_parser("gen", help="construct a code and write its artifacts")
+    sg = subs.add_parser("gen", parents=[sized], help="construct a code and write its artifacts")
     sg.add_argument("--out", default=".", help="output directory")
-    sg.add_argument("--q", type=_integer, required=True, help="field order (prime power)")
-    sg.add_argument("--r", type=_integer, required=True, help="locality")
     sg.set_defaults(func=cmd_gen)
 
     se = subs.add_parser("encode", help="encode a message file")

@@ -64,10 +64,9 @@ def local_repair(code: Code, received: list[int | None], position: int) -> int:
     if received[position] is not None:
         raise NotErasedError(f"position {position} is not erased")
     field = code.field
-    ci = code.domain.cell_index_of(position)
-    cell = code.domain.cells[ci]
-    v = code.local_parity(ci)
-    off = position - cell[0]
+    cell = code.domain.cell_of(position)
+    v = code.domain.local_parity
+    off = position - cell.start
     acc = 0
     add, mul = field.add, field.mul
     for s, pos in enumerate(cell):

@@ -16,12 +16,14 @@ set, a coset (g^c R) x {g^t}, therefore occupies a contiguous block of r+1
 positions, and each such cell satisfies one local parity equation.
 
 The local parity (1, h, ..., h^r) and the dual are closed forms from
-character-sum duality on V; no nullspace of G is computed. dual_rows holds
-one local row per cell and dense_dual, the dual's three dense rows reduced
-at every cell start, each one pattern scaled per cell: verify scans their
-columns and the codec's syndromes read them. H is their RREF in closed
-form, and parity_check_pivot_rows its at most six rows that are not plain
-local rows, which build_parity_check and formats' parity.csv both read.
+character-sum duality on V; no nullspace of G and no list of the n
+positions is made. As the sum of x^a y^b over V is 0 unless a = b = 0
+mod q-1, the evaluations of x^(-i) y^(-j), (i, j) outside the basis, span
+the dual: one local_row per cell (i = r mod r+1) and the three rows of
+dense_dual, reduced at every cell start. verify's distance suite scans
+their columns and the codec's syndromes read them. H is their RREF in
+closed form, and parity_check_pivot_rows its at most six rows that are
+not plain local rows, which build_parity_check and parity.csv both read.
 
 Position t*(q-1) + u holds (x_u, g^t), so grid row t of x^i y^j is the
 block g^(j*t) * (x_u^i)_u, whose entry u is g^(j*t + i*log x_u). x_blocks
@@ -45,7 +47,7 @@ from .errors import (
     LengthMismatchError,
     TooLargeError,
 )
-from .field import Field, subgroup_of_order
+from .field import Field
 # nullspace is unused here but stays bound: the benchmark's tracing rebinds it
 from .linalg import nullspace, rref
 
@@ -116,20 +118,28 @@ def build_monomial_basis(params: CodeParams) -> list[Monomial]:
 
 @dataclass
 class EvaluationDomain:
-    """Ordered grid points plus the recovery-set partition."""
+    """The grid in closed form, position t*(q-1) + c*(r+1) + s holding
+    (g^c h^s, g^t), and its recovery sets of cell_size positions each."""
 
     field: Field
     g: int
     h: int
     cell_size: int
-    points: list[tuple[int, int]]
-    cells: list[list[int]]
 
-    def cell_index_of(self, position: int) -> int:
-        return position // self.cell_size
+    @cached_property
+    def cells(self) -> list[range]:
+        """Cell i as the range of its positions, built on first use."""
+        size = self.cell_size
+        return [range(b, b + size) for b in range(0, (self.field.q - 1) ** 2, size)]
 
-    def cell_of(self, position: int) -> list[int]:
-        return self.cells[self.cell_index_of(position)]
+    def cell_of(self, position: int) -> range:
+        return self.cells[position // self.cell_size]
+
+    def local_row(self, start: int) -> list[int]:
+        """The dual row of the local parity on the cell starting at position
+        start, zero elsewhere."""
+        tail = (self.field.q - 1) ** 2 - start - self.cell_size
+        return [0] * start + self.local_parity + [0] * tail
 
     @cached_property
     def local_parity(self) -> list[int]:
@@ -157,21 +167,6 @@ class EvaluationDomain:
         return rows
 
     @cached_property
-    def dual_rows(self) -> list[list[int]]:
-        """A basis of the dual, built once per domain: the local parity on
-        each cell and zero elsewhere, in cell order, then dense_dual.
-
-        On V the sum of x^a y^b is 0 unless a = b = 0 mod q-1, so the
-        evaluations of x^(-i) y^(-j), for the n-k pairs (i, j) in [0, q-2]^2
-        outside the basis, are independent and span the dual. Those with
-        i = r mod r+1 span the local rows, and the other three those of
-        dense_dual.
-        """
-        n, local = len(self.points), self.local_parity
-        starts = range(0, n, len(local))
-        return [[0] * s + local + [0] * (n - s - len(local)) for s in starts] + self.dense_dual
-
-    @cached_property
     def y_powers(self) -> list[list[int]]:
         """Row j is y_t^j over the grid rows' y-values y_t = g^t, j in [0, q-2]."""
         qm1, exp = self.field.q - 1, self.field.exp
@@ -179,8 +174,10 @@ class EvaluationDomain:
 
     @cached_property
     def x_logs(self) -> list[int]:
-        """log x_u over one grid row's x-values x_u, which every row shares."""
-        return [self.field.log[x] for x, _ in self.points[:self.field.q - 1]]
+        """log x_u over one grid row's x-values x_u = g^c h^s, which every
+        row shares: c + s*(q-1)/(r+1), coset by coset, as h = g^((q-1)/(r+1))."""
+        step = (self.field.q - 1) // self.cell_size
+        return [c + s * step for c in range(step) for s in range(self.cell_size)]
 
     @cached_property
     def x_powers(self) -> list[list[int]]:
@@ -219,19 +216,8 @@ class EvaluationDomain:
 
 
 def build_domain(field: Field, params: CodeParams) -> EvaluationDomain:
-    q, r = field.q, params.r
-    g = field.generator
-    subgroup = subgroup_of_order(field, r + 1)
-    h = subgroup[1]
-    ncosets = (q - 1) // (r + 1)
-    # every grid row has the same x-values, coset by coset
-    xs = [field.mul(field.pow(g, c), s) for c in range(ncosets) for s in subgroup]
-    ys = [field.pow(g, t) for t in range(q - 1)]
-    points = [(x, y) for y in ys for x in xs]
-    cells = [list(range(b, b + r + 1)) for b in range(0, params.n, r + 1)]
-    return EvaluationDomain(
-        field=field, g=g, h=h, cell_size=r + 1, points=points, cells=cells
-    )
+    size = params.r + 1
+    return EvaluationDomain(field, field.generator, field.exp[(field.q - 1) // size], size)
 
 
 def basis_rows(
@@ -261,17 +247,16 @@ def build_generator_matrix(
 
 def parity_check_pivot_rows(domain: EvaluationDomain) -> dict[int, list[int]]:
     """The at most six rows of H that are not plain local rows, by pivot.
-    H is the RREF of dual_rows, so of any basis of the dual. Its local rows
-    have pivot 1 at their cell start, where dense_dual is zero, so only
-    dense_dual goes through rref; each of its pivots is then cleared from
-    the local row of its cell."""
-    field, size, local = domain.field, domain.cell_size, domain.local_parity
-    n = len(domain.points)
+    H is the RREF of any basis of the dual, so of the local rows and
+    dense_dual. The local rows have pivot 1 at their cell start, where
+    dense_dual is zero, so only dense_dual goes through rref; each of its
+    pivots is then cleared from the local row of its cell."""
+    field, size = domain.field, domain.cell_size
     rows: dict[int, list[int]] = {}
     dense, pivots = rref(field, domain.dense_dual)
     for piv, row in zip(pivots, dense):
         start = piv - piv % size
-        cell = rows.get(start) or [0] * start + local + [0] * (n - start - size)
+        cell = rows.get(start) or domain.local_row(start)
         rows[start] = field.submul(cell, cell[piv], row)
         rows[piv] = row
     return rows
@@ -281,11 +266,11 @@ def build_parity_check(
     basis: list[Monomial], domain: EvaluationDomain
 ) -> list[list[int]]:
     """Canonical parity-check matrix: parity_check_pivot_rows with the
-    plain local rows around them, which stay shared with dual_rows."""
-    size, dual = domain.cell_size, domain.dual_rows
-    rows = dict(zip(range(0, len(domain.points), size), dual[:len(domain.cells)]))
-    rows |= parity_check_pivot_rows(domain)
-    assert len(rows) == len(domain.points) - len(basis)
+    plain local rows around them."""
+    size, n = domain.cell_size, (domain.field.q - 1) ** 2
+    rows = parity_check_pivot_rows(domain)
+    rows |= {s: domain.local_row(s) for s in range(0, n, size) if s not in rows}
+    assert len(rows) == n - len(basis)
     return [rows[piv] for piv in sorted(rows)]
 
 

@@ -12,8 +12,8 @@ masked intermediate are below 2^64, so adding a step below 2^64 or
 multiplying by a 64-bit constant stays below 2^128, inside the lane; a
 right shift moves bits of the next lane only into this lane's upper half;
 and the lane mask clears that upper half before the next multiplication.
-The block is read back as little-endian 64-bit words, every second one the
-low half of a lane. The stream is the scalar recurrence's, bit for bit;
+The block is read back as the low little-endian 64-bit word of each lane,
+skipping its upper half. The stream is the scalar recurrence's, bit for bit;
 the methods only decide how many of its words they consume.
 """
 
@@ -30,7 +30,7 @@ _ONES = sum(1 << (128 * k) for k in range(LANES))
 _LOW = _ONES * _MASK
 #: lane k (from 0) steps its block's start state by (k+1)*gamma
 _STEPS = sum((((k + 1) * _GAMMA) & _MASK) << (128 * k) for k in range(LANES))
-_WORDS = struct.Struct(f"<{2 * LANES}Q")
+_WORDS = struct.Struct("<" + "Q8x" * LANES)
 
 
 def _limit(n: int) -> int:
@@ -57,7 +57,7 @@ class SplitMix64:
             z = (((z ^ (z >> 30)) & _LOW) * 0xBF58476D1CE4E5B9) & _LOW
             z = (((z ^ (z >> 27)) & _LOW) * 0x94D049BB133111EB) & _LOW
             z ^= z >> 31
-            self._buf = _WORDS.unpack(z.to_bytes(16 * LANES, "little"))[::2]
+            self._buf = _WORDS.unpack(z.to_bytes(16 * LANES, "little"))
             pos = 0
         chunk = self._buf[pos:pos + count]
         self._pos = pos + len(chunk)

@@ -96,7 +96,7 @@ class SimulationResult:
 def run_simulation(code: Code, config: SimulationConfig) -> SimulationResult:
     config.validate(code.n)
     rng = SplitMix64(config.seed)
-    q, n, k, cells = code.field.q, code.n, code.k, len(code.domain.cells)
+    q, n, k, cells = code.field.q, code.n, code.k, code.n // code.domain.cell_size
     threshold = int(config.rho * (1 << 64)) if config.model == "bernoulli" else 0
     erased_total = 0
     local_total = 0

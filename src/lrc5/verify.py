@@ -59,7 +59,7 @@ from math import comb
 from .codec import local_repair
 # encode is unused here but stays bound: the benchmark's tracing rebinds it
 from .codec import encode
-from .construct import Code, CodeParams
+from .construct import Code, CodeParams, EvaluationDomain
 from .errors import BudgetExceededError, ConditionViolatedError, NotDistinctError
 from .field import Field
 from .linalg import nullspace, reduce_row, transpose
@@ -335,8 +335,8 @@ def verify_distance_at_least(
 ) -> VerificationReport:
     """Certify d >= w by checking (w-1)-subsets of the columns of h_rows for
     independence: exhaustively in lexicographic order, or on seeded samples.
-    h_rows may be any basis of the dual, such as H or domain.dual_rows: row
-    operations keep every linear dependence among columns.
+    h_rows may be any basis of the dual, such as H: row operations keep
+    every linear dependence among columns.
 
     The scan stops at the first dependent subset, so on a failing report
     trials counts only the subsets checked up to and including the witness,
@@ -344,10 +344,13 @@ def verify_distance_at_least(
     pass SUBSET_BUDGET raises BudgetExceededError before it starts, even
     where a witness would come early; so does a sampled one of more trials.
     """
+    return _distance_at_least(field, _columns(h_rows), w, mode, trials, seed)
+
+
+def _distance_at_least(field, columns, w, mode, trials, seed) -> VerificationReport:
     t0 = time.perf_counter()
-    columns = _columns(h_rows)
     n = len(columns)
-    cap = min(len(h_rows), n) + 1
+    cap = (min(len(columns[0]), n) if columns else 0) + 1
     if not 1 <= w <= cap:
         raise ValueError(f"w must lie in [1, min(n-k, n)+1] = [1, {cap}]")
     size = w - 1
@@ -373,10 +376,13 @@ def find_min_weight_codeword(
     Like any exhaustive scan, a weight whose complete scan would pass
     SUBSET_BUDGET is refused before it starts, even if its witness is early.
     """
+    return _min_weight(field, _columns(h_rows), w_cap)
+
+
+def _min_weight(field, columns, w_cap) -> VerificationReport:
     if w_cap < 1:
         raise ValueError(f"a minimum-weight search needs a weight cap of at least 1, got {w_cap}")
     t0 = time.perf_counter()
-    columns = _columns(h_rows)
     n = len(columns)
     checked_total = 0
     witness = None
@@ -385,8 +391,7 @@ def find_min_weight_codeword(
         _, checked, failure, _ = _scan(field, columns, w, "exhaustive", 0, 0)
         checked_total += checked
         if failure is not None:
-            sub_rows = [[row[c] for c in failure] for row in h_rows]
-            ns = nullspace(field, sub_rows)
+            ns = nullspace(field, transpose([columns[c] for c in failure]))
             assert len(ns) == 1 and all(ns[0])
             codeword = [0] * n
             for pos, val in zip(failure, ns[0]):
@@ -402,17 +407,28 @@ def find_min_weight_codeword(
     return _report(t0, "min-weight-search", "exhaustive", checked_total, witness, **details)
 
 
+def _dual_columns(domain: EvaluationDomain) -> list[list[int]]:
+    """The columns of the local rows, in cell order, and dense_dual: column
+    p is the local parity's entry at its cell index, zero at the other
+    cells, then the three dense_dual entries at p."""
+    local, size, zeros = domain.local_parity, domain.cell_size, [0] * len(domain.cells)
+    columns = [zeros + list(dense) for dense in zip(*domain.dense_dual)]
+    for p, column in enumerate(columns):
+        column[p // size] = local[p % size]
+    return columns
+
+
 def distance_reports(code: Code, mode: str, trials: int, seed: int) -> list[VerificationReport]:
     """The distance suite: the d>=5 scan over the sparse dual, then, when
     that scan ran exhaustively and a complete search of weights 1..5 fits
     SUBSET_BUDGET, the minimum-weight search, whose report also names the
     distance it found and whether that meets the Singleton-like bound."""
-    field, dual, p = code.field, code.domain.dual_rows, code.params
-    d5 = verify_distance_at_least(field, dual, 5, mode, trials, seed)
+    field, columns, p = code.field, _dual_columns(code.domain), code.params
+    d5 = _distance_at_least(field, columns, 5, mode, trials, seed)
     cost = sum(exhaustive_cost(p.n, w) for w in range(1, 6))
     if d5.mode != "exhaustive" or cost > SUBSET_BUDGET:
         return [d5]
-    mw = find_min_weight_codeword(field, dual, 5)
+    mw = _min_weight(field, columns, 5)
     if mw.witness is not None:
         weight = mw.details["distance"] = mw.witness["weight"]
         mw.details["meets_singleton_like_bound"] = weight == singleton_like_bound(p.n, p.k, p.r)
@@ -535,7 +551,7 @@ def verify_locality(code: Code, trials: int = 25, seed: int = 0) -> Verification
             if witness is not None:
                 break
     return _report(t0, "locality", "sampled", trials, witness, seed,
-                   positions=code.n, cells=len(code.domain.cells), reads_per_repair=code.r)
+                   positions=code.n, cells=code.n // code.domain.cell_size, reads_per_repair=code.r)
 
 
 def singleton_like_bound(n: int, k: int, r: int) -> int:

@@ -331,19 +331,37 @@ def oracle_generator_matrix(q: int, r: int) -> list[list[int]]:
     ]
 
 
-def extra_dual_rows(domain: EvaluationDomain) -> list[list[int]]:
+def extra_dual_rows(q: int, r: int) -> list[list[int]]:
     """The dual's three dense rows before any reduction, the evaluations of
     x^(-i) y^(-j) for the removed monomials x^i y^j: 1, x^2 y and x^3 y at
-    the domain's points, multiplied out in the PolyField model under the
-    field's modulus, so at every degree m. The reference that
-    EvaluationDomain.dense_dual reduces in closed form."""
-    f = domain.field
-    mul = PolyField(f.p, f.m, f.modulus).mul_idx
+    oracle_points, multiplied out in the arithmetic of _arith, so at every
+    degree m. The reference that EvaluationDomain.dense_dual reduces in
+    closed form."""
+    _, mul, _ = _arith(q)
+    pts = oracle_points(q, r)
     return [
-        [1] * len(domain.points),
-        [mul(mul(x, x), y) for x, y in domain.points],
-        [mul(mul(mul(x, x), x), y) for x, y in domain.points],
+        [1] * len(pts),
+        [mul(mul(x, x), y) for x, y in pts],
+        [mul(mul(mul(x, x), x), y) for x, y in pts],
     ]
+
+
+def oracle_dual_rows(q: int, r: int) -> list[list[int]]:
+    """A basis of the dual in the layout the distance suite scans: the local
+    parity (1, h, ..., h^r), h = g^((q-1)/(r+1)), on each cell and zero
+    elsewhere, in cell order, then each row of extra_dual_rows less, on
+    every cell, its cell-start value times the local parity; on the tables
+    of _tables."""
+    add_t, mul_t, neg, _, powers, _ = _tables(q)
+    size, n = r + 1, (q - 1) ** 2
+    local = powers[::(q - 1) // size]
+    rows = [[0] * s + local + [0] * (n - s - size) for s in range(0, n, size)]
+    for row in extra_dual_rows(q, r):
+        rows.append([
+            add_t[v][neg[mul_t[row[pos - pos % size]][local[pos % size]]]]
+            for pos, v in enumerate(row)
+        ])
+    return rows
 
 
 def oracle_parity_check(q: int, r: int) -> list[list[int]]:
@@ -630,18 +648,20 @@ def evaluate_on_domain(domain: EvaluationDomain, table: list[list[int]]) -> list
 
 def interpolate(domain: EvaluationDomain, values: list[int]) -> list[list[int]]:
     """The unique (q-1) x (q-1) coefficient table whose grid evaluations
-    equal values; the inverse of evaluate_on_domain.
+    equal values; the inverse of evaluate_on_domain, on the grid of
+    oracle_points rather than the domain's own.
 
     On V the sum of x^a y^b is (q-1)^2 = 1 when a = b = 0 mod q-1 and 0
     otherwise, so c_ij = sum_t y_t^(-j) sum_u v_tu x_u^(-i), with v_tu the
     value at grid row t, column u.
     """
     field = domain.field
-    qm1 = field.q - 1
-    if len(values) != len(domain.points):
+    qm1, exp, log = field.q - 1, field.exp, field.log
+    pts = oracle_points(field.q, domain.cell_size - 1)
+    if len(values) != len(pts):
         raise ValueError("one value per domain point required")
-    x_inv = [domain.x_powers[-i % qm1] for i in range(qm1)]
-    y_inv = [domain.y_powers[-j % qm1] for j in range(qm1)]
+    x_inv = [[exp[-i * log[x] % qm1] for x, _ in pts[:qm1]] for i in range(qm1)]
+    y_inv = [[exp[-j * log[y] % qm1] for _, y in pts[::qm1]] for j in range(qm1)]
     grid_rows = [values[s:s + qm1] for s in range(0, len(values), qm1)]
     # sums[i][t] = sum_u v_tu x_u^(-i)
     sums = [[field.dot(v, xi) for v in grid_rows] for xi in x_inv]

@@ -24,6 +24,7 @@ from lrc5.rng import SplitMix64
 
 from .oracles import (
     extra_dual_rows,
+    oracle_dual_rows,
     oracle_generator_matrix,
     mat_vec,
     mat_vec_gf,
@@ -69,6 +70,13 @@ POINTS_5_3 = [
 
 def field_for(q):
     return Field(*{8: (2, 3), 9: (3, 2), 16: (2, 4), 27: (3, 3)}.get(q, (q, 1)))
+
+
+def grid_points(domain):
+    """The point of each position p = t*(q-1) + u, (x_u, g^t), read off the
+    domain's x_logs."""
+    qm1, exp = domain.field.q - 1, domain.field.exp
+    return [(exp[domain.x_logs[p % qm1]], exp[p // qm1]) for p in range(qm1 * qm1)]
 
 
 @pytest.mark.parametrize("q,r", INSTANCES)
@@ -122,9 +130,9 @@ def test_monomial_basis_matches_independent_rule(q, r):
 
 def test_domain_frozen_points():
     code = Code.build(Field(5), 3)
-    assert code.domain.points == POINTS_5_3
+    assert grid_points(code.domain) == POINTS_5_3
     code75 = Code.build(Field(7), 5)
-    assert code75.domain.points[:8] == [
+    assert grid_points(code75.domain)[:8] == [
         (1, 1), (3, 1), (2, 1), (6, 1), (4, 1), (5, 1), (1, 3), (3, 3),
     ]
 
@@ -134,7 +142,7 @@ def test_domain_matches_contract_ordering(q, r):
     field = Field(q)
     params = validate_params(field, r)
     dom = build_domain(field, params)
-    assert dom.points == oracle_points(q, r)
+    assert grid_points(dom) == oracle_points(q, r)
 
 
 @pytest.mark.parametrize("q,r", INSTANCES)
@@ -144,13 +152,14 @@ def test_cells_partition_the_grid(q, r):
     dom = code.domain
     n = (q - 1) ** 2
     assert dom.cell_size == r + 1
+    points = grid_points(dom)
     flat = [p for cell in dom.cells for p in cell]
     assert flat == list(range(n))
     for ci, cell in enumerate(dom.cells):
-        assert cell == list(range(ci * (r + 1), (ci + 1) * (r + 1)))
-        ys = {dom.points[p][1] for p in cell}
+        assert cell == range(ci * (r + 1), (ci + 1) * (r + 1))
+        ys = {points[p][1] for p in cell}
         assert len(ys) == 1
-        xs = [dom.points[p][0] for p in cell]
+        xs = [points[p][0] for p in cell]
         # x-coordinates form a coset: the pairwise ratios form the subgroup
         ratios = {field.div(x, xs[0]) for x in xs}
         assert len(ratios) == r + 1
@@ -159,7 +168,6 @@ def test_cells_partition_the_grid(q, r):
             for b in base:
                 assert field.mul(a, b) in ratios
         for p in cell:
-            assert dom.cell_index_of(p) == ci
             assert dom.cell_of(p) == cell
 
 
@@ -300,7 +308,7 @@ def test_parity_check_equals_rref_of_dense_dual_rows(q, r):
 
 def test_parity_check_is_the_rref_of_the_dual_rows_at_every_small_instance(monkeypatch):
     """The closed form equals the generic RREF of all n-k rows of
-    domain.dual_rows at all 44 admissible (q, r) with q <= 32, and only the
+    oracle_dual_rows at all 44 admissible (q, r) with q <= 32, and only the
     3 dense rows go through construct's rref."""
     sizes = []
 
@@ -310,7 +318,7 @@ def test_parity_check_is_the_rref_of_the_dual_rows_at_every_small_instance(monke
 
     for q, r in ADMISSIBLE_UP_TO_32:
         code = Code.build(Field(*prime_power(q)), r)
-        reference, pivots = rref(code.field, code.domain.dual_rows)
+        reference, pivots = rref(code.field, oracle_dual_rows(q, r))
         assert len(pivots) == code.n - code.k, (q, r)
         sizes.clear()
         with monkeypatch.context() as m:
@@ -329,7 +337,7 @@ def test_dense_dual_is_the_extra_rows_reduced_at_every_cell_start(q, r):
     reduced = [
         [field.sub(v, field.mul(row[pos - pos % size], local[pos % size]))
          for pos, v in enumerate(row)]
-        for row in extra_dual_rows(domain)
+        for row in extra_dual_rows(q, r)
     ]
     assert domain.dense_dual == reduced
     assert all(not row[s] for row in domain.dense_dual for s in range(0, len(row), size))
@@ -338,7 +346,7 @@ def test_dense_dual_is_the_extra_rows_reduced_at_every_cell_start(q, r):
 @pytest.mark.parametrize("q,r", CLOSED_FORM_INSTANCES)
 def test_extra_dual_rows_annihilate_generator(q, r):
     code = Code.build(field_for(q), r)
-    rows = extra_dual_rows(code.domain)
+    rows = extra_dual_rows(q, r)
     assert len(rows) == 3 and rows[0] == [1] * code.n
     for row in rows:
         assert mat_vec_gf(code.generator_matrix, row, q) == [0] * code.k
@@ -352,10 +360,10 @@ def test_extra_dual_rows_match_per_point_formula(q, r):
     code = Code.build(field_for(q), r)
     exp, log = code.field.exp, code.field.log
     reference = [
-        [exp[(-i * log[a] - j * log[b]) % (q - 1)] for a, b in code.domain.points]
+        [exp[(-i * log[a] - j * log[b]) % (q - 1)] for a, b in oracle_points(q, r)]
         for i, j in removed_monomials(q)
     ]
-    assert extra_dual_rows(code.domain) == reference
+    assert extra_dual_rows(q, r) == reference
 
 
 @pytest.mark.parametrize("q,r", CLOSED_FORM_INSTANCES)
@@ -412,6 +420,23 @@ def test_encode_builds_no_scaled_blocks(monkeypatch):
         tracemalloc.stop()
     assert peak < 500_000
     assert len(word) == code.n and any(word)
+
+
+def test_build_domain_keeps_no_list_per_position():
+    """The domain is closed forms: at GF(256) r=4, where the n = 65,025
+    grid points alone took about 7 MB, building it allocates under 1 MB,
+    field tables excluded. Its cells are ranges, built on first use."""
+    field = Field(2, 8)
+    field.exp, field.generator
+    params = validate_params(field, 4)
+    tracemalloc.start()
+    try:
+        domain = build_domain(field, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert len(domain.cells) == params.n // 5 and domain.cell_of(params.n - 1) == range(65020, 65025)
 
 
 def test_build_matrices_standalone(f5):

@@ -3,7 +3,13 @@ import pytest
 from lrc5 import Code, Field
 from lrc5.rng import SplitMix64
 
-from .oracles import evaluate_on_domain, evaluate_table, interpolate, interpolation_poly
+from .oracles import (
+    evaluate_on_domain,
+    evaluate_table,
+    interpolate,
+    interpolation_poly,
+    oracle_points,
+)
 
 # prime fields, characteristic 2 and odd-characteristic extensions
 LOCALITY = {5: 3, 7: 5, 8: 6, 9: 3, 13: 5, 16: 4, 27: 12}
@@ -46,7 +52,7 @@ def test_indicator_table_of_unit_point_is_all_ones(f5):
 
 def test_indicator_property_exhaustive(f5, f7, f8, code53, code75, code86):
     for field, code in ((f5, code53), (f7, code75), (f8, code86)):
-        pts = code.domain.points
+        pts = oracle_points(field.q, code.r)
         for p in pts:
             table = interpolation_poly(field, p)
             for t, other in enumerate(pts):
@@ -117,7 +123,7 @@ def test_evaluate_on_domain_matches_horner(q):
     """The grid transform equals per-point Horner on tables of every shape:
     exponents at or past q-1 wrap, since x^(q-1) = 1 on the grid."""
     code = code_for(q)
-    field, points = code.field, code.domain.points
+    field, points = code.field, oracle_points(q, code.r)
     rng = SplitMix64(200 + q)
     shapes = [(q - 1, q - 1), (q, q + 2), (2, 3), (q + 1, 1), (0, 0)]
     for rows, cols in shapes:

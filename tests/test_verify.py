@@ -9,6 +9,7 @@ rank claims verify False here, with witnesses; that is the honest output.
 """
 
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations, islice
 from math import comb
@@ -23,18 +24,20 @@ from lrc5.errors import (
     NotDistinctError,
 )
 from lrc5.field import Field, field_of_order
-from lrc5.linalg import rank, reduce_row
+from lrc5.linalg import rank, reduce_row, transpose
 from lrc5.rng import LANES, SplitMix64
 from lrc5.verify import (
     SUBSET_BUDGET,
     VerificationReport,
     _bin_pairs,
+    _dual_columns,
     _lemma_certificate,
     _moment_columns,
     _scan,
     _scan_exhaustive,
     _scan_sampled,
     constraint_matrix,
+    distance_reports,
     exhaustive_cost,
     find_min_weight_codeword,
     length_regime_report,
@@ -45,7 +48,14 @@ from lrc5.verify import (
     verify_locality,
 )
 
-from .oracles import constraint_matrix_rank, oracle_lemma_matrix, rank_mod
+from .oracles import (
+    constraint_matrix_rank,
+    oracle_dual_rows,
+    oracle_lemma_matrix,
+    prime_power,
+    rank_mod,
+)
+from .test_construct import ADMISSIBLE_UP_TO_32
 
 
 def plain(report: VerificationReport) -> dict:
@@ -528,9 +538,31 @@ FROZEN_SAMPLED_2000 = {
 @pytest.mark.parametrize("q,r,seed", sorted(FROZEN_SAMPLED_2000))
 def test_sampled_distance_scan_keeps_its_trials_and_witnesses(q, r, seed):
     code = Code.build(Field(*FIELDS[q]), r)
-    rep = verify_distance_at_least(code.field, code.domain.dual_rows, 5, "sampled", 2_000, seed)
+    rep = verify_distance_at_least(code.field, oracle_dual_rows(q, r), 5, "sampled", 2_000, seed)
     trials, columns = FROZEN_SAMPLED_2000[(q, r, seed)]
     assert (rep.trials, rep.witness) == (trials, columns and {"columns": columns})
+
+
+@pytest.mark.parametrize("q,r", ADMISSIBLE_UP_TO_32)
+def test_the_suite_scans_the_columns_of_the_oracle_dual(q, r):
+    """The distance suite's columns, built from the local parity and
+    dense_dual, are those of the independent dual rows."""
+    domain = Code.build(Field(*prime_power(q)), r).domain
+    assert _dual_columns(domain) == transpose(oracle_dual_rows(q, r))
+
+
+def test_the_sampled_distance_suite_holds_the_dual_once():
+    """At GF(64) r=6 the suite's columns are about 18 MB; with the dual's
+    rows held beside them it peaked at about 37 MB."""
+    code = Code.build(Field(2, 6), 6)
+    tracemalloc.start()
+    try:
+        reports = distance_reports(code, "sampled", 100, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25_000_000
+    assert [(rep.claim, rep.result, rep.trials) for rep in reports] == [("distance>=5", True, 100)]
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled", "auto"])
@@ -615,7 +647,7 @@ def test_locality_restores_each_erased_symbol_before_the_next_repair(code75, mon
 def test_sampled_checks_refuse_fewer_than_one_trial(code75, trials):
     """A sampled check of no subsets or codewords would pass having checked
     nothing, so it is refused; an exhaustive scan still ignores trials."""
-    f, dual = code75.field, code75.domain.dual_rows
+    f, dual = code75.field, oracle_dual_rows(7, 5)
     with pytest.raises(ValueError, match="at least 1 trial"):
         verify_distance_at_least(f, dual, 5, "sampled", trials, 0)
     with pytest.raises(ValueError, match="at least 1 trial"):
