@@ -7,25 +7,32 @@ reduced by linalg.reduce_row, the routine rank and rref also run on. The
 last level is decided by hashing: against the basis of a (w-2)-prefix,
 columns j and l complete a dependent subset exactly when l's normalized
 residual is zero or equals j's, because the residual map is linear with the
-prefix span as its kernel. Each prefix thus costs one reduction per later
-column, not one per leaf. The engine only scans: every budget is decided
-in _scan, against SUBSET_BUDGET, before the work it bounds, and a subset
-larger than the column family is refused with ValueError. An exhaustive
-scan whose complete run makes more reductions (exhaustive_cost) raises
-BudgetExceededError before its first one; sampled scans refuse more trials
-than that, and fewer than 1 with ValueError. A binned (lemma) scan bins
-the lexicographic prefix its scan confirmed, one count per subset, and is
-refused before binning any when those counts and the reductions together
-pass. Mode "auto" runs exhaustive exactly when a complete scan fits with
-every subset binned. Both modes bin alike: seven integer counts indexed by
-a 4-subset's pair code, its number of equal y-coordinate pairs, which _scan
-names once by _PAIR_PATTERNS.
+prefix span as its kernel, wherever the basis pivots sit. Each prefix
+column pivots on its sparsest coordinate, so a later column that is zero
+at every pivot keeps one residual, its own normalized form, for the whole
+scan. A prefix thus costs at most one reduction per later column, not one
+per leaf, and on a sparse family such as H one per column it touches: the
+GF(13) r=5 d>=4 certificate makes 1,272 of the 10,437 it is charged. The
+engine only scans: every budget is decided in _scan, against
+SUBSET_BUDGET, before the work it bounds, and a subset larger than the
+column family is refused with ValueError. An exhaustive scan whose charge,
+the reductions a complete run makes at most (exhaustive_cost), passes the
+budget raises BudgetExceededError before its first one; sampled scans
+refuse more trials than the budget, and fewer than 1 with ValueError. A
+binned (lemma) scan bins the lexicographic prefix its scan confirmed, one
+count per subset, and is refused before binning any when those counts and
+the charge together pass. Mode "auto" runs exhaustive exactly when a
+complete scan fits with every subset binned. Both modes bin alike: seven
+integer counts indexed by a 4-subset's pair code, its number of equal
+y-coordinate pairs, which _scan names once by _PAIR_PATTERNS.
 
 A sampled scan is one loop that draws, certifies, reduces when it must and
 bins, with no Python call per subset but the certificate. It draws from a
 buffer of SplitMix64 blocks the very subsets that successive sample_sorted
 calls on the scan's seed would return, unsorted, and sorts a subset only
-before reducing it.
+before reducing it. A lemma scan takes the buffer four draws at a time and
+looks for a repeated index only in a group whose y-pattern is not
+all-distinct.
 
 A sampled rank-lemma scan reads a 4-subset's y-pattern first: only a
 two-pairs subset can drop rank. Rows 1, 4, 5 and 6 of the moment column
@@ -53,8 +60,9 @@ search with the distance it found.
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field as dc_field
-from itertools import combinations, islice
+from itertools import combinations, compress, islice
 from math import comb
+from operator import itemgetter
 
 from .codec import local_repair
 # encode is unused here but stays bound: the benchmark's tracing rebinds it
@@ -71,9 +79,12 @@ SUBSET_BUDGET = 10_000_000
 
 
 def exhaustive_cost(n: int, size: int) -> int:
-    """Column reductions a complete exhaustive scan of size-subsets of n
-    columns makes: one per prefix at each level above the last two, and one
-    per later column at each (size-2)-prefix."""
+    """The charge of a complete exhaustive scan of size-subsets of n
+    columns, in column reductions: one per prefix at each level above the
+    last two, and one per later column at each (size-2)-prefix. It is an
+    upper bound, which a family with no zero entry reaches exactly; on a
+    sparse family _scan_exhaustive reduces only the columns a prefix
+    touches."""
     if size < 2:
         return 0
     above = sum(comb(n - size + d + 1, d + 1) for d in range(size - 2))
@@ -134,12 +145,23 @@ def _scan_exhaustive(field, columns, size):
     confirmed independent, plus one for the failure; those confirmed are
     the first ones in lexicographic order.
 
-    The last two levels are not walked leaf by leaf: each later column is
-    reduced once against the prefix basis and keyed by its normalized
-    residual. That is exact because two columns extend the prefix to a
-    dependent set iff their residuals are parallel or one is zero. A
-    complete scan makes exactly exhaustive_cost(n, size) reductions, one
-    that stops at a witness fewer, so _scan sets the budget beforehand.
+    The last two levels are not walked leaf by leaf. Against the basis of
+    a (size-2)-prefix each later column is keyed by its normalized
+    residual, and two columns extend the prefix to a dependent set iff
+    their residuals are parallel (equal keys) or one is zero. Each prefix
+    column pivots on its sparsest nonzero coordinate, the one the fewest
+    columns of the family are nonzero at. A later column that is zero at
+    every pivot is reduced by no step, so its key is the one it has against
+    no basis, reduced once per scan; only the columns a prefix touches,
+    nonzero at some pivot, are reduced against it. Those keys are indexed,
+    with the zero columns and the keys two columns share, so the first
+    dependent pair comes from the touched columns and the keys they meet,
+    with no walk over the rest.
+
+    exhaustive_cost(n, size) is the charge: each prefix reduces each later
+    column at most once, and a complete scan of a family with no zero entry
+    makes exactly that many reductions. _scan sets the budget on it
+    beforehand.
     """
     n = len(columns)
     if size == 1:
@@ -148,29 +170,69 @@ def _scan_exhaustive(field, columns, size):
                 return idx + 1, (idx,)
         return n, None
     checked = 0
+    supports = {}  # coordinate: the columns nonzero at it, built on first use
+    unkeyed = set(range(size - 2, n))  # the columns a last level meets, not yet keyed
+    keys = {}  # column: its normalized residual against no basis
+    index = {}  # key: its columns (None: the zero columns)
+    shared = set()  # the keys of two or more columns
+
+    def weight(c):
+        if c not in supports:
+            supports[c] = set(compress(range(n), map(itemgetter(c), columns)))
+        return len(supports[c])
+
+    def join(basis, ext):
+        # rescale the residual to pivot on its sparsest coordinate: it is
+        # zero at the basis pivots, so the basis stays echelon
+        v = ext[1]
+        piv = min((c for c, x in enumerate(v) if x), key=weight)
+        if v[piv] != 1:
+            v = field.scale(field.inv(v[piv]), v)
+        return basis + [(piv, v)]
+
+    def key_of(ext):
+        return None if ext is None else tuple(ext[1])
 
     def last_two(start, stop, basis, chosen):
-        # partner: the first l > j whose residual is zero or equal to j's
-        # (reduce_row scales pivots to 1, so parallel residuals are equal
-        # tuples); a zero residual at j fails at once, completed as (j, j+1).
+        # j fails with partner l, the first l > j whose residual is zero or
+        # equal to j's (reduce_row scales pivots to 1, so parallel residuals
+        # are equal tuples); a zero residual at j fails at once, completed as
+        # (j, j+1). The first j < stop that fails is the result.
         nonlocal checked
-        next_zero, seen, first = n, {}, None
-        for i in range(n - 1, start - 1, -1):
-            ext = reduce_row(field, basis, columns[i])
-            if ext is None:
-                partner, next_zero = i + 1, i
+        touched = set().union(*(supports[piv] for piv, _ in basis))
+        for i in [i for i in unkeyed if i >= start and i not in touched]:
+            unkeyed.remove(i)
+            keys[i] = key = key_of(reduce_row(field, [], columns[i]))
+            index.setdefault(key, []).append(i)
+            if key is not None and len(index[key]) == 2:
+                shared.add(key)
+        reduced = {i: key_of(reduce_row(field, basis, columns[i])) for i in touched if i >= start}
+
+        def untouched(key):  # the columns from start on that keep this key
+            return [i for i in index.get(key, ()) if i >= start and i not in reduced]
+
+        zeros = untouched(None)
+        groups = {}  # key: the columns from start on with that residual
+        for i, key in reduced.items():
+            if key is None:
+                zeros.append(i)
             else:
-                key = tuple(ext[1])
-                partner = min(next_zero, seen.get(key, n))
-                seen[key] = i
-            if i < stop and partner < n:
-                first = i, partner
-        j_end = stop if first is None else first[0]
+                groups.setdefault(key, []).append(i)
+        for key, members in groups.items():
+            members += untouched(key)
+        for key in shared:
+            if key not in groups:
+                groups[key] = untouched(key)
+        # start fails if a zero residual lies at or after it; else the first
+        # j to fail is the first of two columns with equal keys
+        j = min([start] * bool(zeros) + [min(m) for m in groups.values() if len(m) > 1], default=n)
+        j_end = min(j, stop)
         # leaves (j, l) for j in [start, j_end), l in (j, n) all pass
         checked += comb(n - start, 2) - comb(n - j_end, 2)
-        if first is None:
+        if j >= stop:
             return None
-        j, partner = first
+        key = reduced[j] if j in reduced else keys[j]
+        partner = j + 1 if key is None else min(i for i in zeros + groups.get(key, []) if i > j)
         checked += partner - j
         return (*chosen, j, partner)
 
@@ -185,12 +247,15 @@ def _scan_exhaustive(field, columns, size):
                 checked += 1
                 need = size - depth - 1
                 return tuple(chosen) + (idx,) + tuple(range(idx + 1, idx + 1 + need))
-            found = rec(idx + 1, n - (size - depth - 2), basis + [ext], chosen + [idx])
+            found = rec(idx + 1, n - (size - depth - 2), join(basis, ext), chosen + [idx])
             if found is not None:
                 return found
         return None
 
     failure = rec(0, n - size + 1, [], [])
+    # rec refers to itself, so the scan's indexes would otherwise outlive it
+    # until a cyclic collection
+    del rec
     return checked, failure
 
 
@@ -228,12 +293,46 @@ def _scan_sampled(field, columns, size, trials, seed, betas=None, certify=None):
     True only for a subset that is certainly independent; every other
     two-pairs subset is sorted and reduced, so a witness is ascending. size
     must not exceed n, or the draw would never find size distinct indices.
+
+    With betas, the loop walks the buffer four draws at a time and reads
+    each group's pair code first. Code 0 means four distinct y-coordinates,
+    so four distinct indices: only a group with a nonzero code is checked
+    for a repeat, and only a group that repeats an index, or that the
+    buffer's end splits, is drawn one subset at a time as above.
     """
     n = len(columns)
     draw = SplitMix64(seed).below
     counts = [0] * 7
-    buf, pos = [], 0
-    for t in range(trials):
+    buf, pos, t = [], 0, 0
+
+    def dependent(subset):
+        subset.sort()
+        basis = []
+        for idx in subset:
+            ext = reduce_row(field, basis, columns[idx])
+            if ext is None:
+                return True
+            basis.append(ext)
+        return False
+
+    while t < trials:
+        if betas is not None:
+            t0 = t
+            it = iter(buf[pos:pos + 4 * min(trials - t, (len(buf) - pos) // 4)])
+            for i, j, k, l in zip(it, it, it, it):
+                a, b, c, d = betas[i], betas[j], betas[k], betas[l]
+                code = (a == b) + (a == c) + (a == d) + (b == c) + (b == d) + (c == d)
+                if code and (i == j or i == k or i == l or j == k or j == l or k == l):
+                    break
+                if code == 2 and (certify is None or not certify(i, j, k, l)):
+                    subset = [i, j, k, l]
+                    if dependent(subset):
+                        return t + 1, tuple(subset), counts
+                counts[code] += 1
+                t += 1
+            pos += 4 * (t - t0)
+            if t == trials:
+                break
         while len(buf) - pos < size:
             buf, pos = buf[pos:] + draw(n, LANES), 0
         subset = buf[pos:pos + size]
@@ -251,15 +350,10 @@ def _scan_sampled(field, columns, size, trials, seed, betas=None, certify=None):
             i, j, k, l = subset
             a, b, c, d = betas[i], betas[j], betas[k], betas[l]
             code = (a == b) + (a == c) + (a == d) + (b == c) + (b == d) + (c == d)
-        if code == 2 and (certify is None or not certify(*subset)):
-            subset.sort()
-            basis = []
-            for idx in subset:
-                ext = reduce_row(field, basis, columns[idx])
-                if ext is None:
-                    return t + 1, tuple(subset), counts
-                basis.append(ext)
+        if code == 2 and (certify is None or not certify(*subset)) and dependent(subset):
+            return t + 1, tuple(subset), counts
         counts[code] += 1
+        t += 1
     return trials, None, counts
 
 

@@ -7,8 +7,8 @@ oracle_error_correct raise so that a test can compare verdicts. Extension
 fields get a tuple-coefficient polynomial model instead of the package's
 index tables. The exceptions run on the Field or EvaluationDomain they are
 given: oracle_error_correct, the dense syndrome search that
-codec.correct_error replaced, and the last section's references, which
-only tests call.
+codec.correct_error replaced, and the last two sections' references,
+which only tests call.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from lrc5.construct import EvaluationDomain
 from lrc5.errors import (
@@ -26,7 +27,8 @@ from lrc5.errors import (
     UndecodableError,
 )
 from lrc5.field import Field
-from lrc5.linalg import rank
+from lrc5.linalg import rank, reduce_row
+from lrc5.rng import LANES, SplitMix64
 from lrc5.verify import constraint_matrix
 
 
@@ -666,3 +668,108 @@ def interpolate(domain: EvaluationDomain, values: list[int]) -> list[list[int]]:
     # sums[i][t] = sum_u v_tu x_u^(-i)
     sums = [[field.dot(v, xi) for v in grid_rows] for xi in x_inv]
     return [[field.dot(s, yj) for yj in y_inv] for s in sums]
+
+
+# --- references for verify's subset scans ------------------------------------
+#
+# verify's scans as they were before they used the column family's sparsity
+# and walked the draw buffer in groups: the same code, run on lrc5's Field,
+# linalg.reduce_row and SplitMix64. The exhaustive one pivots each prefix
+# column on its first nonzero coordinate and reduces every later column
+# against every (size-2)-prefix, exhaustive_cost reductions in a complete
+# scan; the sampled one slices each subset out of the buffer and checks it
+# for repeats. verify's _scan_exhaustive and _scan_sampled must return what
+# these return, and the exhaustive one with no more reductions.
+
+
+def reference_scan_exhaustive(field, columns, size):
+    """(checked, failure) of every size-subset of columns, as
+    verify._scan_exhaustive defines them."""
+    n = len(columns)
+    if size == 1:
+        for idx in range(n):
+            if not any(columns[idx]):
+                return idx + 1, (idx,)
+        return n, None
+    checked = 0
+
+    def last_two(start, stop, basis, chosen):
+        # partner: the first l > j whose residual is zero or equal to j's
+        # (reduce_row scales pivots to 1, so parallel residuals are equal
+        # tuples); a zero residual at j fails at once, completed as (j, j+1).
+        nonlocal checked
+        next_zero, seen, first = n, {}, None
+        for i in range(n - 1, start - 1, -1):
+            ext = reduce_row(field, basis, columns[i])
+            if ext is None:
+                partner, next_zero = i + 1, i
+            else:
+                key = tuple(ext[1])
+                partner = min(next_zero, seen.get(key, n))
+                seen[key] = i
+            if i < stop and partner < n:
+                first = i, partner
+        j_end = stop if first is None else first[0]
+        # leaves (j, l) for j in [start, j_end), l in (j, n) all pass
+        checked += comb(n - start, 2) - comb(n - j_end, 2)
+        if first is None:
+            return None
+        j, partner = first
+        checked += partner - j
+        return (*chosen, j, partner)
+
+    def rec(start, stop, basis, chosen):
+        nonlocal checked
+        depth = len(chosen)
+        if depth == size - 2:
+            return last_two(start, stop, basis, chosen)
+        for idx in range(start, stop):
+            ext = reduce_row(field, basis, columns[idx])
+            if ext is None:
+                checked += 1
+                need = size - depth - 1
+                return tuple(chosen) + (idx,) + tuple(range(idx + 1, idx + 1 + need))
+            found = rec(idx + 1, n - (size - depth - 2), basis + [ext], chosen + [idx])
+            if found is not None:
+                return found
+        return None
+
+    failure = rec(0, n - size + 1, [], [])
+    return checked, failure
+
+
+def reference_scan_sampled(field, columns, size, trials, seed, betas=None, certify=None):
+    """(checked, failure, counts) of `trials` seeded size-subsets, as
+    verify._scan_sampled defines them."""
+    n = len(columns)
+    draw = SplitMix64(seed).below
+    counts = [0] * 7
+    buf, pos = [], 0
+    for t in range(trials):
+        while len(buf) - pos < size:
+            buf, pos = buf[pos:] + draw(n, LANES), 0
+        subset = buf[pos:pos + size]
+        pos += size
+        if len(set(subset)) < size:
+            subset = list(dict.fromkeys(subset))
+            while len(subset) < size:
+                if pos == len(buf):
+                    buf, pos = draw(n, LANES), 0
+                if buf[pos] not in subset:
+                    subset.append(buf[pos])
+                pos += 1
+        code = 2  # without betas no y-pattern certifies a subset
+        if betas is not None:  # as _bin_pairs bins, without a call per subset
+            i, j, k, l = subset
+            a, b, c, d = betas[i], betas[j], betas[k], betas[l]
+            code = (a == b) + (a == c) + (a == d) + (b == c) + (b == d) + (c == d)
+        if code == 2 and (certify is None or not certify(*subset)):
+            subset.sort()
+            basis = []
+            for idx in subset:
+                ext = reduce_row(field, basis, columns[idx])
+                if ext is None:
+                    return t + 1, tuple(subset), counts
+                basis.append(ext)
+        counts[code] += 1
+    return trials, None, counts

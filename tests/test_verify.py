@@ -8,6 +8,7 @@ The construction targets distance 5 but tops out at 4, so the distance and
 rank claims verify False here, with witnesses; that is the honest output.
 """
 
+import gc
 import random
 import tracemalloc
 from collections import Counter
@@ -54,6 +55,8 @@ from .oracles import (
     oracle_lemma_matrix,
     prime_power,
     rank_mod,
+    reference_scan_exhaustive,
+    reference_scan_sampled,
 )
 from .test_construct import ADMISSIBLE_UP_TO_32
 
@@ -754,15 +757,15 @@ def test_exhaustive_cost_closed_form():
     assert exhaustive_cost(576, 4) == 31_849_250  # GF(25) r=2, d>=5
 
 
-def count_reductions(monkeypatch):
-    """A list that grows by one at each reduce_row call verify makes."""
+def count_reductions(monkeypatch, module="lrc5.verify"):
+    """A list that grows by one at each reduce_row call module makes."""
     calls = []
 
     def counting(*args):
         calls.append(None)
         return reduce_row(*args)
 
-    monkeypatch.setattr("lrc5.verify.reduce_row", counting)
+    monkeypatch.setattr(f"{module}.reduce_row", counting)
     return calls
 
 
@@ -869,9 +872,9 @@ def test_constraint_matrix_exhaustive_over_gf13_stops_at_its_witness(f13):
 def test_constraint_matrix_exhaustive_frozen_up_to_the_largest_admitted_scan(
     q, trials, witness, counts
 ):
-    """Explicit exhaustive lemma scans up to GF(19), whose 5,668,004
-    reductions plus 848,021 binned subsets are the largest the budget admits
-    (GF(23) makes 18.8M reductions and is refused up front); auto mode
+    """Explicit exhaustive lemma scans up to GF(19), whose charge of
+    5,668,004 reductions plus 848,021 binned subsets is the largest the
+    budget admits (GF(23) is charged 18.8M and is refused up front); auto mode
     samples at these orders. The bins hold every subset before the witness."""
     rep = verify_constraint_matrix(Field(*FIELDS[q]), mode="exhaustive")
     assert (rep.mode, rep.trials, rep.result) == ("exhaustive", trials, False)
@@ -977,6 +980,113 @@ def test_scan_matches_reference_on_random_columns(p, m):
             assert_scan_matches_reference(field, columns, size)
 
 
+#: largest exhaustive_cost at which the scans are compared with the reference
+SCAN_COST_CAP = 100_000
+
+
+@pytest.fixture
+def reduction_counts(monkeypatch):
+    """The reduce_row calls of verify and of the reference scans, counted
+    apart."""
+    return count_reductions(monkeypatch), count_reductions(monkeypatch, "tests.oracles")
+
+
+def assert_scan_matches_the_reference(field, columns, size, counts):
+    """_scan_exhaustive returns the reference's (checked, failure) with at
+    most its reductions."""
+    ours, theirs = counts
+    ours.clear()
+    theirs.clear()
+    assert _scan_exhaustive(field, columns, size) == reference_scan_exhaustive(field, columns, size)
+    assert len(ours) <= len(theirs)
+
+
+@pytest.mark.parametrize("q,r", [(q, r) for q, r in ADMISSIBLE_UP_TO_32 if q <= 16])
+def test_scan_matches_the_reference_on_parity_and_dual_columns(q, r, reduction_counts):
+    """Sparse pivots and reducing only the columns a prefix touches leave
+    every scan of H's columns and of the sparse dual's as it was, sizes 1
+    to 4 while a complete scan costs at most SCAN_COST_CAP."""
+    code = Code.build(Field(*prime_power(q)), r)
+    for columns in (transpose(code.parity_check_matrix), _dual_columns(code.domain)):
+        for size in range(1, 5):
+            if exhaustive_cost(len(columns), size) <= SCAN_COST_CAP:
+                assert_scan_matches_the_reference(code.field, columns, size, reduction_counts)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_scan_matches_the_reference_on_random_sparse_columns(p, reduction_counts):
+    """250 seeded sparse column sets per field, salted with zero, repeated
+    and parallel columns. The first set has a zero column that no pivot
+    touches: it is never reduced against a prefix, yet it is still a zero
+    residual that completes the first subset it meets."""
+    field = Field(p)
+    assert_scan_matches_the_reference(field, [[1, 0, 0], [0, 1, 0], [0, 0, 0]], 3, reduction_counts)
+    rng = random.Random(p)
+    for _ in range(250):
+        dim, n, density = rng.randint(2, 7), rng.randint(4, 16), rng.uniform(0.1, 0.7)
+        columns = [[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(dim)]
+                   for _ in range(n)]
+        for _ in range(rng.randint(0, 3)):
+            src = columns[rng.randrange(n)]
+            new = [[0] * dim, list(src), field.scale(rng.randrange(1, p), src)][rng.randrange(3)]
+            columns.insert(rng.randrange(len(columns) + 1), new)
+        for size in range(1, min(5, len(columns)) + 1):
+            assert_scan_matches_the_reference(field, columns, size, reduction_counts)
+
+
+def test_gf13_distance_four_certificate_reduces_only_touched_columns(code135, reduction_counts):
+    """The complete d>=4 scan of H's 144 columns at GF(13) r=5: the
+    reference reduces every later column at every prefix, the charge
+    exhaustive_cost(144, 3) = 10,437; pivoting each prefix on its cell's
+    local row leaves only that cell's columns and the cells whose local row
+    H fills in to reduce."""
+    field, columns = code135.field, transpose(code135.parity_check_matrix)
+    ours, theirs = reduction_counts
+    assert _scan_exhaustive(field, columns, 3) == (comb(144, 3), None)
+    assert len(ours) <= 1_300
+    assert reference_scan_exhaustive(field, columns, 3) == (comb(144, 3), None)
+    assert len(theirs) == exhaustive_cost(144, 3) == 10_437
+
+
+def test_exhaustive_scan_leaves_no_reference_cycle(code135):
+    """The scan's supports, keys and key index are freed when it returns,
+    not at a later cyclic collection: with the collector off, a complete
+    d>=4 scan at GF(13) r=5 leaves it nothing to find. Kept in a cycle,
+    they held about 120 KB per scan until a collection, and a run of
+    certificates grew its peak memory with them."""
+    field, columns = code135.field, transpose(code135.parity_check_matrix)
+    gc.collect()
+    gc.disable()
+    try:
+        assert _scan_exhaustive(field, columns, 3) == (comb(144, 3), None)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)])
+def test_sampled_lemma_scan_matches_the_reference(p, m):
+    """Grouped draws give the reference's (trials, witness, bins) at 30
+    seeds and four trial counts, from a single subset to past most
+    witnesses."""
+    field = Field(p, m)
+    _, columns, betas = _moment_columns(field)
+    certify = _lemma_certificate(field, columns)
+    for seed in range(30):
+        for trials in (1, 7, 100, 5_000):
+            assert _scan_sampled(field, columns, 4, trials, seed, betas, certify) == (
+                reference_scan_sampled(field, columns, 4, trials, seed, betas, certify))
+
+
+def test_sampled_distance_scan_matches_the_reference(code135):
+    """Without betas every subset is reduced, as the reference reduces it."""
+    field, columns = code135.field, _dual_columns(code135.domain)
+    for seed in range(5):
+        for size in (1, 2, 3, 4):
+            assert _scan_sampled(field, columns, size, 2_000, seed) == (
+                reference_scan_sampled(field, columns, size, 2_000, seed))
+
+
 @pytest.mark.parametrize("p,m,r,trials", [(3, 2, 3, 41_664), (2, 4, 4, 1_873_200)])
 def test_distance_four_certified_exhaustively_on_extension_fields(p, m, r, trials):
     field = Field(p, m)
@@ -1017,3 +1127,13 @@ def test_distance_five_holds_at_r2_over_gf13():
     rep = verify_distance_at_least(field, code.parity_check_matrix, 5)
     assert rep.result is True and rep.witness is None
     assert rep.mode == "exhaustive" and rep.trials == 17_178_876
+
+
+def test_distance_five_holds_at_r2_over_gf16():
+    """225 pair directions against the 273 points of PG(2,16): d >= 5 holds
+    exhaustively, over every 4-subset of H's columns."""
+    field = Field(2, 4)
+    code = Code.build(field, 2)
+    rep = verify_distance_at_least(field, code.parity_check_matrix, 5)
+    assert rep.result is True and rep.witness is None
+    assert rep.mode == "exhaustive" and rep.trials == comb(225, 4) == 103_962_600
