@@ -14,11 +14,10 @@ The tables are built on first use, so a Field that only names a code, or
 builds its grid from log/antilog, never holds q^2 entries; above
 MAX_TABLE_ORDER they are refused with TooLargeError.
 
-affine_det, the certificate that verify's sampled lemma scan runs on, reads
-the same three tables. Construction only finds the modulus. The generator,
-its power chain exp (one bootstrap product per power, on base-p digits, or
-mod p at prime q) and log are built on first use too, so a Field that only
-names a code builds no table at all.
+Construction only finds the modulus. The generator, its power chain exp
+(one bootstrap product per power, on base-p digits, or mod p at prime q)
+and log are built on first use too, so a Field that only names a code
+builds no table at all.
 
 A field is named by (p, m) alone. Its reducing modulus is the first monic
 irreducible polynomial of degree m in index order (non-leading coefficients
@@ -120,7 +119,7 @@ class Field:
         exp, log: antilog and log tables of the generator; exp is doubled,
             so exp[log[a] + log[b]] needs no reduction mod q-1.
 
-    add, sub, neg, submul, scale, dot and affine_det read the q x q addition
+    add, sub, neg, submul, scale and dot read the q x q addition
     and multiplication tables; mul, inv, div and pow read exp and log only.
     All of these, and the generator, are built on first use.
     """
@@ -280,22 +279,6 @@ class Field:
     def scale(self, a: int, xs: Sequence[int]) -> list[int]:
         """a*xs as a new list."""
         return list(map(self._mul[a].__getitem__, xs))
-
-    def affine_det(self, p0, p1, p2, p3) -> int:
-        """Determinant of the 4x4 matrix whose columns are (1, p_k) for four
-        points p_k of F^3: subtracting the first column leaves the 3x3
-        determinant of the differences p_k - p0, expanded along its first
-        row."""
-        add, mul, neg = self._add, self._mul, self._neg
-        x0, y0, z0 = neg[p0[0]], neg[p0[1]], neg[p0[2]]
-        a, b, c = add[p1[0]][x0], add[p1[1]][y0], add[p1[2]][z0]
-        d, e, f = add[p2[0]][x0], add[p2[1]][y0], add[p2[2]][z0]
-        g, h, i = add[p3[0]][x0], add[p3[1]][y0], add[p3[2]][z0]
-        md, me, mf = mul[d], mul[e], mul[f]
-        ca = add[me[i]][neg[mf[h]]]  # ei - fh
-        cb = add[mf[g]][neg[md[i]]]  # fg - di
-        cc = add[md[h]][neg[me[g]]]  # dh - eg
-        return add[add[mul[a][ca]][mul[b][cb]]][mul[c][cc]]
 
     def spec_dict(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus), "q": self.q}

@@ -12,38 +12,29 @@ column pivots on its sparsest coordinate, so a later column that is zero
 at every pivot keeps one residual, its own normalized form, for the whole
 scan. A prefix thus costs at most one reduction per later column, not one
 per leaf, and on a sparse family such as H one per column it touches: the
-GF(13) r=5 d>=4 certificate makes 1,272 of the 10,437 it is charged. The
-engine only scans: every budget is decided in _scan, against
-SUBSET_BUDGET, before the work it bounds, and a subset larger than the
+GF(13) r=5 d>=4 certificate makes 1,272 of the 10,437 it is charged.
+Every mode and budget rule is decided in _mode, against SUBSET_BUDGET,
+before the work it bounds, columns included, and a subset larger than the
 column family is refused with ValueError. An exhaustive scan whose charge,
 the reductions a complete run makes at most (exhaustive_cost), passes the
 budget raises BudgetExceededError before its first one; sampled scans
 refuse more trials than the budget, and fewer than 1 with ValueError. A
 binned (lemma) scan bins the lexicographic prefix its scan confirmed, one
 count per subset, and is refused before binning any when those counts and
-the charge together pass. Mode "auto" runs exhaustive exactly when a
-complete scan fits with every subset binned. Both modes bin alike: seven
-integer counts indexed by a 4-subset's pair code, its number of equal
-y-coordinate pairs, which _scan names once by _PAIR_PATTERNS.
+the charge together pass. Mode "auto" runs exhaustive
+exactly when a complete scan fits with every subset binned. Both modes bin
+alike: seven integer counts indexed by a 4-subset's pair code, its number
+of index pairs with equal labels (y-coordinates in the lemma), which
+_PAIR_PATTERNS names.
 
-A sampled scan is one loop that draws, certifies, reduces when it must and
-bins, with no Python call per subset but the certificate. It draws from a
-buffer of SplitMix64 blocks the very subsets that successive sample_sorted
-calls on the scan's seed would return, unsorted, and sorts a subset only
-before reducing it. A lemma scan takes the buffer four draws at a time and
-looks for a repeated index only in a group whose y-pattern is not
-all-distinct.
-
-A sampled rank-lemma scan reads a 4-subset's y-pattern first: only a
-two-pairs subset can drop rank. Rows 1, 4, 5 and 6 of the moment column
-at (a, b) are ab (1, b, b^2, b^3), and a Vandermonde argument on them,
-and on rows 0 to 3 for equal b, gives rank 4 to every other pattern
-(README, "The distance claim, measured", has the proof). A two-pairs
-subset tries one certificate, the rows (0, 1, 2, 4) minor, which is the
-affine determinant Field.affine_det of the points (ab, a^2 b, a b^2), and
-is reduced when that is zero. So the sampled subsets, trials, witnesses
-and bins are those of the reductions alone, and the budget still counts
-trials.
+A sampled scan is one loop that draws, decides and bins. Both suites
+label their indices, by grid row in the lemma and by cell in the distance
+suite, and decide each subset without rank: only a two-pairs subset can
+be dependent, and it is exactly when its two pairs' keys (x1 + x2,
+x1*x2*y) agree (README, "The distance claim, measured", has the proof).
+So their sampled subsets, trials, witnesses and bins are those of column
+reductions, yet no column is built unless a scan is exhaustive.
+verify_distance_at_least, which takes any dual, samples by rank.
 
 Every check returns a VerificationReport, and _report is the one place one
 is made, so every check follows the same rules: millis is the wall time
@@ -58,7 +49,6 @@ search with the distance it found.
 """
 
 import time
-from collections.abc import Callable
 from dataclasses import asdict, dataclass, field as dc_field
 from itertools import combinations, compress, islice
 from math import comb
@@ -273,58 +263,41 @@ def _bin_pairs(counts, betas, subsets):
         counts[(a == b) + (a == c) + (a == d) + (b == c) + (b == d) + (c == d)] += 1
 
 
-def _scan_sampled(field, columns, size, trials, seed, betas=None, certify=None):
-    """Check `trials` seeded uniform size-subsets; first failure wins.
+def _scan_sampled(n, size, trials, seed, dependent, labels=None):
+    """Check `trials` seeded uniform size-subsets of n columns; first
+    failure wins. Returns (checked, failure, counts): with labels, counts
+    holds the pair codes of the subsets confirmed independent.
 
-    Returns (checked, failure, counts): with betas, counts holds the pair
-    codes of the subsets confirmed independent, as _bin_pairs counts them.
-
-    One loop draws, certifies, reduces when it must, and bins. It reads
-    indices from a buffer of SplitMix64(seed).below(n, LANES) blocks, the
-    accepted draws in stream order, and takes the next size of them; on a
-    repeat it adds one index at a time until size are distinct. Each word
-    sample_sorted takes adds at most one index, so that is the stream
-    successive sample_sorted(n, size) calls consume, and the subsets are
-    theirs, unsorted. Nothing else draws from the scan's generator, so
-    reading a block ahead changes nothing. With betas (the y-coordinates
-    of moment columns), a subset whose pair code is not 2 (two-pairs) is
-    confirmed by that code alone (see the module docstring); without
-    them every subset is treated as two-pairs. certify(*subset) may return
-    True only for a subset that is certainly independent; every other
-    two-pairs subset is sorted and reduced, so a witness is ascending. size
+    It reads indices from a buffer of SplitMix64(seed).below(n, LANES)
+    blocks, the accepted draws in stream order, and takes the next size of
+    them; on a repeat it adds one index at a time until size are distinct.
+    Each word sample_sorted takes adds at most one index, so the subsets
+    are those successive sample_sorted(n, size) calls return, unsorted.
+    With labels (the row or cell of each column), a subset whose pair code
+    is not 2 (two-pairs) is confirmed by that code alone; without them
+    every subset is treated as two-pairs. dependent(subset) decides every
+    other subset and sorts it in place, so a witness is ascending. size
     must not exceed n, or the draw would never find size distinct indices.
 
-    With betas, the loop walks the buffer four draws at a time and reads
-    each group's pair code first. Code 0 means four distinct y-coordinates,
-    so four distinct indices: only a group with a nonzero code is checked
-    for a repeat, and only a group that repeats an index, or that the
-    buffer's end splits, is drawn one subset at a time as above.
+    With labels, the loop walks the buffer four draws at a time and reads
+    each group's pair code first. Code 0 means four distinct labels, so
+    four distinct indices: only a group with a nonzero code is checked for
+    a repeat, and only a group that repeats an index, or that the buffer's
+    end splits, is drawn one subset at a time as above.
     """
-    n = len(columns)
     draw = SplitMix64(seed).below
     counts = [0] * 7
     buf, pos, t = [], 0, 0
-
-    def dependent(subset):
-        subset.sort()
-        basis = []
-        for idx in subset:
-            ext = reduce_row(field, basis, columns[idx])
-            if ext is None:
-                return True
-            basis.append(ext)
-        return False
-
     while t < trials:
-        if betas is not None:
+        if labels is not None:
             t0 = t
             it = iter(buf[pos:pos + 4 * min(trials - t, (len(buf) - pos) // 4)])
             for i, j, k, l in zip(it, it, it, it):
-                a, b, c, d = betas[i], betas[j], betas[k], betas[l]
+                a, b, c, d = labels[i], labels[j], labels[k], labels[l]
                 code = (a == b) + (a == c) + (a == d) + (b == c) + (b == d) + (c == d)
                 if code and (i == j or i == k or i == l or j == k or j == l or k == l):
                     break
-                if code == 2 and (certify is None or not certify(i, j, k, l)):
+                if code == 2:
                     subset = [i, j, k, l]
                     if dependent(subset):
                         return t + 1, tuple(subset), counts
@@ -345,37 +318,68 @@ def _scan_sampled(field, columns, size, trials, seed, betas=None, certify=None):
                 if buf[pos] not in subset:
                     subset.append(buf[pos])
                 pos += 1
-        code = 2  # without betas no y-pattern certifies a subset
-        if betas is not None:  # as _bin_pairs bins, without a call per subset
+        code = 2  # without labels no pair code confirms a subset
+        if labels is not None:  # as _bin_pairs bins, without a call per subset
             i, j, k, l = subset
-            a, b, c, d = betas[i], betas[j], betas[k], betas[l]
+            a, b, c, d = labels[i], labels[j], labels[k], labels[l]
             code = (a == b) + (a == c) + (a == d) + (b == c) + (b == d) + (c == d)
-        if code == 2 and (certify is None or not certify(*subset)) and dependent(subset):
+        if code == 2 and dependent(subset):
             return t + 1, tuple(subset), counts
         counts[code] += 1
         t += 1
     return trials, None, counts
 
 
-def _scan(field, columns, size, mode, trials, seed, betas=None, certify=None):
-    """Scan size-subsets of columns for independence in one mode, under the
-    one budget rule of the module docstring.
+def _rank_test(field, columns):
+    """dependent(subset) by column reduction: the subset sorted in place,
+    and whether its columns are dependent."""
 
-    Exhaustive mode walks every subset in lexicographic order; sampled mode
-    checks `trials` seeded subsets, trying certify first; auto mode picks
-    one. Returns (mode, checked, failure, bins): the mode that ran, and with
-    betas, bins maps each y-pattern name to the number of subsets confirmed
-    independent with it (for an exhaustive scan, the first checked - 1 in
-    lexicographic order, or all checked when none failed), in name order
-    and without empty patterns; otherwise None. size above len(columns)
-    raises ValueError.
-    """
-    n = len(columns)
+    def dependent(subset):
+        subset.sort()
+        basis = []
+        for idx in subset:
+            ext = reduce_row(field, basis, columns[idx])
+            if ext is None:
+                return True
+            basis.append(ext)
+        return False
+
+    return dependent
+
+
+def _key_test(field, points, labels):
+    """dependent(subset) for a two-pairs 4-subset of the grid points
+    (x, y), the points of a pair sharing a label: sorted in place, each
+    index paired with the one that shares its label, whether the pairs'
+    keys (x1 + x2, x1*x2*y) agree. It keeps x and log(x*y) per index."""
+    add, log, qm1 = field.add, field.log, field.q - 1
+    xs = [x for x, _ in points]
+    logs = [(log[x] + log[y]) % qm1 for x, y in points]
+
+    def key(i, j):
+        return add(xs[i], xs[j]), (log[xs[i]] + logs[j]) % qm1
+
+    def dependent(subset):
+        subset.sort()
+        i, j, k, l = subset
+        if labels[i] == labels[j]:
+            return key(i, j) == key(k, l)
+        if labels[i] == labels[k]:
+            return key(i, k) == key(j, l)
+        return key(i, l) == key(j, k)
+
+    return dependent
+
+
+def _mode(n, size, mode, trials, binned=False):
+    """The mode a scan of size-subsets of n columns runs in: auto resolved,
+    and every refusal of the module docstring raised before any work.
+    binned counts one bin per subset into what auto admits."""
     if size > n:
         raise ValueError(f"a scan of {size}-subsets needs at least {size} columns, got {n}")
     cost = exhaustive_cost(n, size)
     if mode == "auto":
-        most = cost + (comb(n, size) if betas is not None else 0)
+        most = cost + (comb(n, size) if binned else 0)
         mode = "exhaustive" if most <= SUBSET_BUDGET else "sampled"
     elif mode == "exhaustive" and cost > SUBSET_BUDGET:
         raise BudgetExceededError(
@@ -390,26 +394,7 @@ def _scan(field, columns, size, mode, trials, seed, betas=None, certify=None):
         )
     if mode == "sampled" and trials < 1:
         raise ValueError(f"a sampled scan needs at least 1 trial, got {trials}")
-    if size == 0:
-        return mode, 0, None, None
-    if mode == "sampled":
-        checked, failure, counts = _scan_sampled(
-            field, columns, size, trials, seed, betas, certify)
-    else:
-        checked, failure = _scan_exhaustive(field, columns, size)
-        if betas is not None:
-            confirmed = checked - (failure is not None)
-            if cost + confirmed > SUBSET_BUDGET:
-                raise BudgetExceededError(
-                    f"an exhaustive scan of {cost} reductions that bins {confirmed} "
-                    f"subsets passes the {SUBSET_BUDGET} budget"
-                )
-            counts = [0] * 7
-            _bin_pairs(counts, betas, islice(combinations(range(n), size), confirmed))
-    if betas is None:
-        return mode, checked, failure, None
-    bins = dict(sorted((_PAIR_PATTERNS[code], c) for code, c in enumerate(counts) if c))
-    return mode, checked, failure, bins
+    return mode
 
 
 def _columns(h_rows: list[list[int]]) -> list[list[int]]:
@@ -448,10 +433,20 @@ def _distance_at_least(field, columns, w, mode, trials, seed) -> VerificationRep
     if not 1 <= w <= cap:
         raise ValueError(f"w must lie in [1, min(n-k, n)+1] = [1, {cap}]")
     size = w - 1
-    mode, checked, failure, _ = _scan(field, columns, size, mode, trials, seed)
+    mode = _mode(n, size, mode, trials)
+    if size == 0:
+        checked, failure = 0, None
+    elif mode == "sampled":
+        checked, failure, _ = _scan_sampled(n, size, trials, seed, _rank_test(field, columns))
+    else:
+        checked, failure = _scan_exhaustive(field, columns, size)
+    return _distance_report(t0, w, mode, checked, failure, seed, n)
+
+
+def _distance_report(t0, w, mode, checked, failure, seed, n) -> VerificationReport:
     witness = None if failure is None else {"columns": [c + 1 for c in failure]}
     return _report(t0, f"distance>={w}", mode, checked, witness, seed,
-                   subset_size=size, columns=n)
+                   subset_size=w - 1, columns=n)
 
 
 def find_min_weight_codeword(
@@ -482,7 +477,8 @@ def _min_weight(field, columns, w_cap) -> VerificationReport:
     witness = None
     details = {"weight_cap": w_cap}
     for w in range(1, min(w_cap, n) + 1):  # no subset is larger than n
-        _, checked, failure, _ = _scan(field, columns, w, "exhaustive", 0, 0)
+        _mode(n, w, "exhaustive", 0)  # refuses a weight past the budget
+        checked, failure = _scan_exhaustive(field, columns, w)
         checked_total += checked
         if failure is not None:
             ns = nullspace(field, transpose([columns[c] for c in failure]))
@@ -512,15 +508,30 @@ def _dual_columns(domain: EvaluationDomain) -> list[list[int]]:
     return columns
 
 
+def _cell_keys(domain: EvaluationDomain) -> tuple:
+    """The key test of the dual's columns and their labels, the cells:
+    position t*(q-1) + u is the point (g^x_logs[u], g^t)."""
+    field = domain.field
+    qm1, exp = field.q - 1, field.exp
+    points = [(exp[lx], exp[t]) for t in range(qm1) for lx in domain.x_logs]
+    labels = [p // domain.cell_size for p in range(len(points))]
+    return _key_test(field, points, labels), labels
+
+
 def distance_reports(code: Code, mode: str, trials: int, seed: int) -> list[VerificationReport]:
     """The distance suite: the d>=5 scan over the sparse dual, then, when
     that scan ran exhaustively and a complete search of weights 1..5 fits
     SUBSET_BUDGET, the minimum-weight search, whose report also names the
-    distance it found and whether that meets the Singleton-like bound."""
-    field, columns, p = code.field, _dual_columns(code.domain), code.params
-    d5 = _distance_at_least(field, columns, 5, mode, trials, seed)
-    cost = sum(exhaustive_cost(p.n, w) for w in range(1, 6))
-    if d5.mode != "exhaustive" or cost > SUBSET_BUDGET:
+    distance it found and whether that meets the Singleton-like bound. A
+    sampled scan builds no column, deciding by cells and keys (_cell_keys)."""
+    field, p = code.field, code.params
+    if _mode(p.n, 4, mode, trials) == "sampled":
+        t0 = time.perf_counter()
+        checked, failure, _ = _scan_sampled(p.n, 4, trials, seed, *_cell_keys(code.domain))
+        return [_distance_report(t0, 5, "sampled", checked, failure, seed, p.n)]
+    columns = _dual_columns(code.domain)
+    d5 = _distance_at_least(field, columns, 5, "exhaustive", trials, seed)
+    if sum(exhaustive_cost(p.n, w) for w in range(1, 6)) > SUBSET_BUDGET:
         return [d5]
     mw = _min_weight(field, columns, 5)
     if mw.witness is not None:
@@ -555,31 +566,10 @@ def constraint_matrix(field: Field, points: list[tuple[int, int]]) -> list[list[
         raise NotDistinctError("four distinct grid points are required")
     if any(a == 0 or b == 0 for a, b in points):
         raise ValueError("grid points have nonzero coordinates")
+    if not all(0 < a < field.q and 0 < b < field.q for a, b in points):
+        raise ValueError(f"grid coordinates are field elements, in [1, {field.q - 1}]")
     cols = [_moment_column(field, a, b) for a, b in points]
     return [list(row) for row in zip(*cols)]
-
-
-def _moment_columns(field: Field) -> tuple[list[tuple[int, int]], list, list[int]]:
-    points = [(a, b) for a in field.units() for b in field.units()]
-    columns = [_moment_column(field, a, b) for a, b in points]
-    betas = [b for _, b in points]
-    return points, columns, betas
-
-
-def _lemma_certificate(field: Field, columns: list) -> Callable[[int, int, int, int], bool]:
-    """certify(i, j, k, l): whether the rows (0, 1, 2, 4) of the moment
-    columns i, j, k and l form a nonzero 4x4 minor, which proves rank 4.
-
-    The rows (0, 4, 5, 6) minor is not tried: on a two-pairs subset, the
-    only pattern the sampled scan asks about, rows 4 to 6 of a column are
-    a b^2 (1, b, b^2) with two values of b, so that minor is always zero."""
-    points = [(c[1], c[2], c[4]) for c in columns]
-    det = field.affine_det
-
-    def certify(i, j, k, l):
-        return det(points[i], points[j], points[k], points[l]) != 0
-
-    return certify
 
 
 def verify_constraint_matrix(
@@ -596,12 +586,30 @@ def verify_constraint_matrix(
     report details. The scan stops at the first rank-deficient subset, so
     on a failing report trials counts only the subsets checked up to and
     including the witness (390 of 1,820 at q=5) and case_counts bins the
-    ones before it, not every 4-subset of the grid.
+    ones before it, not every 4-subset of the grid. An exhaustive scan
+    reduces the moment columns; a sampled one builds none and decides each
+    two-pairs subset by its pair keys.
     """
     t0 = time.perf_counter()
-    points, columns, betas = _moment_columns(field)
-    certify = _lemma_certificate(field, columns)
-    mode, checked, failure, bins = _scan(field, columns, 4, mode, trials, seed, betas, certify)
+    units = field.units()
+    points = [(a, b) for a in units for b in units]
+    n = len(points)
+    mode = _mode(n, 4, mode, trials, binned=True)
+    betas = [b for _, b in points]
+    if mode == "sampled":
+        checked, failure, counts = _scan_sampled(n, 4, trials, seed, _key_test(field, points, betas), betas)
+    else:
+        columns = [_moment_column(field, a, b) for a, b in points]
+        checked, failure = _scan_exhaustive(field, columns, 4)
+        confirmed, cost = checked - (failure is not None), exhaustive_cost(n, 4)
+        if cost + confirmed > SUBSET_BUDGET:  # bins the confirmed prefix, one count each
+            raise BudgetExceededError(
+                f"an exhaustive scan of {cost} reductions that bins {confirmed} "
+                f"subsets passes the {SUBSET_BUDGET} budget"
+            )
+        counts = [0] * 7
+        _bin_pairs(counts, betas, islice(combinations(range(n), 4), confirmed))
+    bins = dict(sorted((_PAIR_PATTERNS[code], c) for code, c in enumerate(counts) if c))
     witness = None if failure is None else {"points": [list(points[i]) for i in failure]}
     return _report(t0, "constraint-matrix-rank", mode, checked, witness, seed,
                    case_counts=bins)

@@ -738,9 +738,10 @@ def reference_scan_exhaustive(field, columns, size):
     return checked, failure
 
 
-def reference_scan_sampled(field, columns, size, trials, seed, betas=None, certify=None):
+def reference_scan_sampled(field, columns, size, trials, seed, betas=None):
     """(checked, failure, counts) of `trials` seeded size-subsets, as
-    verify._scan_sampled defines them."""
+    verify._scan_sampled defines them, with every subset it does not
+    confirm by its y-pattern decided by column reduction."""
     n = len(columns)
     draw = SplitMix64(seed).below
     counts = [0] * 7
@@ -763,7 +764,7 @@ def reference_scan_sampled(field, columns, size, trials, seed, betas=None, certi
             i, j, k, l = subset
             a, b, c, d = betas[i], betas[j], betas[k], betas[l]
             code = (a == b) + (a == c) + (a == d) + (b == c) + (b == d) + (c == d)
-        if code == 2 and (certify is None or not certify(*subset)):
+        if code == 2:
             subset.sort()
             basis = []
             for idx in subset:

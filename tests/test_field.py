@@ -1,5 +1,3 @@
-from itertools import permutations
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -292,45 +290,6 @@ def test_odd_extension_dot_matches_scalar_fold(p, m):
         xs = [rng.randbelow(q) for _ in range(64)]
         ys = [rng.randbelow(q) for _ in range(64)]
         assert f.dot(xs, ys) == fold(xs, ys)
-
-
-def _leibniz(rows, mul, add, sub):
-    """Sum over permutations of the signed products of a 4x4 matrix."""
-    total = 0
-    for perm in permutations(range(4)):
-        term = 1
-        for i, j in enumerate(perm):
-            term = mul(term, rows[i][j])
-        odd = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4)) % 2
-        total = sub(total, term) if odd else add(total, term)
-    return total
-
-
-@pytest.mark.parametrize(
-    "p,m",
-    [(5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1), (29, 1), (31, 1),
-     (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2)],
-)
-def test_affine_det_is_the_leibniz_determinant(p, m):
-    """One table formula at every order the CLI tests use, against Leibniz
-    over the integers reduced mod p at prime q, otherwise in the field's
-    mul, add and sub; repeated points from a small pool make zeros common."""
-    f = Field(p, m)
-    rng = SplitMix64(f.q)
-    pool = [tuple(rng.randbelow(f.q) for _ in range(3)) for _ in range(12)]
-    zeros = 0
-    for _ in range(1_000):
-        pts = [pool[rng.randbelow(12)] if rng.randbelow(4) == 0
-               else tuple(rng.randbelow(f.q) for _ in range(3)) for _ in range(4)]
-        rows = [[1, 1, 1, 1]] + [list(row) for row in zip(*pts)]
-        if m == 1:
-            want = _leibniz(rows, int.__mul__, int.__add__, int.__sub__) % p
-        else:
-            want = _leibniz(rows, f.mul, f.add, f.sub)
-        got = f.affine_det(*pts)
-        assert got == want
-        zeros += got == 0
-    assert zeros > 0
 
 
 def test_units_range(f8):

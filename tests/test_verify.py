@@ -31,10 +31,12 @@ from lrc5.verify import (
     SUBSET_BUDGET,
     VerificationReport,
     _bin_pairs,
+    _cell_keys,
+    _distance_at_least,
     _dual_columns,
-    _lemma_certificate,
-    _moment_columns,
-    _scan,
+    _key_test,
+    _moment_column,
+    _rank_test,
     _scan_exhaustive,
     _scan_sampled,
     constraint_matrix,
@@ -52,7 +54,9 @@ from lrc5.verify import (
 from .oracles import (
     constraint_matrix_rank,
     oracle_dual_rows,
+    oracle_lemma_family,
     oracle_lemma_matrix,
+    oracle_weight4_supports,
     prime_power,
     rank_mod,
     reference_scan_exhaustive,
@@ -362,6 +366,15 @@ def test_constraint_matrix_requires_four_distinct_points(f7):
         constraint_matrix(f7, [(0, 1), (1, 1), (2, 3), (4, 5)])
 
 
+@pytest.mark.parametrize("bad", [(-1, 1), (7, 1), (1, 9), (2, -6)])
+def test_constraint_matrix_refuses_coordinates_outside_the_field(f7, bad):
+    """-1 wrapped to 6 in the log table, so (-1, 1) passed the
+    distinct-points check as a second spelling of (6, 1); 7 raised
+    IndexError."""
+    with pytest.raises(ValueError, match=r"field elements, in \[1, 6\]"):
+        constraint_matrix(f7, [bad, (1, 1), (2, 1), (3, 1)])
+
+
 def test_constraint_matrix_sampled_frozen(f13):
     rep = verify_constraint_matrix(f13, mode="sampled", trials=10_000, seed=0)
     assert rep.result is False
@@ -380,34 +393,12 @@ FIELDS = {5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2), 13: (13, 1),
           16: (2, 4), 17: (17, 1), 19: (19, 1), 27: (3, 3)}
 
 
-def _minors_agree(f, columns, certify, quad):
-    """affine_det vanishes exactly when the rows (0, 1, 2, 4) minor of the
-    quadruple's moment columns has rank below 4, and a quadruple the
-    certificate passes has rank 4."""
-    cols = [columns[i] for i in quad]
-    pts = [(c[1], c[2], c[4]) for c in cols]
-    if (f.affine_det(*pts) == 0) != (rank(f, [[1, *pt] for pt in pts]) < 4):
-        return False
-    return not certify(*quad) or rank(f, cols) == 4
-
-
-@pytest.mark.parametrize("q", [5, 7])
-def test_lemma_minor_vanishes_exactly_when_it_drops_rank_on_every_quadruple(q):
-    f = Field(q)
-    _, columns, _ = _moment_columns(f)
-    certify = _lemma_certificate(f, columns)
-    assert all(_minors_agree(f, columns, certify, quad)
-               for quad in combinations(range(len(columns)), 4))
-
-
-@pytest.mark.parametrize("q", [8, 9, 16, 27])
-def test_lemma_minor_vanishes_exactly_when_it_drops_rank_on_seeded_quadruples(q):
-    f = Field(*FIELDS[q])
-    _, columns, _ = _moment_columns(f)
-    certify = _lemma_certificate(f, columns)
-    rng = SplitMix64(q)
-    assert all(_minors_agree(f, columns, certify, rng.sample_sorted(len(columns), 4))
-               for _ in range(5_000))
+def moment_columns(f):
+    """The lemma scan's grid points (a, b), a major, their moment columns
+    and their y-coordinates."""
+    units = f.units()
+    points = [(a, b) for a in units for b in units]
+    return points, [_moment_column(f, a, b) for a, b in points], [b for _, b in points]
 
 
 def _pair_code(betas, quad):
@@ -416,28 +407,66 @@ def _pair_code(betas, quad):
     return counts.index(1)
 
 
-@pytest.mark.parametrize("q", [5, 7])
-def test_the_rows_0456_minor_is_zero_on_every_two_pairs_quadruple(q):
-    """Rows 4 to 6 of a column are a b^2 (1, b, b^2), and a two-pairs
-    quadruple has two values of b, so that minor never certifies one."""
-    f = Field(q)
-    _, columns, betas = _moment_columns(f)
-    two_pairs = [quad for quad in combinations(range(len(columns)), 4)
-                 if _pair_code(betas, quad) == 2]
-    assert len(two_pairs) == comb(q - 1, 2) ** 3
-    assert all(f.affine_det(*((c[4], c[5], c[6]) for c in (columns[i] for i in quad))) == 0
-               for quad in two_pairs)
-
-
-@pytest.mark.parametrize("q", [4, 5, 7])
+@pytest.mark.parametrize("q", [4, 5, 7, 8])
 def test_every_quadruple_outside_two_pairs_has_rank_4(q):
-    """The pattern rule the sampled lemma scan certifies by, on every
-    4-subset of the grid."""
+    """The pattern rule the sampled lemma scan confirms by, on every
+    4-subset of the grid, C(q-1, 2)^3 of which are two-pairs; on those the
+    pair key it decides them by drops rank exactly when the rank does."""
     f = field_of_order(q)
-    _, columns, betas = _moment_columns(f)
+    points, columns, betas = moment_columns(f)
+    dependent = _key_test(f, points, betas)
+    two_pairs = 0
     for quad in combinations(range(len(columns)), 4):
+        full = rank(f, [columns[i] for i in quad]) == 4
         if _pair_code(betas, quad) != 2:
-            assert rank(f, [columns[i] for i in quad]) == 4, quad
+            assert full, quad
+        else:
+            assert dependent(list(quad)) != full, quad
+            two_pairs += 1
+    assert two_pairs == comb(q - 1, 2) ** 3
+
+
+def key_decides(dependent, labels, quad):
+    """Whether a sampled scan finds quad dependent: its labels make it
+    two-pairs and its pair keys agree."""
+    return _pair_code(labels, quad) == 2 and dependent(list(quad))
+
+
+@pytest.mark.parametrize("q", [9, 13, 16, 27])
+def test_the_lemma_key_test_is_the_rank_test_on_seeded_two_pairs(q):
+    """2,000 seeded two-pairs quadruples, two points on each of two rows,
+    and about 1,000 members of the oracle's rank-3 family, evenly spaced,
+    which the key must find."""
+    f = Field(*FIELDS[q])
+    points, _, betas = moment_columns(f)
+    dependent = _key_test(f, points, betas)
+    index = {pt: i for i, pt in enumerate(points)}
+    units = list(f.units())
+    rng = random.Random(q)
+    family = oracle_lemma_family(q)
+    family = family[::len(family) // 1_000 + 1]
+    quads = [tuple((x, y) for y in rng.sample(units, 2) for x in rng.sample(units, 2))
+             for _ in range(2_000)]
+    found = 0
+    for pts in family + quads:
+        got = dependent([index[pt] for pt in pts])
+        assert got == (rank(f, constraint_matrix(f, list(pts))) < 4), pts
+        found += got
+    assert found >= len(family) > 0
+
+
+@pytest.mark.parametrize("q,r", [(q, r) for q, r in ADMISSIBLE_UP_TO_32 if q <= 8])
+def test_the_distance_key_test_is_the_rank_test_on_every_quadruple(q, r):
+    """On every 4-subset of the sparse dual's columns, the cells and pair
+    keys find exactly the subsets reduce_row finds dependent, which are
+    the oracle's weight-4 supports."""
+    code = Code.build(Field(*prime_power(q)), r)
+    dependent, labels = _cell_keys(code.domain)
+    by_rank = _rank_test(code.field, _dual_columns(code.domain))
+    quads = list(combinations(range(code.n), 4))
+    found = [quad for quad in quads if key_decides(dependent, labels, quad)]
+    assert found == [quad for quad in quads if by_rank(list(quad))]
+    assert found == oracle_weight4_supports(q, r)
 
 
 @pytest.mark.parametrize("q", [8, 9, 13, 16, 27])
@@ -458,34 +487,10 @@ def test_seeded_quadruples_of_each_pattern_outside_two_pairs_have_rank_4(q, grou
     assert list(codes) == [{4: 0, 3: 1, 2: 3, 1: 6}[len(groups)]]
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_sampled_lemma_scan_computes_a_determinant_only_for_two_pairs(monkeypatch, seed):
-    """Every other pattern is certified by its y-coordinates alone. Seed 1
-    runs all 20,000 trials; seed 0 stops at a two-pairs witness, whose
-    certificate was tried."""
-    calls = 0
-    affine_det = Field.affine_det
-
-    def counted(self, *points):
-        nonlocal calls
-        calls += 1
-        return affine_det(self, *points)
-
-    monkeypatch.setattr(Field, "affine_det", counted)
-    f = Field(13)
-    rep = verify_constraint_matrix(f, mode="sampled", trials=20_000, seed=seed)
-    two_pairs = rep.details["case_counts"]["two-pairs"]
-    if rep.witness is not None:
-        ys = [y for _, y in rep.witness["points"]]
-        two_pairs += _pair_code(ys, (0, 1, 2, 3)) == 2
-    assert (rep.trials, rep.witness is None) == ((3318, False) if seed == 0 else (20_000, True))
-    assert calls == two_pairs
-
-
 def reduce_only_lemma_scan(f, trials, seed):
-    """The sampled lemma scan without the minor certificate: every subset's
-    rank by reduction, y-patterns binned by their multiplicities."""
-    points, columns, betas = _moment_columns(f)
+    """The sampled lemma scan without the pair key: every subset's rank by
+    reduction, y-patterns binned by their multiplicities."""
+    points, columns, betas = moment_columns(f)
     rng = SplitMix64(seed)
     names = {(4,): "all-equal", (1, 3): "three-equal", (2, 2): "two-pairs", (1, 1, 2): "one-pair"}
     bins: Counter = Counter()
@@ -515,15 +520,14 @@ def test_sampled_scan_draws_the_subsets_sample_sorted_draws(n, size):
     sample_sorted calls on the seed return, across at least 3 refills of
     LANES words, repeats included."""
     trials = 3 * LANES // size + 2 if size < n else 3 * LANES
-    columns = [[1]] * n  # never reduced: certify passes every subset
     for seed in (0, 7):
         drawn = []
 
-        def certify(*subset):
+        def recording(subset):
             drawn.append(sorted(subset))
-            return True
+            return False
 
-        checked, failure, _ = _scan_sampled(Field(2), columns, size, trials, seed, None, certify)
+        checked, failure, _ = _scan_sampled(n, size, trials, seed, recording)
         assert (checked, failure) == (trials, None)
         rng = SplitMix64(seed)
         assert drawn == [rng.sample_sorted(n, size) for _ in range(trials)]
@@ -773,7 +777,7 @@ def count_reductions(monkeypatch, module="lrc5.verify"):
 @pytest.mark.parametrize("size", [2, 3, 4, 5])
 def test_exhaustive_cost_is_the_budget_edge_of_a_complete_scan(n, size, monkeypatch):
     """A complete scan makes exactly exhaustive_cost reductions and one that
-    stops at a witness makes no more, so _scan can decide the budget before
+    stops at a witness makes no more, so _mode can decide the budget before
     the first reduction: it runs the scan on a budget of exactly its cost
     and refuses it on one less without reducing anything."""
     f = Field(31)
@@ -788,19 +792,20 @@ def test_exhaustive_cost_is_the_budget_edge_of_a_complete_scan(n, size, monkeypa
     assert len(calls) <= cost
     calls.clear()
     monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", cost)
-    assert _scan(f, columns, size, "exhaustive", 1, 0) == ("exhaustive", comb(n, size), None, None)
+    rep = verify_distance_at_least(f, transpose(columns), size + 1)
+    assert (rep.mode, rep.trials, rep.witness) == ("exhaustive", comb(n, size), None)
     calls.clear()
     monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", cost - 1)
     with pytest.raises(BudgetExceededError, match=f"makes {cost} reductions"):
-        _scan(f, columns, size, "exhaustive", 1, 0)
+        verify_distance_at_least(f, transpose(columns), size + 1)
     assert calls == []
 
 
-def test_binned_scan_budget_counts_leaf_callbacks(monkeypatch):
-    """Every 4-subset of 16 Vandermonde columns is independent; binning
-    them costs one count per subset on top of the reductions, and a scan
-    whose bins would pass the budget is refused before it bins any."""
-    f, columns, betas = Field(31), vandermonde_columns(16), [i % 3 for i in range(16)]
+def test_binned_scan_budget_counts_leaf_callbacks(f5, monkeypatch):
+    """The exhaustive GF(5) lemma scan confirms the 389 subsets before its
+    witness; binning them costs one count per subset on top of the
+    reductions, and a scan whose bins would pass the budget is refused
+    before it bins any."""
     binned = []
 
     def recording(counts, betas, subsets):
@@ -809,15 +814,15 @@ def test_binned_scan_budget_counts_leaf_callbacks(monkeypatch):
         _bin_pairs(counts, betas, subsets)
 
     monkeypatch.setattr("lrc5.verify._bin_pairs", recording)
-    cost = exhaustive_cost(16, 4) + 1_820
+    cost = exhaustive_cost(16, 4) + 389
     monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", cost)
-    mode, checked, failure, bins = _scan(f, columns, 4, "exhaustive", 1, 0, betas)
-    assert (mode, checked, failure) == ("exhaustive", 1_820, None)
-    assert sum(bins.values()) == len(binned) == 1_820
+    rep = verify_constraint_matrix(f5, "exhaustive")
+    assert (rep.mode, rep.trials, rep.result) == ("exhaustive", 390, False)
+    assert sum(rep.details["case_counts"].values()) == len(binned) == 389
     binned.clear()
     monkeypatch.setattr("lrc5.verify.SUBSET_BUDGET", cost - 1)
-    with pytest.raises(BudgetExceededError, match="bins 1820 subsets"):
-        _scan(f, columns, 4, "exhaustive", 1, 0, betas)
+    with pytest.raises(BudgetExceededError, match="bins 389 subsets"):
+        verify_constraint_matrix(f5, "exhaustive")
     assert binned == []
 
 
@@ -951,7 +956,7 @@ def test_scan_matches_reference_on_lemma_columns(q):
     """The confirmed subsets are the lexicographic prefix, so the bins of
     that prefix are the bins of the reference's leaves."""
     field = Field(q)
-    _, columns, _ = _moment_columns(field)
+    _, columns, _ = moment_columns(field)
     assert_scan_matches_reference(field, columns, 4)
 
 
@@ -1066,25 +1071,67 @@ def test_exhaustive_scan_leaves_no_reference_cycle(code135):
 
 @pytest.mark.parametrize("p,m", [(5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)])
 def test_sampled_lemma_scan_matches_the_reference(p, m):
-    """Grouped draws give the reference's (trials, witness, bins) at 30
-    seeds and four trial counts, from a single subset to past most
-    witnesses."""
+    """Grouped draws decided by pair key give the reduce-only reference's
+    (trials, witness, bins) at 30 seeds and four trial counts, from a
+    single subset to past most witnesses."""
     field = Field(p, m)
-    _, columns, betas = _moment_columns(field)
-    certify = _lemma_certificate(field, columns)
+    points, columns, betas = moment_columns(field)
+    dependent = _key_test(field, points, betas)
     for seed in range(30):
         for trials in (1, 7, 100, 5_000):
-            assert _scan_sampled(field, columns, 4, trials, seed, betas, certify) == (
-                reference_scan_sampled(field, columns, 4, trials, seed, betas, certify))
+            assert _scan_sampled(len(points), 4, trials, seed, dependent, betas) == (
+                reference_scan_sampled(field, columns, 4, trials, seed, betas))
 
 
 def test_sampled_distance_scan_matches_the_reference(code135):
-    """Without betas every subset is reduced, as the reference reduces it."""
+    """Without labels every subset goes to the rank test, as the reference
+    reduces it."""
     field, columns = code135.field, _dual_columns(code135.domain)
     for seed in range(5):
         for size in (1, 2, 3, 4):
-            assert _scan_sampled(field, columns, size, 2_000, seed) == (
+            assert _scan_sampled(len(columns), size, 2_000, seed, _rank_test(field, columns)) == (
                 reference_scan_sampled(field, columns, size, 2_000, seed))
+
+
+@pytest.mark.parametrize("q,r", [(7, 5), (9, 3), (13, 5), (29, 6)])
+def test_the_sampled_distance_suite_matches_the_rank_scan_of_its_columns(q, r):
+    """The suite's key scan writes the report that reducing the sparse
+    dual's columns gives, witnesses and trial counts included."""
+    code = Code.build(Field(*prime_power(q)), r)
+    columns = _dual_columns(code.domain)
+    for seed in range(3):
+        [rep] = distance_reports(code, "sampled", 20_000, seed)
+        assert plain(rep) == plain(_distance_at_least(code.field, columns, 5, "sampled", 20_000, seed))
+
+
+def test_sampled_suites_reduce_no_column_and_build_none(code135, monkeypatch):
+    """The y-pattern or the cells confirm a subset, and the pair key
+    decides the rest: no reduce_row call and no column list."""
+
+    def no_columns(*args):
+        raise AssertionError("built a column")
+
+    calls = count_reductions(monkeypatch)
+    monkeypatch.setattr("lrc5.verify._dual_columns", no_columns)
+    monkeypatch.setattr("lrc5.verify._moment_column", no_columns)
+    lemma = [verify_constraint_matrix(code135.field, "sampled", 20_000, seed) for seed in (0, 1)]
+    assert [(rep.trials, rep.result) for rep in lemma] == [(3_318, False), (20_000, True)]
+    [d5] = distance_reports(code135, "sampled", 20_000, 0)
+    assert (d5.trials, d5.result) == (20_000, True)
+    assert calls == []
+
+
+def test_the_sampled_distance_suite_peaks_below_2_mb_at_gf81():
+    """Its columns at GF(81) r=4 would be 6,400 lists of 1,283 entries."""
+    code = Code.build(Field(3, 4), 4)
+    tracemalloc.start()
+    try:
+        reports = distance_reports(code, "sampled", 100_000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert [(rep.mode, rep.trials) for rep in reports] == [("sampled", 100_000)]
 
 
 @pytest.mark.parametrize("p,m,r,trials", [(3, 2, 3, 41_664), (2, 4, 4, 1_873_200)])
